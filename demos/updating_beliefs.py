@@ -8,7 +8,7 @@ diff below shows one of each, side by side.
 
 from pathlib import Path
 
-from dfca import ClosureSession, crc_entails, entailment_diff, load_conditionals, load_context
+from dfca import ClosureSession, entailment_diff, load_conditionals, load_context
 from dfca.formula import parse_conditional
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -29,7 +29,7 @@ def main():
     ]
     print("\nverdicts now:")
     for q in queries:
-        print(f"  {q}: {crc_entails(before, q)}")
+        print(f"  {q}: {before.entails(q)}")
 
     addition = parse_conditional('"fw. eva" |~ "fw. frank"')
     after = before.add_conditional(addition)

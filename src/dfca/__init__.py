@@ -7,7 +7,7 @@ and a conditional knowledge base induces a least ranking under which
 plausible queries can be answered.
 """
 
-from .closure import ClosureSession, add_conditional, crc_entails, entailment_diff
+from .closure import ClosureSession, entailment_diff
 from .context import (
     AttributeImplication,
     FormalContext,
@@ -59,10 +59,8 @@ from .order import (
     RankedContext,
     RankingFunction,
     StrictOrder,
-    minimise,
     order_from_ranks,
     ranks_from_order,
-    satisfies_conditional,
 )
 from .ranking import (
     KnowledgeBase,
@@ -102,12 +100,10 @@ __all__ = [
     "StructureError",
     "UnsupportedStateError",
     "ValidityError",
-    "add_conditional",
     "atom_names",
     "bind",
     "closure_under",
     "context_preference",
-    "crc_entails",
     "delta_valid",
     "entailment_diff",
     "enumerate_ranked_models",
@@ -123,7 +119,6 @@ __all__ = [
     "load_prop_statements",
     "load_ranks",
     "materialise",
-    "minimise",
     "object_rank",
     "order_from_ranks",
     "parse_conditional",
@@ -131,7 +126,6 @@ __all__ = [
     "parse_cxt",
     "parse_formula",
     "ranks_from_order",
-    "satisfies_conditional",
     "save_context",
     "set_satisfies",
 ]

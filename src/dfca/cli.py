@@ -32,13 +32,7 @@ from .formula import (
     parse_formula,
 )
 from .fileio import load_conditionals, load_context, load_prop_statements
-from .propositional import (
-    Not as PropNot,
-    base_rank,
-    parse_prop_statement,
-    prop_entails,
-    rc_decision,
-)
+from .propositional import base_rank, parse_prop_statement, rc_decision
 from .ranking import KnowledgeBase, delta_valid, object_rank
 
 
@@ -295,14 +289,11 @@ def _cmd_rcprop(args):
         raise StructureError(
             "rcprop answers defeasible queries written 'phi |~ psi'"
         )
-    verdict, dropped = rc_decision(statements, query)
-    hard = [s.material() for s in base_rank(statements).infinite]
-    if prop_entails(hard, PropNot(query.antecedent)):
+    verdict, antecedent_rank = rc_decision(statements, query)
+    if antecedent_rank is None:
         note = "antecedent impossible at every rank"
-        antecedent_rank = None
     else:
-        note = f"antecedent first non-exceptional at rank {dropped}"
-        antecedent_rank = dropped
+        note = f"antecedent first non-exceptional at rank {antecedent_rank}"
     text = f"{'holds' if verdict else 'does not hold'} ({note})"
     data = {
         "command": "rcprop",

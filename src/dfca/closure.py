@@ -51,14 +51,6 @@ class ClosureSession:
         return f"ClosureSession({self._context!r}, {self._kb!r})"
 
 
-def crc_entails(session, conditional):
-    return session.entails(conditional)
-
-
-def add_conditional(session, conditional):
-    return session.add_conditional(conditional)
-
-
 def entailment_diff(before, after, probes):
     """Per-probe verdicts in two sessions over the same context.
 

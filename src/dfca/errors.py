@@ -8,8 +8,9 @@ class DfcaError(Exception):
 class FormulaSyntaxError(DfcaError):
     """Formula or statement text that cannot be parsed.
 
-    Carries the byte offset of the failure and, when known, a description
-    of what would have been accepted there.
+    Carries the offset of the failure, counted in characters from the
+    start of the text, and, when known, a description of what would have
+    been accepted there.
     """
 
     def __init__(self, message, offset, expected=None):

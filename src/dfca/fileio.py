@@ -25,9 +25,8 @@ from typing import Optional
 
 from .context import FormalContext
 from .errors import BindingError, FileFormatError, FormulaSyntaxError, StructureError
-from .formula import parse_conditional
+from .formula import parse_conditional, parse_prop_statement
 from .order import RankingFunction, StrictOrder
-from .propositional import parse_prop_statement
 
 
 def parse_cxt(text, path=None):

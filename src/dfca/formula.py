@@ -1,65 +1,106 @@
-"""Compound attributes: negation, conjunction, disjunction over attribute names.
+"""The formula language: compound attributes and propositional formulas.
 
-Grammar:
+One grammar serves both:
 
-    formula := disj ;
+    formula := iff ;
+    iff     := impl { "<->" impl } ;
+    impl    := disj [ "->" impl ] ;
     disj    := conj { "|" conj } ;
     conj    := neg { "&" neg } ;
     neg     := "!" neg | atom ;
-    atom    := IDENT | QUOTED | "(" formula ")" .
+    atom    := IDENT | QUOTED | "TOP" | "BOT" | "(" formula ")" .
 
-IDENT matches ``[A-Za-z_][A-Za-z0-9_.-]*``; any other attribute name goes in
-double quotes, with ``\\"`` and ``\\\\`` escapes. ``!`` binds tighter than
-``&``, which binds tighter than ``|``; both binary connectives associate to
-the left. A ``#`` outside quotes starts a comment running to the end of the
-input.
+IDENT matches ``[A-Za-z_][A-Za-z0-9_.-]*``; any other name goes in double
+quotes, with ``\\"`` and ``\\\\`` escapes. Each rule binds tighter than the
+one above it; ``->`` associates to the right, the other binary connectives
+to the left. A ``#`` outside quotes starts a comment running to the end of
+the input.
 
-Statements pair two formulas: ``phi |~ psi`` is a defeasible conditional,
-``phi -> psi`` a classical implication.
+It is read in two dialects:
+
+* Compound attributes (``parse_formula``, ``format_formula``) are the
+  negation-conjunction-disjunction fragment over attribute names. A formula
+  starts at ``disj``, so ``->`` and ``<->`` never occur inside one, and
+  ``TOP`` and ``BOT`` are plain attribute names. A statement
+  (``parse_conditional``) pairs two formulas: ``phi |~ psi`` is a
+  defeasible conditional, ``phi -> psi`` a classical implication.
+* Propositional formulas (``parse_prop_formula``, ``format_prop_formula``)
+  use the whole grammar; ``TOP`` and ``BOT`` are the constants, so atoms
+  with those names must be quoted. A statement (``parse_prop_statement``)
+  is either ``phi |~ psi`` (a defeasible conditional) or a bare formula (a
+  classical assertion; ``phi -> psi`` is one such formula). A classical
+  assertion of ``alpha`` is carried as the conditional ``!alpha |~ BOT``,
+  whose material form is equivalent to ``alpha``: exceptionality then files
+  it above every finite rank, which is exactly where non-negotiable
+  knowledge belongs.
+
+Both printers emit the fewest parentheses their parser needs, except that
+propositional text wraps a doubled negation: ``!(!a)`` where compound text
+has ``!!a``. ``str()`` of a bare formula node prints compound text; ``str()``
+of a statement prints its own dialect.
 """
 
 import re
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import BindingError, FormulaSyntaxError
+from .errors import FormulaSyntaxError, StructureError
+
+
+class _Node:
+    __slots__ = ()
+
+    def __str__(self):
+        return format_formula(self)
 
 
 @dataclass(frozen=True)
-class Atom:
+class Top(_Node):
+    """The constant true."""
+
+
+@dataclass(frozen=True)
+class Bot(_Node):
+    """The constant false."""
+
+
+@dataclass(frozen=True)
+class Atom(_Node):
     name: str
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     operand: "Formula"
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self):
-        return format_formula(self)
-
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
-    def __str__(self):
-        return format_formula(self)
+
+@dataclass(frozen=True)
+class Implies(_Node):
+    left: "Formula"
+    right: "Formula"
 
 
-Formula = Union[Atom, Not, And, Or]
+@dataclass(frozen=True)
+class Iff(_Node):
+    left: "Formula"
+    right: "Formula"
+
+
+Formula = Union[Top, Bot, Atom, Not, And, Or, Implies, Iff]
+
+_BINARY = (And, Or, Implies, Iff)
 
 DEFEASIBLE = "defeasible"
 CLASSICAL = "classical"
@@ -67,7 +108,7 @@ CLASSICAL = "classical"
 
 @dataclass(frozen=True)
 class Conditional:
-    """phi |~ psi (defeasible) or phi -> psi (classical)."""
+    """phi |~ psi (defeasible) or phi -> psi (classical), over attributes."""
 
     antecedent: Formula
     consequent: Formula
@@ -93,7 +134,49 @@ class Conditional:
         )
 
 
-# --- lexer, shared with the propositional module -------------------------
+@dataclass(frozen=True)
+class PropConditional:
+    """A defeasible ``phi |~ psi`` or an encoded classical assertion."""
+
+    antecedent: Formula
+    consequent: Formula
+    kind: str = DEFEASIBLE
+
+    def __post_init__(self):
+        if self.kind not in (DEFEASIBLE, CLASSICAL):
+            raise ValueError(f"unknown statement kind {self.kind!r}")
+
+    @classmethod
+    def defeasible(cls, antecedent, consequent):
+        return cls(antecedent, consequent, DEFEASIBLE)
+
+    @classmethod
+    def assertion(cls, statement):
+        """Encode a classical assertion of ``statement``."""
+        return cls(Not(statement), Bot(), CLASSICAL)
+
+    def material(self):
+        """The material implication: antecedent -> consequent."""
+        return Implies(self.antecedent, self.consequent)
+
+    def asserted(self):
+        """The plain formula behind a classical assertion."""
+        if self.kind != CLASSICAL:
+            raise StructureError("only classical statements assert a formula")
+        if isinstance(self.antecedent, Not) and isinstance(self.consequent, Bot):
+            return self.antecedent.operand
+        return self.material()
+
+    def __str__(self):
+        if self.kind == CLASSICAL:
+            return format_prop_formula(self.asserted())
+        return (
+            f"{format_prop_formula(self.antecedent)} |~ "
+            f"{format_prop_formula(self.consequent)}"
+        )
+
+
+# --- lexer ----------------------------------------------------------------
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
 
@@ -252,54 +335,95 @@ class TokenStream:
         )
 
 
-def _parse_disj(stream, atom_parser):
-    left = _parse_conj(stream, atom_parser)
+# --- parsing --------------------------------------------------------------
+#
+# ``prop`` selects the dialect: True for propositional formulas, False for
+# compound attributes.
+
+_CONSTANTS = {"TOP": Top(), "BOT": Bot()}
+
+
+def _parse_formula(stream, prop):
+    return _parse_iff(stream) if prop else _parse_disj(stream, False)
+
+
+def _parse_iff(stream):
+    left = _parse_impl(stream)
+    while stream.peek().kind == DARROW:
+        stream.advance()
+        left = Iff(left, _parse_impl(stream))
+    return left
+
+
+def _parse_impl(stream):
+    left = _parse_disj(stream, True)
+    if stream.peek().kind == ARROW:
+        stream.advance()
+        return Implies(left, _parse_impl(stream))
+    return left
+
+
+def _parse_disj(stream, prop):
+    left = _parse_conj(stream, prop)
     while stream.peek().kind == PIPE:
         stream.advance()
-        left = Or(left, _parse_conj(stream, atom_parser))
+        left = Or(left, _parse_conj(stream, prop))
     return left
 
 
-def _parse_conj(stream, atom_parser):
-    left = _parse_neg(stream, atom_parser)
+def _parse_conj(stream, prop):
+    left = _parse_neg(stream, prop)
     while stream.peek().kind == AMP:
         stream.advance()
-        left = And(left, _parse_neg(stream, atom_parser))
+        left = And(left, _parse_neg(stream, prop))
     return left
 
 
-def _parse_neg(stream, atom_parser):
+def _parse_neg(stream, prop):
     if stream.peek().kind == BANG:
         stream.advance()
-        return Not(_parse_neg(stream, atom_parser))
-    return atom_parser(stream)
+        return Not(_parse_neg(stream, prop))
+    return _parse_atom(stream, prop)
 
 
-def _parse_atom(stream):
+def _parse_atom(stream, prop):
     token = stream.peek()
     if token.kind in (IDENT, QUOTED):
         stream.advance()
+        if prop and token.kind == IDENT and token.value in _CONSTANTS:
+            return _CONSTANTS[token.value]
         return Atom(token.value)
     if token.kind == LPAREN:
         stream.advance()
-        inner = _parse_disj(stream, _parse_atom)
+        inner = _parse_formula(stream, prop)
         stream.expect(RPAREN)
         return inner
+    if prop:
+        raise stream.error(token, "an atom, constant, '!', or '('")
     raise stream.error(token, "an attribute name, '!', or '('")
 
 
-def parse_formula(text):
-    """Parse one compound attribute."""
+def _parse_whole(text, prop):
     stream = TokenStream(tokenize(text))
-    result = _parse_disj(stream, _parse_atom)
+    result = _parse_formula(stream, prop)
     stream.expect(END)
     return result
 
 
+def parse_formula(text):
+    """Parse one compound attribute."""
+    return _parse_whole(text, False)
+
+
+def parse_prop_formula(text):
+    """Parse one propositional formula."""
+    return _parse_whole(text, True)
+
+
 def parse_conditional(text):
-    """Parse ``phi |~ psi`` or ``phi -> psi``."""
+    """Parse ``phi |~ psi`` or ``phi -> psi`` over compound attributes."""
     stream = TokenStream(tokenize(text))
-    antecedent = _parse_disj(stream, _parse_atom)
+    antecedent = _parse_formula(stream, False)
     token = stream.peek()
     if token.kind == SQUIGGLE:
         kind = DEFEASIBLE
@@ -308,68 +432,117 @@ def parse_conditional(text):
     else:
         raise stream.error(token, "'|~' or '->'")
     stream.advance()
-    consequent = _parse_disj(stream, _parse_atom)
+    consequent = _parse_formula(stream, False)
     stream.expect(END)
     return Conditional(antecedent, consequent, kind)
 
 
+def parse_prop_statement(text):
+    """Parse ``phi |~ psi`` or a bare formula (a classical assertion)."""
+    stream = TokenStream(tokenize(text))
+    first = _parse_formula(stream, True)
+    token = stream.peek()
+    if token.kind == SQUIGGLE:
+        stream.advance()
+        second = _parse_formula(stream, True)
+        stream.expect(END)
+        return PropConditional.defeasible(first, second)
+    if token.kind == END:
+        return PropConditional.assertion(first)
+    raise stream.error(token, "'|~' or end of statement")
+
+
 # --- printing -------------------------------------------------------------
 
-_OR_PREC = 1
-_AND_PREC = 2
-_NOT_PREC = 3
-
-
-def format_atom_name(name, *, reserved=()):
-    if IDENT_RE.fullmatch(name) and name not in reserved:
-        return name
-    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+# binary node -> (precedence, symbol); a larger precedence binds tighter
+_INFIX = {Iff: (1, "<->"), Implies: (2, "->"), Or: (3, "|"), And: (4, "&")}
+_NOT_PREC = 5
+_ATOM_PREC = 6
 
 
 def format_formula(formula):
-    """Canonical text form; parse_formula inverts it."""
-    return _format(formula, 0, False)
+    """Canonical compound text; parse_formula inverts it."""
+    return _format(formula, False)[0]
 
 
-def _format(formula, parent_prec, right_side):
-    if isinstance(formula, Atom):
-        return format_atom_name(formula.name)
-    if isinstance(formula, Not):
-        text = "!" + _format(formula.operand, _NOT_PREC, False)
-        prec = _NOT_PREC
-    elif isinstance(formula, And):
-        text = (
-            _format(formula.left, _AND_PREC, False)
-            + " & "
-            + _format(formula.right, _AND_PREC, True)
-        )
-        prec = _AND_PREC
-    elif isinstance(formula, Or):
-        text = (
-            _format(formula.left, _OR_PREC, False)
-            + " | "
-            + _format(formula.right, _OR_PREC, True)
-        )
-        prec = _OR_PREC
-    else:
-        raise TypeError(f"not a formula: {formula!r}")
-    if prec < parent_prec or (prec == parent_prec and right_side):
+def format_prop_formula(formula):
+    """Canonical propositional text; parse_prop_formula inverts it."""
+    return _format(formula, True)[0]
+
+
+def _wrap(child, parent_prec, prop, *, equal_ok):
+    text, prec = _format(child, prop)
+    if prec < parent_prec or (prec == parent_prec and not equal_ok):
         return f"({text})"
     return text
+
+
+def _format(formula, prop):
+    """Text in one dialect, and the precedence of the top connective."""
+    if isinstance(formula, Atom):
+        name = formula.name
+        if IDENT_RE.fullmatch(name) and not (prop and name in _CONSTANTS):
+            return name, _ATOM_PREC
+        escaped = name.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"', _ATOM_PREC
+    if isinstance(formula, Top):
+        return "TOP", _ATOM_PREC
+    if isinstance(formula, Bot):
+        return "BOT", _ATOM_PREC
+    if isinstance(formula, Not):
+        # a doubled negation is !(!a) in propositional text, !!a in compound
+        operand = _wrap(formula.operand, _NOT_PREC, prop, equal_ok=not prop)
+        return "!" + operand, _NOT_PREC
+    if not isinstance(formula, _BINARY):
+        raise TypeError(f"not a formula: {formula!r}")
+    prec, symbol = _INFIX[type(formula)]
+    # '->' associates to the right, so only its right operand may repeat it
+    right_nested = isinstance(formula, Implies)
+    left = _wrap(formula.left, prec, prop, equal_ok=not right_nested)
+    right = _wrap(formula.right, prec, prop, equal_ok=right_nested)
+    return f"{left} {symbol} {right}", prec
 
 
 # --- semantics ------------------------------------------------------------
 
 
 def atom_names(formula):
-    """Set of attribute names the formula mentions."""
+    """Set of atom (attribute) names the formula mentions."""
     if isinstance(formula, Atom):
         return {formula.name}
     if isinstance(formula, Not):
         return atom_names(formula.operand)
-    if isinstance(formula, (And, Or)):
+    if isinstance(formula, _BINARY):
         return atom_names(formula.left) | atom_names(formula.right)
+    if isinstance(formula, (Top, Bot)):
+        return set()
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def evaluate(formula, column, universe):
+    """Bitset of the elements satisfying the formula.
+
+    ``column(name)`` gives the bitset of elements having the atom ``name``;
+    ``universe`` is the bitset of every element.
+    """
+    if isinstance(formula, Atom):
+        return column(formula.name)
+    if isinstance(formula, Not):
+        return universe ^ evaluate(formula.operand, column, universe)
+    if isinstance(formula, _BINARY):
+        left = evaluate(formula.left, column, universe)
+        right = evaluate(formula.right, column, universe)
+        if isinstance(formula, And):
+            return left & right
+        if isinstance(formula, Or):
+            return left | right
+        if isinstance(formula, Implies):
+            return (universe ^ left) | right
+        return universe ^ (left ^ right)
+    if isinstance(formula, Top):
+        return universe
+    if isinstance(formula, Bot):
+        return 0
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -382,15 +555,11 @@ def bind(context, formula):
 
 def extension(context, formula):
     """Objects satisfying the formula, as a bitset over the context."""
-    if isinstance(formula, Atom):
-        return context.column(context.attribute_index(formula.name))
-    if isinstance(formula, Not):
-        return context.object_universe ^ extension(context, formula.operand)
-    if isinstance(formula, And):
-        return extension(context, formula.left) & extension(context, formula.right)
-    if isinstance(formula, Or):
-        return extension(context, formula.left) | extension(context, formula.right)
-    raise TypeError(f"not a formula: {formula!r}")
+    return evaluate(
+        formula,
+        lambda name: context.column(context.attribute_index(name)),
+        context.object_universe,
+    )
 
 
 def materialise(conditional):

@@ -114,11 +114,6 @@ class StrictOrder:
         return f"StrictOrder({self._size}, {self.pairs()!r})"
 
 
-def minimise(members, order):
-    """Order-minimal members of a set; the whole set under the empty order."""
-    return order.minimise(members)
-
-
 class RankingFunction:
     """A convex rank per index: rank 0 occupied (when nonempty), no gaps."""
 
@@ -353,8 +348,3 @@ class RankedContext:
 
     def __repr__(self):
         return f"RankedContext({self._context!r}, {self._ranking!r})"
-
-
-def satisfies_conditional(preference_context, conditional):
-    """Satisfaction for either context flavour (ranked ones use their ranking)."""
-    return preference_context.satisfies(conditional)

@@ -1,23 +1,9 @@
 """Propositional defeasible reasoning, the classical baseline.
 
-Formulas extend the compound-attribute grammar with material implication,
-biconditional, and the two constants:
-
-    formula := iff ;
-    iff     := impl { "<->" impl } ;
-    impl    := disj [ "->" impl ] ;
-    disj    := conj { "|" conj } ;
-    conj    := neg { "&" neg } ;
-    neg     := "!" neg | atom ;
-    atom    := IDENT | QUOTED | "TOP" | "BOT" | "(" formula ")" .
-
-``->`` associates to the right, the other binary connectives to the left.
-Atoms named TOP or BOT must be quoted. A statement line is either
-``phi |~ psi`` (a defeasible conditional) or a bare formula (a classical
-assertion; ``phi -> psi`` is one such formula). A classical assertion of
-``alpha`` is carried as the conditional ``!alpha |~ BOT``, whose material
-form is equivalent to ``alpha``: exceptionality then files it above every
-finite rank, which is exactly where non-negotiable knowledge belongs.
+Formulas and statements are those of the propositional dialect of the
+formula language (see ``dfca.formula``); the names below re-export them.
+Statements are ranked by exceptionality under classical entailment, and
+queries are answered by rational closure.
 
 Interpretations attach valuations to preference-ordered states. Every
 finitely-ranked interpretation turns into a ranked context on the same
@@ -26,7 +12,6 @@ skeleton, which is what ties this module to the rest of the package.
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .context import FormalContext
 from .errors import (
@@ -36,289 +21,28 @@ from .errors import (
     UnsupportedStateError,
 )
 from .formula import (
-    AMP,
-    ARROW,
-    BANG,
-    DARROW,
-    END,
-    IDENT,
-    LPAREN,
-    PIPE,
-    QUOTED,
-    RPAREN,
-    SQUIGGLE,
-    TokenStream,
-    format_atom_name,
-    tokenize,
+    CLASSICAL,
+    DEFEASIBLE,
+    And,
+    Atom,
+    Bot,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    PropConditional,
+    Top,
+    atom_names,
+    evaluate,
+    format_prop_formula,
+    parse_prop_formula,
+    parse_prop_statement,
 )
 from .limits import enumeration_cap
 from .order import PreferentialContext, RankedContext, RankingFunction
 
 
-@dataclass(frozen=True)
-class Top:
-    def __str__(self):
-        return "TOP"
-
-
-@dataclass(frozen=True)
-class Bot:
-    def __str__(self):
-        return "BOT"
-
-
-@dataclass(frozen=True)
-class Atom:
-    name: str
-
-    def __str__(self):
-        return format_prop_formula(self)
-
-
-@dataclass(frozen=True)
-class Not:
-    operand: "PropFormula"
-
-    def __str__(self):
-        return format_prop_formula(self)
-
-
-@dataclass(frozen=True)
-class And:
-    left: "PropFormula"
-    right: "PropFormula"
-
-    def __str__(self):
-        return format_prop_formula(self)
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "PropFormula"
-    right: "PropFormula"
-
-    def __str__(self):
-        return format_prop_formula(self)
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: "PropFormula"
-    right: "PropFormula"
-
-    def __str__(self):
-        return format_prop_formula(self)
-
-
-@dataclass(frozen=True)
-class Iff:
-    left: "PropFormula"
-    right: "PropFormula"
-
-    def __str__(self):
-        return format_prop_formula(self)
-
-
-PropFormula = Union[Top, Bot, Atom, Not, And, Or, Implies, Iff]
-
-DEFEASIBLE = "defeasible"
-CLASSICAL = "classical"
-
-
-@dataclass(frozen=True)
-class PropConditional:
-    """A defeasible ``phi |~ psi`` or an encoded classical assertion."""
-
-    antecedent: PropFormula
-    consequent: PropFormula
-    kind: str = DEFEASIBLE
-
-    def __post_init__(self):
-        if self.kind not in (DEFEASIBLE, CLASSICAL):
-            raise ValueError(f"unknown statement kind {self.kind!r}")
-
-    @classmethod
-    def defeasible(cls, antecedent, consequent):
-        return cls(antecedent, consequent, DEFEASIBLE)
-
-    @classmethod
-    def assertion(cls, statement):
-        """Encode a classical assertion of ``statement``."""
-        return cls(Not(statement), Bot(), CLASSICAL)
-
-    def material(self):
-        """The material implication: antecedent -> consequent."""
-        return Implies(self.antecedent, self.consequent)
-
-    def asserted(self):
-        """The plain formula behind a classical assertion."""
-        if self.kind != CLASSICAL:
-            raise StructureError("only classical statements assert a formula")
-        if isinstance(self.antecedent, Not) and isinstance(self.consequent, Bot):
-            return self.antecedent.operand
-        return self.material()
-
-    def __str__(self):
-        if self.kind == CLASSICAL:
-            return format_prop_formula(self.asserted())
-        return (
-            f"{format_prop_formula(self.antecedent)} |~ "
-            f"{format_prop_formula(self.consequent)}"
-        )
-
-
-# --- parsing ----------------------------------------------------------------
-
-
-def _parse_iff(stream):
-    left = _parse_impl(stream)
-    while stream.peek().kind == DARROW:
-        stream.advance()
-        left = Iff(left, _parse_impl(stream))
-    return left
-
-
-def _parse_impl(stream):
-    left = _parse_disj(stream)
-    if stream.peek().kind == ARROW:
-        stream.advance()
-        return Implies(left, _parse_impl(stream))
-    return left
-
-
-def _parse_disj(stream):
-    left = _parse_conj(stream)
-    while stream.peek().kind == PIPE:
-        stream.advance()
-        left = Or(left, _parse_conj(stream))
-    return left
-
-
-def _parse_conj(stream):
-    left = _parse_neg(stream)
-    while stream.peek().kind == AMP:
-        stream.advance()
-        left = And(left, _parse_neg(stream))
-    return left
-
-
-def _parse_neg(stream):
-    if stream.peek().kind == BANG:
-        stream.advance()
-        return Not(_parse_neg(stream))
-    return _parse_atom(stream)
-
-
-def _parse_atom(stream):
-    token = stream.peek()
-    if token.kind == IDENT:
-        stream.advance()
-        if token.value == "TOP":
-            return Top()
-        if token.value == "BOT":
-            return Bot()
-        return Atom(token.value)
-    if token.kind == QUOTED:
-        stream.advance()
-        return Atom(token.value)
-    if token.kind == LPAREN:
-        stream.advance()
-        inner = _parse_iff(stream)
-        stream.expect(RPAREN)
-        return inner
-    raise stream.error(token, "an atom, constant, '!', or '('")
-
-
-def parse_prop_formula(text):
-    """Parse one propositional formula."""
-    stream = TokenStream(tokenize(text))
-    result = _parse_iff(stream)
-    stream.expect(END)
-    return result
-
-
-def parse_prop_statement(text):
-    """Parse ``phi |~ psi`` or a bare formula (a classical assertion)."""
-    stream = TokenStream(tokenize(text))
-    first = _parse_iff(stream)
-    token = stream.peek()
-    if token.kind == SQUIGGLE:
-        stream.advance()
-        second = _parse_iff(stream)
-        stream.expect(END)
-        return PropConditional.defeasible(first, second)
-    if token.kind == END:
-        return PropConditional.assertion(first)
-    raise stream.error(token, "'|~' or end of statement")
-
-
-# --- printing ---------------------------------------------------------------
-
-_IFF_PREC = 1
-_IMPL_PREC = 2
-_OR_PREC = 3
-_AND_PREC = 4
-_NOT_PREC = 5
-_ATOM_PREC = 9
-
-_RESERVED = ("TOP", "BOT")
-
-
-def format_prop_formula(formula):
-    """Canonical text form; parse_prop_formula inverts it."""
-    text, _ = _format(formula)
-    return text
-
-
-def _wrap(child, parent_prec, *, strict):
-    text, prec = _format(child)
-    if prec < parent_prec or (not strict and prec == parent_prec):
-        return f"({text})"
-    return text
-
-
-def _format(formula):
-    if isinstance(formula, Top):
-        return "TOP", _ATOM_PREC
-    if isinstance(formula, Bot):
-        return "BOT", _ATOM_PREC
-    if isinstance(formula, Atom):
-        return format_atom_name(formula.name, reserved=_RESERVED), _ATOM_PREC
-    if isinstance(formula, Not):
-        return "!" + _wrap(formula.operand, _NOT_PREC, strict=False), _NOT_PREC
-    if isinstance(formula, And):
-        left = _wrap(formula.left, _AND_PREC, strict=True)
-        right = _wrap(formula.right, _AND_PREC, strict=False)
-        return f"{left} & {right}", _AND_PREC
-    if isinstance(formula, Or):
-        left = _wrap(formula.left, _OR_PREC, strict=True)
-        right = _wrap(formula.right, _OR_PREC, strict=False)
-        return f"{left} | {right}", _OR_PREC
-    if isinstance(formula, Implies):
-        left = _wrap(formula.left, _IMPL_PREC, strict=False)
-        right = _wrap(formula.right, _IMPL_PREC, strict=True)
-        return f"{left} -> {right}", _IMPL_PREC
-    if isinstance(formula, Iff):
-        left = _wrap(formula.left, _IFF_PREC, strict=True)
-        right = _wrap(formula.right, _IFF_PREC, strict=False)
-        return f"{left} <-> {right}", _IFF_PREC
-    raise TypeError(f"not a propositional formula: {formula!r}")
-
-
 # --- semantics --------------------------------------------------------------
-
-
-def atom_names(formula):
-    """Set of atom names the formula mentions."""
-    if isinstance(formula, (Top, Bot)):
-        return set()
-    if isinstance(formula, Atom):
-        return {formula.name}
-    if isinstance(formula, Not):
-        return atom_names(formula.operand)
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return atom_names(formula.left) | atom_names(formula.right)
-    raise TypeError(f"not a propositional formula: {formula!r}")
 
 
 def prop_eval(valuation, formula):
@@ -389,42 +113,31 @@ def prop_entails(premises, conclusion, *, max_atoms=None):
 INFINITE_RANK = math.inf
 
 
-def _checked_states(atoms, states, valuations):
-    atoms = tuple(atoms)
-    if len(set(atoms)) != len(atoms):
-        raise StructureError("duplicate atom names")
-    states = tuple(states)
-    if len(set(states)) != len(states):
-        raise StructureError("duplicate state labels")
-    valuations = tuple(dict(v) for v in valuations)
-    if len(valuations) != len(states):
-        raise StructureError(
-            f"expected {len(states)} valuations, got {len(valuations)}"
-        )
-    for label, v in zip(states, valuations):
-        if set(v) != set(atoms):
+class _Interpretation:
+    """Distinct states, each labelled with a valuation of the same atoms."""
+
+    __slots__ = ("_atoms", "_states", "_valuations")
+
+    def __init__(self, atoms, states, valuations):
+        atoms = tuple(atoms)
+        if len(set(atoms)) != len(atoms):
+            raise StructureError("duplicate atom names")
+        states = tuple(states)
+        if len(set(states)) != len(states):
+            raise StructureError("duplicate state labels")
+        valuations = tuple(dict(v) for v in valuations)
+        if len(valuations) != len(states):
             raise StructureError(
-                f"state {label!r} must value exactly the declared atoms"
+                f"expected {len(states)} valuations, got {len(valuations)}"
             )
-    return atoms, states, valuations
-
-
-class PreferentialInterpretation:
-    """States labelled with valuations, plus a strict preference order."""
-
-    __slots__ = ("_atoms", "_states", "_valuations", "_order")
-
-    def __init__(self, atoms, states, valuations, order):
-        atoms, states, valuations = _checked_states(atoms, states, valuations)
-        if order.size != len(states):
-            raise StructureError(
-                f"order covers {order.size} elements, interpretation has "
-                f"{len(states)} states"
-            )
+        for label, v in zip(states, valuations):
+            if set(v) != set(atoms):
+                raise StructureError(
+                    f"state {label!r} must value exactly the declared atoms"
+                )
         self._atoms = atoms
         self._states = states
         self._valuations = valuations
-        self._order = order
 
     @property
     def atoms(self):
@@ -438,17 +151,35 @@ class PreferentialInterpretation:
     def valuations(self):
         return self._valuations
 
+    def state_bits(self, formula):
+        """Bitset of states whose valuation satisfies the formula."""
+
+        def column(name):
+            try:
+                return sum(1 << i for i, v in enumerate(self._valuations) if v[name])
+            except KeyError:
+                raise BindingError(f"valuation has no atom {name!r}") from None
+
+        return evaluate(formula, column, (1 << len(self._valuations)) - 1)
+
+
+class PreferentialInterpretation(_Interpretation):
+    """States labelled with valuations, plus a strict preference order."""
+
+    __slots__ = ("_order",)
+
+    def __init__(self, atoms, states, valuations, order):
+        super().__init__(atoms, states, valuations)
+        if order.size != len(self._states):
+            raise StructureError(
+                f"order covers {order.size} elements, interpretation has "
+                f"{len(self._states)} states"
+            )
+        self._order = order
+
     @property
     def order(self):
         return self._order
-
-    def state_bits(self, formula):
-        """Bitset of states whose valuation satisfies the formula."""
-        bits = 0
-        for i, v in enumerate(self._valuations):
-            if prop_eval(v, formula):
-                bits |= 1 << i
-        return bits
 
     def satisfies(self, conditional):
         """Do the most preferred antecedent states all satisfy the consequent?"""
@@ -458,7 +189,7 @@ class PreferentialInterpretation:
         return minimal & ~consequent_states == 0
 
 
-class RankedInterpretation:
+class RankedInterpretation(_Interpretation):
     """States labelled with valuations, plus ranks from 0 upward or infinite.
 
     The finite ranks must be convex. A state is strictly preferred to
@@ -466,13 +197,15 @@ class RankedInterpretation:
     least preferred of all.
     """
 
-    __slots__ = ("_atoms", "_states", "_valuations", "_ranks")
+    __slots__ = ("_ranks",)
 
     def __init__(self, atoms, states, valuations, ranks):
-        atoms, states, valuations = _checked_states(atoms, states, valuations)
+        super().__init__(atoms, states, valuations)
         ranks = tuple(ranks)
-        if len(ranks) != len(states):
-            raise StructureError(f"expected {len(states)} ranks, got {len(ranks)}")
+        if len(ranks) != len(self._states):
+            raise StructureError(
+                f"expected {len(self._states)} ranks, got {len(ranks)}"
+            )
         finite = []
         for r in ranks:
             if r == INFINITE_RANK:
@@ -486,33 +219,11 @@ class RankedInterpretation:
             raise StructureError(
                 f"finite ranks {sorted(set(finite))} leave gaps"
             )
-        self._atoms = atoms
-        self._states = states
-        self._valuations = valuations
         self._ranks = ranks
-
-    @property
-    def atoms(self):
-        return self._atoms
-
-    @property
-    def states(self):
-        return self._states
-
-    @property
-    def valuations(self):
-        return self._valuations
 
     @property
     def ranks(self):
         return self._ranks
-
-    def state_bits(self, formula):
-        bits = 0
-        for i, v in enumerate(self._valuations):
-            if prop_eval(v, formula):
-                bits |= 1 << i
-        return bits
 
     def satisfies(self, conditional):
         """Do the least-ranked antecedent states all satisfy the consequent?"""
@@ -527,11 +238,6 @@ class RankedInterpretation:
             for i in members
             if self._ranks[i] == least
         )
-
-
-def pref_satisfies(interpretation, conditional):
-    """Satisfaction for either interpretation flavour."""
-    return interpretation.satisfies(conditional)
 
 
 # --- base rank and rational closure ------------------------------------------
@@ -585,12 +291,13 @@ def base_rank(statements, *, max_atoms=None):
 
 
 def rc_decision(statements, query, *, max_atoms=None):
-    """Rational-closure verdict for a query, with the strata count dropped.
+    """Rational-closure verdict for a query, with the rank of its antecedent.
 
     Removes the lowest remaining stratum while the leftover material forms
     make the query's antecedent impossible, then checks whether they entail
     the query's material form. The second component counts the strata
-    removed: the rank where the antecedent stops being exceptional.
+    removed: the rank where the antecedent stops being exceptional, or None
+    when no finite rank makes it possible (the verdict is then True).
     """
     ranked = base_rank(statements, max_atoms=max_atoms)
     fixed = [s.material() for s in ranked.infinite]
@@ -604,6 +311,8 @@ def rc_decision(statements, query, *, max_atoms=None):
         dropped += 1
     premises = fixed + [m for level in live for m in level]
     verdict = prop_entails(premises, query.material(), max_atoms=max_atoms)
+    if not live and prop_entails(fixed, negated, max_atoms=max_atoms):
+        return verdict, None
     return verdict, dropped
 
 

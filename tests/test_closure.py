@@ -12,7 +12,7 @@ from conftest import (
     random_formula,
 )
 from dfca import BindingError, StructureError, ValidityError
-from dfca.closure import ClosureSession, add_conditional, crc_entails, entailment_diff
+from dfca.closure import ClosureSession, entailment_diff
 from dfca.formula import parse_conditional
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -71,12 +71,6 @@ class TestSession:
         session = friends_session(friends)
         with pytest.raises(BindingError):
             session.entails(parse_conditional("penguin |~ bird"))
-
-    def test_wrappers_delegate(self, friends):
-        session = friends_session(friends)
-        assert crc_entails(session, PROBES[2])
-        grown = add_conditional(session, parse_conditional('"fw. eva" |~ "fw. frank"'))
-        assert grown.kb != session.kb
 
     def test_kb_presentation_order_is_irrelevant(self, friends):
         forward = ClosureSession(friends, friends_delta())

@@ -6,19 +6,24 @@ from conftest import build_elements, build_weather
 from dfca import BindingError, FormulaSyntaxError
 from dfca import bitsets
 from dfca.context import implication_holds
+from dfca import propositional
 from dfca.formula import (
     And,
     Atom,
     Conditional,
     Not,
     Or,
+    Top,
     atom_names,
     bind,
     extension,
     format_formula,
+    format_prop_formula,
     materialise,
     parse_conditional,
     parse_formula,
+    parse_prop_formula,
+    parse_prop_statement,
 )
 
 atom_name = st.text(
@@ -144,6 +149,51 @@ class TestPrinting:
     def test_round_trip(self, formula):
         """parse_formula inverts format_formula on arbitrary trees."""
         assert parse_formula(format_formula(formula)) == formula
+
+
+class TestDialects:
+    """Golden texts for where compound and propositional text differ."""
+
+    def test_double_negation(self):
+        formula = Not(Not(Atom("a")))
+        assert format_formula(formula) == "!!a"
+        assert format_prop_formula(formula) == "!(!a)"
+        assert str(formula) == "!!a"
+
+    def test_constant_names(self):
+        assert format_formula(Atom("TOP")) == "TOP"
+        assert format_prop_formula(Atom("TOP")) == '"TOP"'
+        assert parse_formula("TOP") == Atom("TOP")
+        assert parse_prop_formula("TOP") == Top()
+
+    def test_statement_strings(self):
+        text = '!!a & "TOP" |~ b'
+        assert str(parse_conditional(text)) == "!!a & TOP |~ b"
+        assert str(parse_prop_statement(text)) == '!(!a) & "TOP" |~ b'
+        assert str(parse_prop_statement("!!a")) == "!(!a)"
+
+    def test_bad_atom_expectations(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula("a & )")
+        assert err.value.expected == "an attribute name, '!', or '('"
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_prop_formula("a & )")
+        assert err.value.expected == "an atom, constant, '!', or '('"
+
+    def test_implication_only_between_compound_formulas(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula("(a -> b)")
+        assert err.value.expected == "')'"
+        assert parse_conditional("a -> b").kind == "classical"
+
+    def test_offsets_count_characters(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula('"ü" @')
+        assert err.value.offset == 4
+
+    def test_one_set_of_node_classes(self):
+        assert propositional.Atom is Atom
+        assert propositional.Not is Not
 
 
 class TestExtension:

@@ -28,12 +28,7 @@ from dfca import (
     StructureError,
 )
 from dfca.formula import Atom, Conditional, extension, parse_conditional
-from dfca.order import (
-    minimise,
-    order_from_ranks,
-    ranks_from_order,
-    satisfies_conditional,
-)
+from dfca.order import order_from_ranks, ranks_from_order
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -105,10 +100,6 @@ class TestMinimise:
     def test_out_of_range_members_rejected(self):
         with pytest.raises(StructureError):
             StrictOrder(2).minimise(0b100)
-
-    def test_module_function_matches_method(self):
-        order = StrictOrder(3, [(0, 2)])
-        assert minimise(0b101, order) == order.minimise(0b101)
 
     @given(seeds)
     def test_minimal_means_no_smaller_member(self, seed):
@@ -257,10 +248,6 @@ class TestPreferentialContext:
         pc = PreferentialContext(elements, elements_order())
         with pytest.raises(StructureError):
             pc.satisfies(parse_conditional("Non-metal -> Gas"))
-
-    def test_wrapper_delegates(self, elements):
-        pc = PreferentialContext(elements, elements_order())
-        assert satisfies_conditional(pc, parse_conditional("Non-metal |~ Gas"))
 
     @given(seeds)
     def test_minimal_antecedent_characterisation(self, seed):

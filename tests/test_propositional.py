@@ -37,7 +37,6 @@ from dfca.propositional import (
     format_prop_formula,
     parse_prop_formula,
     parse_prop_statement,
-    pref_satisfies,
     prop_entails,
     prop_eval,
     rc_decision,
@@ -269,12 +268,36 @@ class TestInterpretations:
         )
         assert pref.satisfies(parse_prop_statement("bird |~ flies"))
         assert not pref.satisfies(parse_prop_statement("penguin |~ flies"))
-        assert pref_satisfies(pref, parse_prop_statement("penguin |~ !flies"))
+        assert pref.satisfies(parse_prop_statement("penguin |~ !flies"))
 
     def test_state_bits(self):
         model = penguin_interpretation()
         assert model.state_bits(parse_prop_formula("penguin")) == 0b110
         assert model.state_bits(parse_prop_formula("TOP")) == 0b111
+
+    def test_state_bits_rejects_unknown_atoms(self):
+        model = penguin_interpretation()
+        pref = PreferentialInterpretation(
+            model.atoms, model.states, model.valuations, StrictOrder(3)
+        )
+        for interpretation in (model, pref):
+            with pytest.raises(BindingError):
+                interpretation.state_bits(parse_prop_formula("bird & wings"))
+
+    @given(seeds)
+    def test_state_bits_agree_with_pointwise_evaluation(self, seed):
+        """The bitset evaluator matches prop_eval state by state on every connective."""
+        rng = random.Random(seed)
+        atoms = ("p", "q", "r")
+        states, valuations = random_states(rng, atoms)
+        model = RankedInterpretation(atoms, states, valuations, [0] * len(states))
+        formula = Iff(
+            random_prop_formula(rng, atoms, 3), random_prop_formula(rng, atoms, 2)
+        )
+        expected = sum(
+            1 << i for i, v in enumerate(valuations) if prop_eval(v, formula)
+        )
+        assert model.state_bits(formula) == expected
 
     def test_validation(self):
         atoms = ("p",)
@@ -410,6 +433,14 @@ class TestRationalClosure:
             parse_prop_statement("!p"),
         ]
         assert rc_entails(statements, parse_prop_statement("q |~ r"))
+
+    def test_antecedent_rank(self):
+        """The rank counts dropped strata; None when no rank allows the antecedent."""
+        statements = [parse_prop_statement("p |~ q")]
+        query = parse_prop_statement("p & !q |~ r")
+        assert rc_decision(statements, query) == (False, 1)
+        statements = [parse_prop_statement("p |~ BOT")]
+        assert rc_decision(statements, parse_prop_statement("p |~ q")) == (True, None)
 
     def test_capacity_cap(self):
         statements = penguin_statements()
