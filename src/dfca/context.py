@@ -47,14 +47,10 @@ class FormalContext:
                 raise StructureError(
                     f"incidence row {i} does not fit {len(attributes)} attributes"
                 )
-        cols = [0] * len(attributes)
-        for i, row in enumerate(rows):
-            for j in bitsets.iter_indices(row):
-                cols[j] |= 1 << i
         self._objects = objects
         self._attributes = attributes
         self._rows = rows
-        self._cols = tuple(cols)
+        self._cols = bitsets._transpose(rows, len(attributes))
         self._oindex = oindex
         self._aindex = aindex
 
@@ -112,17 +108,15 @@ class FormalContext:
 
     def object_set(self, names):
         """Bitset of the named objects."""
-        bits = 0
-        for name in names:
-            bits |= 1 << self.object_index(name)
-        return bits
+        return bitsets.from_indices(
+            map(self.object_index, names), len(self._objects)
+        )
 
     def attribute_set(self, names):
         """Bitset of the named attributes."""
-        bits = 0
-        for name in names:
-            bits |= 1 << self.attribute_index(name)
-        return bits
+        return bitsets.from_indices(
+            map(self.attribute_index, names), len(self._attributes)
+        )
 
     def object_names(self, bits):
         """Names of the member objects, in declaration order."""

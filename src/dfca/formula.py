@@ -14,7 +14,10 @@ IDENT matches ``[A-Za-z_][A-Za-z0-9_.-]*``; any other name goes in double
 quotes, with ``\\"`` and ``\\\\`` escapes. Each rule binds tighter than the
 one above it; ``->`` associates to the right, the other binary connectives
 to the left. A ``#`` outside quotes starts a comment running to the end of
-the input.
+the input. A formula nests at most 100 connectives deep (each link of a
+chain such as ``a & b & c`` counts) and at most 100 parentheses deep;
+deeper text is a syntax error, which keeps the recursive printer and
+evaluators inside Python's recursion limit.
 
 It is read in two dialects:
 
@@ -309,6 +312,7 @@ class TokenStream:
     def __init__(self, tokens):
         self._tokens = tokens
         self._pos = 0
+        self.parens = 0  # parentheses open at the cursor
 
     def peek(self):
         return self._tokens[self._pos]
@@ -338,52 +342,68 @@ class TokenStream:
 # --- parsing --------------------------------------------------------------
 #
 # ``prop`` selects the dialect: True for propositional formulas, False for
-# compound attributes.
+# compound attributes. The parser recurses only into parentheses and into
+# the right operand of a tighter connective; negations and '->' chains are
+# read in loops. Each step returns the formula and its height, the most
+# connectives on a path from its root down to an atom.
+
+_MAX_DEPTH = 100
 
 _CONSTANTS = {"TOP": Top(), "BOT": Bot()}
 
+# infix token -> (node, precedence); a larger precedence binds tighter
+_INFIX_TOKEN = {DARROW: (Iff, 1), ARROW: (Implies, 2), PIPE: (Or, 3), AMP: (And, 4)}
+_COMPOUND_INFIX = (PIPE, AMP)
+
 
 def _parse_formula(stream, prop):
-    return _parse_iff(stream) if prop else _parse_disj(stream, False)
+    return _parse_infix(stream, prop, 1)[0]
 
 
-def _parse_iff(stream):
-    left = _parse_impl(stream)
-    while stream.peek().kind == DARROW:
+def _parse_infix(stream, prop, floor):
+    """A formula whose infix connectives all bind at least as tightly as ``floor``."""
+    left, height = _parse_neg(stream, prop)
+    while True:
+        token = stream.peek()
+        if token.kind not in (_INFIX_TOKEN if prop else _COMPOUND_INFIX):
+            return left, height
+        node, prec = _INFIX_TOKEN[token.kind]
+        if prec < floor:
+            return left, height
+        if node is Implies:
+            left, height = _parse_implications(stream, left, height)
+            continue
         stream.advance()
-        left = Iff(left, _parse_impl(stream))
-    return left
+        # '<->', '|' and '&' associate to the left
+        right, right_height = _parse_infix(stream, prop, prec + 1)
+        left = node(left, right)
+        height = _checked_height(max(height, right_height) + 1, token)
 
 
-def _parse_impl(stream):
-    left = _parse_disj(stream, True)
-    if stream.peek().kind == ARROW:
-        stream.advance()
-        return Implies(left, _parse_impl(stream))
-    return left
-
-
-def _parse_disj(stream, prop):
-    left = _parse_conj(stream, prop)
-    while stream.peek().kind == PIPE:
-        stream.advance()
-        left = Or(left, _parse_conj(stream, prop))
-    return left
-
-
-def _parse_conj(stream, prop):
-    left = _parse_neg(stream, prop)
-    while stream.peek().kind == AMP:
-        stream.advance()
-        left = And(left, _parse_neg(stream, prop))
-    return left
+def _parse_implications(stream, first, first_height):
+    """Fold ``first -> b -> c ...`` to the right: first -> (b -> (c ...))."""
+    operands = [(first, first_height)]
+    arrows = []
+    while stream.peek().kind == ARROW:
+        arrows.append(stream.advance())
+        # an operand holds only connectives binding tighter than '->'
+        operands.append(_parse_infix(stream, True, _INFIX_TOKEN[ARROW][1] + 1))
+    result, height = operands.pop()
+    for arrow, (left, left_height) in zip(reversed(arrows), reversed(operands)):
+        result = Implies(left, result)
+        height = _checked_height(max(left_height, height) + 1, arrow)
+    return result, height
 
 
 def _parse_neg(stream, prop):
-    if stream.peek().kind == BANG:
-        stream.advance()
-        return Not(_parse_neg(stream, prop))
-    return _parse_atom(stream, prop)
+    bangs = []
+    while stream.peek().kind == BANG:
+        bangs.append(stream.advance())
+    result, height = _parse_atom(stream, prop)
+    for bang in reversed(bangs):
+        result = Not(result)
+        height = _checked_height(height + 1, bang)
+    return result, height
 
 
 def _parse_atom(stream, prop):
@@ -391,16 +411,36 @@ def _parse_atom(stream, prop):
     if token.kind in (IDENT, QUOTED):
         stream.advance()
         if prop and token.kind == IDENT and token.value in _CONSTANTS:
-            return _CONSTANTS[token.value]
-        return Atom(token.value)
+            return _CONSTANTS[token.value], 0
+        return Atom(token.value), 0
     if token.kind == LPAREN:
+        if stream.parens == _MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"parentheses nest deeper than {_MAX_DEPTH} levels", token.offset
+            )
         stream.advance()
-        inner = _parse_formula(stream, prop)
+        stream.parens += 1
+        inner = _parse_infix(stream, prop, 1)
         stream.expect(RPAREN)
+        stream.parens -= 1
         return inner
     if prop:
         raise stream.error(token, "an atom, constant, '!', or '('")
     raise stream.error(token, "an attribute name, '!', or '('")
+
+
+def _checked_height(height, token):
+    """Refuse a connective that lifts a formula above _MAX_DEPTH.
+
+    The printer, the evaluators and the nodes' own equality and hashing
+    recurse once or a few times per level, so the cap keeps every formula
+    the parser accepts well inside Python's recursion limit.
+    """
+    if height > _MAX_DEPTH:
+        raise FormulaSyntaxError(
+            f"formula nests more than {_MAX_DEPTH} connectives deep", token.offset
+        )
+    return height
 
 
 def _parse_whole(text, prop):

@@ -24,35 +24,49 @@ class StrictOrder:
     def __init__(self, size, pairs=()):
         if size < 0:
             raise StructureError(f"order size must be non-negative, got {size}")
-        succ = [0] * size
+        # direct successors of each element, and the direct predecessors
+        above = [[] for _ in range(size)]
+        below = [[] for _ in range(size)]
         for lower, upper in pairs:
             if not 0 <= lower < size:
                 raise StructureError(f"index {lower} out of range for size {size}")
             if not 0 <= upper < size:
                 raise StructureError(f"index {upper} out of range for size {size}")
-            succ[lower] |= 1 << upper
-        changed = True
-        while changed:
-            changed = False
-            for i in range(size):
-                acc = succ[i]
-                for j in bitsets.iter_indices(succ[i]):
-                    acc |= succ[j]
-                if acc != succ[i]:
-                    succ[i] = acc
-                    changed = True
-        for i in range(size):
-            if succ[i] >> i & 1:
-                raise StructureError(
-                    f"order pairs close to a cycle through index {i}"
-                )
-        pred = [0] * size
-        for i in range(size):
-            for j in bitsets.iter_indices(succ[i]):
-                pred[j] |= 1 << i
+            above[lower].append(upper)
+            below[upper].append(lower)
+        # Kahn's algorithm on the reversed edges: an element's row is closed
+        # once the rows of all its direct successors are, and is then their
+        # union plus the successors themselves. ``closed`` grows while the
+        # loop walks it, in reverse topological order.
+        waiting = [len(direct) for direct in above]
+        closed = [i for i in range(size) if not waiting[i]]
+        succ = [0] * size
+        for j in closed:
+            row = bitsets.from_indices(above[j], size)
+            for k in above[j]:
+                row |= succ[k]
+            succ[j] = row
+            for i in below[j]:
+                waiting[i] -= 1
+                if not waiting[i]:
+                    closed.append(i)
+        if len(closed) < size:
+            raise StructureError(
+                "order pairs close to a cycle through index "
+                f"{_first_on_cycle(above, waiting)}"
+            )
         self._size = size
         self._succ = tuple(succ)
-        self._pred = tuple(pred)
+        self._pred = bitsets._transpose(succ, size)
+
+    @classmethod
+    def _closed(cls, size, succ, pred):
+        """An order from rows that are already transitively closed."""
+        order = cls.__new__(cls)
+        order._size = size
+        order._succ = succ
+        order._pred = pred
+        return order
 
     @property
     def size(self):
@@ -83,11 +97,14 @@ class StrictOrder:
         """Members with no strictly smaller member: the most typical ones."""
         if members < 0 or members & ~bitsets.universe(self._size):
             raise StructureError("member set out of range for this order")
-        result = 0
-        for i in bitsets.iter_indices(members):
-            if self._pred[i] & members == 0:
-                result |= 1 << i
-        return result
+        return bitsets.from_indices(
+            (
+                i
+                for i in bitsets.iter_indices(members)
+                if self._pred[i] & members == 0
+            ),
+            self._size,
+        )
 
     def is_modular(self):
         """True when incomparable elements sit below exactly the same elements."""
@@ -112,6 +129,26 @@ class StrictOrder:
 
     def __repr__(self):
         return f"StrictOrder({self._size}, {self.pairs()!r})"
+
+
+def _first_on_cycle(above, waiting):
+    """Smallest element that reaches itself through the direct successors.
+
+    Only elements the closure left waiting can lie on a cycle. This walk
+    costs O(size * pairs) and runs only to name the cycle in an error.
+    """
+    for start, count in enumerate(waiting):
+        if not count:
+            continue
+        seen = set()
+        stack = list(above[start])
+        while stack:
+            j = stack.pop()
+            if j == start:
+                return start
+            if waiting[j] and j not in seen:
+                seen.add(j)
+                stack.extend(above[j])
 
 
 class RankingFunction:
@@ -153,17 +190,18 @@ class RankingFunction:
 
     def stratum(self, level):
         """Bitset of indices at the given rank."""
-        bits = 0
-        for i, r in enumerate(self._ranks):
-            if r == level:
-                bits |= 1 << i
-        return bits
+        return bitsets.from_indices(
+            (i for i, r in enumerate(self._ranks) if r == level), len(self._ranks)
+        )
 
     def strata(self):
         """Bitsets per rank, ascending."""
         if not self._ranks:
             return ()
-        return tuple(self.stratum(level) for level in range(self.max_rank + 1))
+        members = [[] for _ in range(self.max_rank + 1)]
+        for i, r in enumerate(self._ranks):
+            members[r].append(i)
+        return tuple(bitsets.from_indices(m, len(self._ranks)) for m in members)
 
     def __eq__(self, other):
         if not isinstance(other, RankingFunction):
@@ -184,44 +222,45 @@ def ranks_from_order(order):
     minima of what remains. Fails with ModularityError when the induced
     smaller-rank-first order disagrees with the input, which happens
     exactly for non-modular input.
+
+    In a modular order the predecessors of an element are the strata
+    below it, so an element's stratum is the position of its predecessor
+    count among the distinct counts; the check against the order then
+    rejects every non-modular input.
     """
-    remaining = bitsets.universe(order.size)
-    ranks = [0] * order.size
-    level = 0
-    while remaining:
-        stratum = order.minimise(remaining)
-        for i in bitsets.iter_indices(stratum):
-            ranks[i] = level
-        remaining &= ~stratum
-        level += 1
+    counts = [order.predecessors(i).bit_count() for i in range(order.size)]
+    level = {count: k for k, count in enumerate(sorted(set(counts)))}
+    ranking = RankingFunction([level[count] for count in counts])
+    expected_pred = []
     below = 0
-    expected_pred = [0] * order.size
-    for current in range(level):
-        for i in range(order.size):
-            if ranks[i] == current:
-                expected_pred[i] = below
-        stratum_bits = bitsets.from_indices(
-            (i for i in range(order.size) if ranks[i] == current), order.size
-        )
-        below |= stratum_bits
-    for i in range(order.size):
-        if order.predecessors(i) != expected_pred[i]:
+    for stratum in ranking.strata():
+        expected_pred.append(below)
+        below |= stratum
+    for i, rank in enumerate(ranking.ranks):
+        if order.predecessors(i) != expected_pred[rank]:
             raise ModularityError(
                 "order is not modular: no ranking induces it"
             )
-    return RankingFunction(ranks)
+    return ranking
 
 
 def order_from_ranks(ranking):
-    """The strict order a ranking induces: smaller rank strictly first."""
-    n = ranking.size
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if ranking.ranks[i] < ranking.ranks[j]
-    ]
-    return StrictOrder(n, pairs)
+    """The strict order a ranking induces: smaller rank strictly first.
+
+    Each element's successors are the strata above its rank and its
+    predecessors the strata below, so the rows are closed by construction.
+    """
+    strata = ranking.strata()
+    above = [0] * len(strata)
+    below = [0] * len(strata)
+    for k in range(1, len(strata)):
+        below[k] = below[k - 1] | strata[k - 1]
+        above[-1 - k] = above[-k] | strata[-k]
+    return StrictOrder._closed(
+        ranking.size,
+        tuple(above[r] for r in ranking.ranks),
+        tuple(below[r] for r in ranking.ranks),
+    )
 
 
 class PreferentialContext:

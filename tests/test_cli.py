@@ -344,3 +344,48 @@ class TestMain:
         assert code == 2
         assert captured.out == ""
         assert "Snow" in captured.err
+
+
+class TestDeepNesting:
+    """Text nested past the parser's cap is a syntax error, never a crash."""
+
+    DEEP = {
+        "bangs": "!" * 3000 + "Rain",
+        "parens": "(" * 3000 + "Rain" + ")" * 3000,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_extension(self, shape):
+        result = run(["extension", WEATHER, self.DEEP[shape]])
+        assert result.exit_code == 2
+        assert result.text.startswith("error: ")
+        assert "nest" in result.text
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_entail_query(self, shape, tmp_path):
+        kb = tmp_path / "weather.kb"
+        kb.write_text("Rain |~ Cold\n", encoding="utf-8")
+        query = f"{self.DEEP[shape]} |~ Cold"
+        result = run(["entail", WEATHER, str(kb), query])
+        assert result.exit_code == 2
+        assert result.text.startswith("error: ")
+        assert "nest" in result.text
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_rcprop_query(self, shape):
+        query = f"{self.DEEP[shape]} |~ flies"
+        result = run(["rcprop", PENGUIN_KB, query])
+        assert result.exit_code == 2
+        assert result.text.startswith("error: ")
+        assert "nest" in result.text
+
+    def test_formulas_at_the_cap_are_answered(self, tmp_path):
+        kb = tmp_path / "weather.kb"
+        kb.write_text("Rain |~ Cold\n", encoding="utf-8")
+        formula = "!(" * 50 + "Rain" + ")" * 50 + " & " + "(" * 100 + "Cold" + ")" * 100
+        assert run(["extension", WEATHER, formula]).text == "Day 3"
+        for flags in ([], ["--json"]):
+            result = run(["entail", *flags, WEATHER, str(kb), f"{formula} |~ Cold"])
+            assert result.exit_code == 0
+            result = run(["rcprop", *flags, PENGUIN_KB, f"{formula} |~ Cold"])
+            assert result.exit_code in (0, 1)

@@ -307,3 +307,82 @@ class TestMaterialisation:
         conditional = parse_conditional("Non-metal |~ Gas")
         bits = extension(elements, materialise(conditional))
         assert elements.object_names(bits) == ("Helium", "Hydrogen")
+
+
+# the parser's nesting caps: connectives and parentheses, 100 levels each
+LIMIT = 100
+
+
+def nested(shape, depth, atom="a"):
+    """Formula text with ``depth`` levels of one nesting shape."""
+    if shape == "bangs":
+        return "!" * depth + atom
+    if shape == "parens":
+        return "(" * depth + atom + ")" * depth
+    if shape == "chain":
+        return " & ".join([atom] * (depth + 1))
+    if shape == "negated-groups":
+        return "!(" * depth + atom + ")" * depth
+    if shape == "right-groups":
+        return f"{atom} | (" * depth + atom + ")" * depth
+    if shape == "implications":
+        return " -> ".join([atom] * (depth + 1))
+    raise ValueError(shape)
+
+
+COMPOUND_SHAPES = ["bangs", "parens", "chain", "negated-groups", "right-groups"]
+PROP_SHAPES = COMPOUND_SHAPES + ["implications"]
+PARSERS = [
+    (parse_formula, "{}"),
+    (parse_conditional, "{0} |~ {0}"),
+    (parse_prop_formula, "{}"),
+    (parse_prop_statement, "{0} |~ {0}"),
+]
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("shape", ["bangs", "parens", "chain"])
+    @pytest.mark.parametrize("parse, template", PARSERS)
+    def test_3000_levels_are_a_syntax_error(self, parse, template, shape):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(template.format(nested(shape, 3000)))
+        assert "nest" in str(err.value)
+
+    def test_error_points_at_the_first_level_too_many(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(nested("parens", LIMIT + 1))
+        assert err.value.offset == LIMIT
+        assert str(err.value) == "parentheses nest deeper than 100 levels at offset 100"
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(nested("chain", LIMIT + 1))
+        # the 101st '&' of "a & a & ...", whose k-th '&' is at offset 4k - 2
+        assert err.value.offset == 4 * (LIMIT + 1) - 2
+        assert "more than 100 connectives deep" in str(err.value)
+
+    @pytest.mark.parametrize("shape", COMPOUND_SHAPES)
+    def test_compound_formulas_at_the_cap_evaluate_and_print(self, shape):
+        weather = build_weather()
+        text = nested(shape, LIMIT, "Rain")
+        formula = parse_formula(text)
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(nested(shape, LIMIT + 1, "Rain"))
+        assert parse_formula(format_formula(formula)) == formula
+        assert parse_prop_formula(format_prop_formula(formula)) == formula
+        assert hash(formula) == hash(parse_formula(text))
+        assert repr(formula).startswith(type(formula).__name__)
+        assert atom_names(formula) == {"Rain"}
+        conditional = parse_conditional(f"{text} |~ {text}")
+        assert extension(weather, materialise(conditional)) == bitsets.universe(4)
+        assert extension(weather, formula) in (0, weather.column(1))
+
+    @pytest.mark.parametrize("shape", PROP_SHAPES)
+    def test_propositional_formulas_at_the_cap_evaluate_and_print(self, shape):
+        text = nested(shape, LIMIT)
+        formula = parse_prop_formula(text)
+        with pytest.raises(FormulaSyntaxError):
+            parse_prop_formula(nested(shape, LIMIT + 1))
+        assert parse_prop_formula(format_prop_formula(formula)) == formula
+        statement = parse_prop_statement(f"{text} |~ {text}")
+        assert parse_prop_statement(str(statement)) == statement
+        assert propositional.prop_entails([statement.material()], Top())
+        assert propositional.prop_eval({"a": True}, formula) in (True, False)
