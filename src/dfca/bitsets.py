@@ -62,7 +62,8 @@ def _transpose(rows, width):
     at a time, and each column is cut out of the joined strings with one
     strided slice, so the cost is one pass of C-level string work over
     the matrix. Package-internal: contexts build their attribute columns
-    with it, strict orders their predecessor rows.
+    with it (and a parsed context its rows), strict orders their
+    predecessor rows.
     """
     if width == 0:
         # format(row, "00b") is "0", one digit too many

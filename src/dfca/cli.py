@@ -33,7 +33,7 @@ from .formula import (
 )
 from .fileio import load_conditionals, load_context, load_prop_statements
 from .propositional import base_rank, parse_prop_statement, rc_decision
-from .ranking import KnowledgeBase, delta_valid, object_rank
+from .ranking import KnowledgeBase, _least_stratum, delta_valid, object_rank
 
 
 @dataclass
@@ -169,25 +169,52 @@ def _cmd_validate(args):
     return CliResult(0 if valid else 1, text, data)
 
 
-def _rank_table(context, partition):
-    header = ["rank", "object"] + list(context.attributes)
-    table = [header]
-    for level, stratum in enumerate(partition.strata):
-        label = str(level)
-        for i in bitsets.iter_indices(stratum):
-            row = context.row(i)
-            cells = [
-                "×" if row >> j & 1 else "" for j in range(context.n_attributes)
+def _cell_tables(widths):
+    """The attribute cells of a rank table, eight columns to a lookup.
+
+    One (start, table) pair per group of eight columns from ``start``:
+    entry b of the table is those columns rendered for the incidence bits
+    b, each cell a mark (or a blank) padded to its width plus the
+    two-space gap. A row then renders as one join of a lookup per group.
+    """
+    tables = []
+    for start in range(0, len(widths), 8):
+        table = [""]
+        for width in widths[start:start + 8]:
+            pad = " " * (width + 1)
+            table = [cells + " " + pad for cells in table] + [
+                cells + "×" + pad for cells in table
             ]
-            table.append([label, context.objects[i]] + cells)
-            label = ""
+        tables.append((start, table))
+    return tables
+
+
+def _rank_table(context, partition):
+    objects, row_of = context.objects, context.row
+    strata = [
+        [(objects[i], row_of(i)) for i in bitsets.iter_indices(stratum)]
+        for stratum in partition.strata
+    ]
+    shown = [entry for members in strata for entry in members]
+    incident = 0
+    for _, row in shown:
+        incident |= row
+    labels = [str(level) for level, members in enumerate(strata) if members]
+    header = ["rank", "object"] + list(context.attributes)
+    # each column is as wide as its widest cell: the header, or a mark
     widths = [
-        max(len(row[col]) for row in table) for col in range(len(header))
-    ]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in table
-    ]
+        max(map(len, ["rank"] + labels)),
+        max(map(len, ["object"] + [name for name, _ in shown])),
+    ] + [max(len(name), incident >> j & 1) for j, name in enumerate(header[2:])]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip()]
+    tables = _cell_tables(widths[2:])
+    for level, members in enumerate(strata):
+        label = str(level).ljust(widths[0])
+        for name, row in members:
+            cells = "".join([table[row >> start & 255] for start, table in tables])
+            # the gap after the name is stripped when no cells follow
+            lines.append(f"{label}  {name.ljust(widths[1])}  {cells}".rstrip())
+            label = " " * widths[0]
     return "\n".join(lines)
 
 
@@ -214,15 +241,14 @@ def _cmd_entail(args):
             "entail answers defeasible queries written 'phi |~ psi'; "
             "use holds for classical implications"
         )
-    ranked, _ = object_rank(context, kb)
-    verdict = ranked.satisfies(query)
+    _, partition = object_rank(context, kb)
     antecedent = extension(context, query.antecedent)
-    if antecedent:
-        first = min(ranked.rank_of(i) for i in bitsets.iter_indices(antecedent))
-        phrase = f"antecedent first satisfied at rank {first}"
-    else:
-        first = None
+    first, least = _least_stratum(partition.strata, antecedent)
+    verdict = least & ~extension(context, query.consequent) == 0
+    if first is None:
         phrase = "antecedent never satisfied"
+    else:
+        phrase = f"antecedent first satisfied at rank {first}"
     text = f"{'holds' if verdict else 'does not hold'} ({phrase})"
     data = {
         "command": "entail",
@@ -316,11 +342,17 @@ _HANDLERS = {
 }
 
 
+# built on the first run and reused: a parse leaves no state in the parser
+_parser = None
+
+
 def run(argv):
     """Execute one CLI invocation and report its outcome without exiting."""
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CliResult(code, "")

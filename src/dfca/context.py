@@ -26,33 +26,48 @@ class FormalContext:
     def __init__(self, objects, attributes, incidence):
         objects = tuple(objects)
         attributes = tuple(attributes)
-        oindex = {}
-        for i, name in enumerate(objects):
-            if name in oindex:
-                raise StructureError(f"duplicate object name {name!r}")
-            oindex[name] = i
-        aindex = {}
-        for j, name in enumerate(attributes):
-            if name in aindex:
-                raise StructureError(f"duplicate attribute name {name!r}")
-            aindex[name] = j
+        oindex = _name_index(objects, "object")
+        aindex = _name_index(attributes, "attribute")
         rows = tuple(incidence)
         if len(rows) != len(objects):
             raise StructureError(
                 f"expected {len(objects)} incidence rows, got {len(rows)}"
             )
         full = bitsets.universe(len(attributes))
-        for i, row in enumerate(rows):
-            if not isinstance(row, int) or row < 0 or row & ~full:
-                raise StructureError(
-                    f"incidence row {i} does not fit {len(attributes)} attributes"
-                )
+        # plain ints fit exactly when they lie in 0..full; anything else
+        # (another type, or an int out of range) is walked row by row
+        if rows and not (
+            set(map(type, rows)) == {int} and min(rows) >= 0 and max(rows) <= full
+        ):
+            for i, row in enumerate(rows):
+                if not isinstance(row, int) or row < 0 or row & ~full:
+                    raise StructureError(
+                        f"incidence row {i} does not fit {len(attributes)} attributes"
+                    )
         self._objects = objects
         self._attributes = attributes
         self._rows = rows
         self._cols = bitsets._transpose(rows, len(attributes))
         self._oindex = oindex
         self._aindex = aindex
+
+    @classmethod
+    def _from_columns(cls, objects, attributes, cols):
+        """A context from name tuples and one in-range column per attribute.
+
+        Package-internal: the ``.cxt`` parser cuts the columns out of the
+        cell text it has checked. The names are still checked for
+        duplicates; the rows are transposed from the columns only when
+        first asked for, since extensions need only the columns.
+        """
+        context = cls.__new__(cls)
+        context._oindex = _name_index(objects, "object")
+        context._aindex = _name_index(attributes, "attribute")
+        context._objects = objects
+        context._attributes = attributes
+        context._rows = None
+        context._cols = cols
+        return context
 
     @classmethod
     def from_pairs(cls, objects, attributes, pairs):
@@ -132,7 +147,7 @@ class FormalContext:
         """Attributes of object i, as a bitset."""
         if not 0 <= i < len(self._objects):
             raise StructureError(f"object index {i} out of range")
-        return self._rows[i]
+        return self._row_bits()[i]
 
     def column(self, j):
         """Objects having attribute j, as a bitset."""
@@ -144,8 +159,9 @@ class FormalContext:
         """Attributes common to every object in the set (all of M for the empty set)."""
         self._check_objects(object_bits)
         result = self.attribute_universe
+        rows = self._row_bits()
         for i in bitsets.iter_indices(object_bits):
-            result &= self._rows[i]
+            result &= rows[i]
         return result
 
     def extent(self, attribute_bits):
@@ -162,6 +178,11 @@ class FormalContext:
             self.attribute_set(premises), self.attribute_set(conclusions)
         )
 
+    def _row_bits(self):
+        if self._rows is None:
+            self._rows = bitsets._transpose(self._cols, len(self._objects))
+        return self._rows
+
     def _check_objects(self, bits):
         if bits < 0 or bits & ~self.object_universe:
             raise StructureError("object set out of range for this context")
@@ -176,17 +197,37 @@ class FormalContext:
         return (
             self._objects == other._objects
             and self._attributes == other._attributes
-            and self._rows == other._rows
+            and self._cols == other._cols
         )
 
     def __hash__(self):
-        return hash((self._objects, self._attributes, self._rows))
+        return hash((self._objects, self._attributes, self._cols))
 
     def __repr__(self):
         return (
             f"FormalContext({len(self._objects)} objects, "
             f"{len(self._attributes)} attributes)"
         )
+
+
+def _name_index(names, what):
+    """Position of each name; a repeated name is a StructureError.
+
+    One C-level ``dict`` build answers the common case. Only when it comes
+    out short (a repeat) or fails (an unhashable name) are the names walked
+    in order, so the error names the first repeat as a per-name check would.
+    """
+    try:
+        index = dict(zip(names, range(len(names))))
+    except TypeError:
+        index = {}
+    if len(index) < len(names):
+        index = {}
+        for i, name in enumerate(names):
+            if name in index:
+                raise StructureError(f"duplicate {what} name {name!r}")
+            index[name] = i
+    return index
 
 
 @dataclass(frozen=True)

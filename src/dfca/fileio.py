@@ -7,6 +7,9 @@ Context formats:
   line, one attribute name per line, and one row of ``X``/``.`` cells per
   object. Names are taken verbatim (UTF-8, spaces allowed, no trimming);
   the loader tolerates CRLF, the writer emits LF with a final newline.
+  The loader checks the name and row blocks in bulk (line count, empty
+  names, row lengths, illegal cells) and, only when a check fails, walks
+  the lines in order to report the first fault and its line number.
 * ``.csv``: first row is the attribute names (the leading cell is
   ignored), the first column the object names, cells ``1``/``x`` for
   incident and ``0``/empty for not.
@@ -30,9 +33,17 @@ from .order import RankingFunction, StrictOrder
 
 
 # .cxt incidence cells: deleting the legal ones leaves the illegal ones in
-# order; mapping them to binary digits reads a row in one C-level pass
+# order; mapping them to binary digits, and back, reads and writes the
+# cells in one C-level pass
 _DROP_CELLS = str.maketrans("", "", "X.")
 _CELL_DIGITS = str.maketrans("X.", "10")
+_DIGIT_CELLS = str.maketrans("10", "X.")
+
+
+def _cxt_line(lines, index, description, path):
+    if index >= len(lines):
+        raise FileFormatError(f"file ends before {description}", path, len(lines) + 1)
+    return lines[index]
 
 
 def parse_cxt(text, path=None):
@@ -41,21 +52,13 @@ def parse_cxt(text, path=None):
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-
-    def need(index, description):
-        if index >= len(lines):
-            raise FileFormatError(
-                f"file ends before {description}", path, len(lines) + 1
-            )
-        return lines[index]
-
-    if need(0, "the format header") != "B":
+    if _cxt_line(lines, 0, "the format header", path) != "B":
         raise FileFormatError("expected header 'B'", path, 1)
-    if need(1, "the blank line after the header") != "":
+    if _cxt_line(lines, 1, "the blank line after the header", path) != "":
         raise FileFormatError("expected a blank line after the header", path, 2)
     counts = []
     for offset, what in ((2, "object count"), (3, "attribute count")):
-        raw = need(offset, f"the {what}")
+        raw = _cxt_line(lines, offset, f"the {what}", path)
         try:
             value = int(raw)
         except ValueError:
@@ -65,25 +68,53 @@ def parse_cxt(text, path=None):
         if value < 0:
             raise FileFormatError(f"negative {what}", path, offset + 1)
         counts.append(value)
-    n_objects, n_attributes = counts
-    if need(4, "the blank line after the counts") != "":
+    n, m = counts
+    if _cxt_line(lines, 4, "the blank line after the counts", path) != "":
         raise FileFormatError("expected a blank line after the counts", path, 5)
+    row_start = 5 + n + m
+    objects = tuple(lines[5:5 + n])
+    attributes = tuple(lines[5 + n:row_start])
+    rows = lines[row_start:row_start + n]
+    cells = "".join(rows)
+    if (
+        len(lines) != row_start + n
+        or "" in objects
+        or "" in attributes
+        or not set(map(len, rows)) <= {m}
+        or cells.translate(_DROP_CELLS)
+    ):
+        _locate_cxt_fault(lines, n, m, path)
+    # every m-th digit from j on is column j with row 0 first; reversed,
+    # it reads as a binary numeral with row i at bit i
+    digits = cells.translate(_CELL_DIGITS)
+    cols = tuple(int(digits[j::m][::-1], 2) if n else 0 for j in range(m))
+    try:
+        return FormalContext._from_columns(objects, attributes, cols)
+    except StructureError as exc:
+        raise FileFormatError(str(exc), path) from exc
 
+
+def _locate_cxt_fault(lines, n_objects, n_attributes, path):
+    """Raise for the first faulty line of the name and row blocks.
+
+    ``parse_cxt`` checks the blocks in bulk and calls this only when a
+    check failed, so a fault is there: an early end of the file, an empty
+    name, a row of the wrong length or with an illegal cell, or content
+    after the rows, named in that order along the lines.
+    """
     def read_names(start, count, what):
-        names = []
         for k in range(count):
-            name = need(start + k, f"{what} name {k + 1} of {count}")
+            name = _cxt_line(lines, start + k, f"{what} name {k + 1} of {count}", path)
             if name == "":
                 raise FileFormatError(f"empty {what} name", path, start + k + 1)
-            names.append(name)
-        return names
 
-    objects = read_names(5, n_objects, "object")
-    attributes = read_names(5 + n_objects, n_attributes, "attribute")
-    rows = []
+    read_names(5, n_objects, "object")
+    read_names(5 + n_objects, n_attributes, "attribute")
     row_start = 5 + n_objects + n_attributes
     for k in range(n_objects):
-        line = need(row_start + k, f"incidence row {k + 1} of {n_objects}")
+        line = _cxt_line(
+            lines, row_start + k, f"incidence row {k + 1} of {n_objects}", path
+        )
         if len(line) != n_attributes:
             raise FileFormatError(
                 f"row has {len(line)} cells, expected {n_attributes}",
@@ -97,18 +128,11 @@ def parse_cxt(text, path=None):
                 path,
                 row_start + k + 1,
             )
-        # cell j is bit j, so the reversed row reads as a binary numeral
-        rows.append(int(line[::-1].translate(_CELL_DIGITS), 2) if line else 0)
-    if len(lines) > row_start + n_objects:
-        raise FileFormatError(
-            "unexpected content after the incidence rows",
-            path,
-            row_start + n_objects + 1,
-        )
-    try:
-        return FormalContext(objects, attributes, rows)
-    except StructureError as exc:
-        raise FileFormatError(str(exc), path) from exc
+    raise FileFormatError(
+        "unexpected content after the incidence rows",
+        path,
+        row_start + n_objects + 1,
+    )
 
 
 def format_cxt(context):
@@ -119,11 +143,13 @@ def format_cxt(context):
     lines = ["B", "", str(context.n_objects), str(context.n_attributes), ""]
     lines.extend(context.objects)
     lines.extend(context.attributes)
-    for i in range(context.n_objects):
-        row = context.row(i)
-        lines.append(
-            "".join("X" if row >> j & 1 else "." for j in range(context.n_attributes))
-        )
+    rows = map(context.row, range(context.n_objects))
+    if context.n_attributes:
+        # the inverse of the parse: row i's digits, cell 0 first
+        spec = f"0{context.n_attributes}b"
+        lines.extend(format(row, spec)[::-1].translate(_DIGIT_CELLS) for row in rows)
+    else:
+        lines.extend("" for _ in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -107,12 +107,15 @@ class StrictOrder:
         )
 
     def is_modular(self):
-        """True when incomparable elements sit below exactly the same elements."""
-        for i in range(self._size):
-            for j in range(i + 1, self._size):
-                comparable = (self._succ[i] >> j | self._succ[j] >> i) & 1
-                if not comparable and self._pred[i] != self._pred[j]:
-                    return False
+        """True when incomparable elements sit below exactly the same elements.
+
+        Exactly then does some ranking induce the order, which is what
+        ``ranks_from_order`` checks against the strata.
+        """
+        try:
+            ranks_from_order(self)
+        except ModularityError:
+            return False
         return True
 
     def _check(self, i):

@@ -170,13 +170,27 @@ def object_rank(context, kb, *, precheck=False):
         for i in bitsets.iter_indices(stratum):
             ranks[i] = level
     ranked = RankedContext(context, RankingFunction(ranks))
-    for c in kb:
-        if not ranked.satisfies(c):
+    for c, mat, ant in zip(kb, mats, ants):
+        _, least = _least_stratum(strata, ant)
+        if least & ~mat:
             raise ValidityError(
                 "no ranking of this context satisfies the conditional set: "
                 f"the result violates '{c}'"
             )
     return ranked, RankPartition(tuple(strata))
+
+
+def _least_stratum(strata, members):
+    """(k, members & S_k) for the first stratum S_k that meets the members.
+
+    These are the members of least rank, the ones a ranked context checks
+    a conditional against; (None, 0) when no stratum meets the members.
+    """
+    for level, stratum in enumerate(strata):
+        least = members & stratum
+        if least:
+            return level, least
+    return None, 0
 
 
 def context_preference(first, second):

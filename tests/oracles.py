@@ -6,8 +6,8 @@ check the fast path against it on random and edge-case inputs. They cost
 O(universe) per member or per pair and must not move back into ``src/``.
 """
 
-from dfca import RankingFunction
-from dfca.errors import FileFormatError, ModularityError, StructureError
+from dfca import FormalContext, RankingFunction, bitsets
+from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
 
 
 # --- bitsets ---------------------------------------------------------------
@@ -60,7 +60,185 @@ def parse_cxt_row(line, path, line_no):
     return row
 
 
+def context_checks(objects, attributes, incidence):
+    """Name indexes and rows of a context, checking one name and row at a time."""
+    objects = tuple(objects)
+    attributes = tuple(attributes)
+    oindex = {}
+    for i, name in enumerate(objects):
+        if name in oindex:
+            raise StructureError(f"duplicate object name {name!r}")
+        oindex[name] = i
+    aindex = {}
+    for j, name in enumerate(attributes):
+        if name in aindex:
+            raise StructureError(f"duplicate attribute name {name!r}")
+        aindex[name] = j
+    rows = tuple(incidence)
+    if len(rows) != len(objects):
+        raise StructureError(
+            f"expected {len(objects)} incidence rows, got {len(rows)}"
+        )
+    full = (1 << len(attributes)) - 1
+    for i, row in enumerate(rows):
+        if not isinstance(row, int) or row < 0 or row & ~full:
+            raise StructureError(
+                f"incidence row {i} does not fit {len(attributes)} attributes"
+            )
+    return oindex, aindex, rows
+
+
+_DROP_CELLS = str.maketrans("", "", "X.")
+_CELL_DIGITS = str.maketrans("X.", "10")
+
+
+def parse_cxt(text, path=None):
+    """Parse Burmeister context text, walking it one line at a time."""
+    text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+
+    def need(index, description):
+        if index >= len(lines):
+            raise FileFormatError(
+                f"file ends before {description}", path, len(lines) + 1
+            )
+        return lines[index]
+
+    if need(0, "the format header") != "B":
+        raise FileFormatError("expected header 'B'", path, 1)
+    if need(1, "the blank line after the header") != "":
+        raise FileFormatError("expected a blank line after the header", path, 2)
+    counts = []
+    for offset, what in ((2, "object count"), (3, "attribute count")):
+        raw = need(offset, f"the {what}")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise FileFormatError(
+                f"expected the {what}, got {raw!r}", path, offset + 1
+            ) from None
+        if value < 0:
+            raise FileFormatError(f"negative {what}", path, offset + 1)
+        counts.append(value)
+    n_objects, n_attributes = counts
+    if need(4, "the blank line after the counts") != "":
+        raise FileFormatError("expected a blank line after the counts", path, 5)
+
+    def read_names(start, count, what):
+        names = []
+        for k in range(count):
+            name = need(start + k, f"{what} name {k + 1} of {count}")
+            if name == "":
+                raise FileFormatError(f"empty {what} name", path, start + k + 1)
+            names.append(name)
+        return names
+
+    objects = read_names(5, n_objects, "object")
+    attributes = read_names(5 + n_objects, n_attributes, "attribute")
+    rows = []
+    row_start = 5 + n_objects + n_attributes
+    for k in range(n_objects):
+        line = need(row_start + k, f"incidence row {k + 1} of {n_objects}")
+        if len(line) != n_attributes:
+            raise FileFormatError(
+                f"row has {len(line)} cells, expected {n_attributes}",
+                path,
+                row_start + k + 1,
+            )
+        illegal = line.translate(_DROP_CELLS)
+        if illegal:
+            raise FileFormatError(
+                f"illegal cell {illegal[0]!r}, expected 'X' or '.'",
+                path,
+                row_start + k + 1,
+            )
+        # cell j is bit j, so the reversed row reads as a binary numeral
+        rows.append(int(line[::-1].translate(_CELL_DIGITS), 2) if line else 0)
+    if len(lines) > row_start + n_objects:
+        raise FileFormatError(
+            "unexpected content after the incidence rows",
+            path,
+            row_start + n_objects + 1,
+        )
+    try:
+        return FormalContext(objects, attributes, rows)
+    except StructureError as exc:
+        raise FileFormatError(str(exc), path) from exc
+
+
+def format_cxt(context):
+    """Canonical Burmeister text for a context, rendered one cell at a time."""
+    for name in context.objects + context.attributes:
+        if "\n" in name or "\r" in name:
+            raise StructureError(f"name {name!r} cannot be written to .cxt")
+    lines = ["B", "", str(context.n_objects), str(context.n_attributes), ""]
+    lines.extend(context.objects)
+    lines.extend(context.attributes)
+    for i in range(context.n_objects):
+        row = context.row(i)
+        lines.append(
+            "".join("X" if row >> j & 1 else "." for j in range(context.n_attributes))
+        )
+    return "\n".join(lines) + "\n"
+
+
+# --- rankings and the CLI's rank table ---------------------------------------
+
+
+def antecedent_rank(ranked, antecedent):
+    """Least rank among the antecedent objects, one member at a time."""
+    if not antecedent:
+        return None
+    return min(ranked.rank_of(i) for i in bitsets.iter_indices(antecedent))
+
+
+def closing_check(ranked, kb):
+    """Raise for the first conditional the ranked context fails to satisfy."""
+    for c in kb:
+        if not ranked.satisfies(c):
+            raise ValidityError(
+                "no ranking of this context satisfies the conditional set: "
+                f"the result violates '{c}'"
+            )
+
+
+def rank_table(context, partition):
+    """The CLI's rank table, padding one cell at a time."""
+    header = ["rank", "object"] + list(context.attributes)
+    table = [header]
+    for level, stratum in enumerate(partition.strata):
+        label = str(level)
+        for i in bitsets.iter_indices(stratum):
+            row = context.row(i)
+            cells = [
+                "×" if row >> j & 1 else "" for j in range(context.n_attributes)
+            ]
+            table.append([label, context.objects[i]] + cells)
+            label = ""
+    widths = [
+        max(len(row[col]) for row in table) for col in range(len(header))
+    ]
+    lines = [
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in table
+    ]
+    return "\n".join(lines)
+
+
 # --- strict orders and rankings --------------------------------------------
+
+
+def is_modular(order):
+    """True when incomparable elements have the same predecessors, pair by pair."""
+    for i in range(order.size):
+        for j in range(i + 1, order.size):
+            comparable = (order.successors(i) >> j | order.successors(j) >> i) & 1
+            if not comparable and order.predecessors(i) != order.predecessors(j):
+                return False
+    return True
+
 
 
 def closure(size, pairs=()):

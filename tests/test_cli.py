@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -389,3 +393,87 @@ class TestDeepNesting:
             assert result.exit_code == 0
             result = run(["rcprop", *flags, PENGUIN_KB, f"{formula} |~ Cold"])
             assert result.exit_code in (0, 1)
+
+
+class TestParserReuse:
+    def test_built_once_across_runs(self, monkeypatch):
+        from dfca import cli
+
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert run(["extension", WEATHER, "Rain"]).exit_code == 0
+        assert run(["holds", WEATHER, "Rain -> Cold", "--json"]).exit_code == 0
+        assert run(["extension"]).exit_code == 2
+        assert run(["baserank", PENGUIN_KB]).exit_code == 0
+        assert built == [1]
+
+    def test_build_parser_still_returns_a_fresh_parser(self):
+        from dfca.cli import build_parser
+
+        assert build_parser() is not build_parser()
+
+    def test_a_usage_error_leaves_no_trace(self):
+        """After exit 2 the next call answers as a fresh process does."""
+        argv = ["entail", FRIENDS, FRIENDS_KB, '"fw. david" |~ "fw. charlie"', "--json"]
+        fresh = run_module(*argv)
+        assert run(["entail", FRIENDS, "--json"]).exit_code == 2
+        assert run(["extension", WEATHER, "Rain", "--bogus"]).exit_code == 2
+        result = run(argv)
+        assert (result.exit_code, result.text + "\n") == (fresh.returncode, fresh.stdout)
+
+
+def run_module(*argv):
+    """``python -m dfca`` in a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "dfca", *argv],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        env=env,
+        timeout=60,
+    )
+
+
+class TestModuleEntryPoint:
+    def test_exit_codes_and_streams(self, tmp_path):
+        holds = run_module("holds", WEATHER, "Rain -> Cold")
+        assert (holds.returncode, holds.stdout, holds.stderr) == (0, "holds\n", "")
+        fails = run_module("holds", WEATHER, "Cold -> Rain")
+        assert fails.returncode == 1
+        assert fails.stdout.startswith("does not hold; counterexamples: ")
+        assert fails.stderr == ""
+        missing = run_module("extension", str(tmp_path / "none.cxt"), "Rain")
+        assert missing.returncode == 2 and missing.stdout == ""
+        assert missing.stderr.startswith("error: ")
+        usage = run_module("extension")
+        assert usage.returncode == 2 and usage.stdout == ""
+        assert usage.stderr.startswith("usage: dfca extension")
+        invalid = tmp_path / "invalid.kb"
+        invalid.write_text("Rain |~ Cold\nRain |~ !Cold\n", encoding="utf-8")
+        conflict = run_module("validate", WEATHER, str(invalid))
+        assert conflict.returncode == 1 and conflict.stderr == ""
+        assert conflict.stdout.startswith("invalid: ")
+        rank = run_module("rank", WEATHER, str(invalid))
+        assert rank.returncode == 3 and rank.stdout == ""
+        assert rank.stderr.startswith("error: no ranking")
+
+
+class TestRankTableWidths:
+    def test_an_empty_column_with_an_empty_name_has_no_width(self, tmp_path):
+        path = tmp_path / "empty_column.csv"
+        path.write_text(",,b\ng1,,1\n", encoding="utf-8")
+        kb = tmp_path / "empty.kb"
+        kb.write_text("", encoding="utf-8")
+        result = run(["rank", str(path), str(kb)])
+        assert result.exit_code == 0
+        assert result.text == "rank  object    b\n0     g1        ×"

@@ -7,11 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_order, random_ranking
-from dfca import FormalContext, StrictOrder, bitsets
-from dfca.errors import FileFormatError, ModularityError, StructureError
-from dfca.fileio import parse_cxt
+from conftest import (
+    random_conditional,
+    random_context,
+    random_order,
+    random_ranked_context,
+    random_ranking,
+)
+from dfca import FormalContext, KnowledgeBase, StrictOrder, bitsets
+from dfca.cli import _rank_table
+from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
+from dfca.fileio import format_cxt, parse_cxt
+from dfca.formula import extension, materialise
 from dfca.order import order_from_ranks, ranks_from_order
+from dfca.ranking import RankPartition, _least_stratum, object_rank
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -290,3 +299,291 @@ class TestRankings:
         assert modular == order.is_modular()
         if not modular:
             assert result[0] is ModularityError
+
+
+# --- .cxt parsing and writing, whole files -----------------------------------
+
+
+def context_view(context):
+    """Everything a context answers, through its public API."""
+    return (
+        context.objects,
+        context.attributes,
+        tuple(context.row(i) for i in range(context.n_objects)),
+        tuple(context.column(j) for j in range(context.n_attributes)),
+        context.intent(context.object_universe),
+        {name: context.object_index(name) for name in context.objects},
+        {name: context.attribute_index(name) for name in context.attributes},
+    )
+
+
+def parse_outcome(parse, text):
+    """The parsed context, or the error's text and line."""
+    try:
+        return "ok", context_view(parse(text, "t.cxt"))
+    except FileFormatError as exc:
+        return str(exc), exc.line
+
+
+NAMES = ["g", "m", "a b", "Köln", " x ", "X", ".", "0", "1"]
+
+
+def random_cxt_lines(rng):
+    n, m = rng.randint(0, 5), rng.randint(0, 5)
+    names = [rng.choice(NAMES) + str(k) for k in range(n + m)]
+    if n + m and rng.random() < 0.2:
+        names[rng.randrange(n + m)] = rng.choice(names)  # a duplicate
+    rows = ["".join(rng.choice("X.") for _ in range(m)) for _ in range(n)]
+    return ["B", "", str(n), str(m), ""] + names + rows
+
+
+def mutate(rng, lines):
+    """Text of the lines after zero, one or two random faults."""
+    lines = list(lines)
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        k = rng.randrange(len(lines) + 1)
+        roll = rng.randrange(9)
+        if roll == 0:
+            del lines[k:]  # truncation
+        elif roll == 1 and k < len(lines):
+            lines[k] = ""  # empty name or row
+        elif roll == 2 and k < len(lines):
+            lines[k] = lines[k][:-1]  # short
+        elif roll == 3 and k < len(lines):
+            lines[k] += rng.choice("X.")  # long
+        elif roll == 4 and k < len(lines):
+            cell = rng.choice("x_?1é\t ")
+            p = rng.randint(0, len(lines[k]))
+            lines[k] = lines[k][:p] + cell + lines[k][p + 1:]  # illegal cell
+        elif roll == 5:
+            lines.insert(k, rng.choice(["", "X.", "junk"]))  # extra line
+        elif roll == 6 and k < len(lines):
+            del lines[k]
+        elif roll == 7 and 2 <= k < 4:
+            lines[k] = rng.choice(["-1", "x", "10", " 2"])  # bad count
+        elif roll == 8:
+            lines.append(rng.choice(["", "trailing"]))
+    text = "\n".join(lines)
+    roll = rng.random()
+    if roll < 0.6:
+        text += "\n"
+    elif roll < 0.7:
+        text += "\r\n"
+    if rng.random() < 0.2:
+        text = text.replace("\n", "\r\n")
+    elif rng.random() < 0.1:
+        text = text.replace("\n", "\r\n", rng.randint(1, 6))
+    return text
+
+
+class TestCxtFiles:
+    @given(seeds)
+    @settings(max_examples=1000)
+    def test_malformed_text_matches_line_walk(self, seed):
+        """The same context, or the same error text and line."""
+        rng = random.Random(seed)
+        text = mutate(rng, random_cxt_lines(rng))
+        assert parse_outcome(parse_cxt, text) == parse_outcome(oracles.parse_cxt, text)
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (0, 2), (2, 0), (0, 0)])
+    def test_every_truncation_matches_line_walk(self, n, m):
+        """Cut at every character: inside the header, a name or a row."""
+        context = FormalContext(
+            [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], [m // 2] * n
+        )
+        text = format_cxt(context)
+        for end in range(len(text) + 1):
+            cut = text[:end]
+            assert parse_outcome(parse_cxt, cut) == parse_outcome(oracles.parse_cxt, cut)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "B\n\n2\n1\n\n\ng2\nm\nX\n",  # an empty name before a truncation
+            "B\n\n2\n1\n\ng1\n\nm\nX\n",  # an empty name, then the file ends
+            "B\n\n1\n2\n\ng\nm1\n\nXX\n",  # an empty attribute name
+            "B\n\n1\n2\n\ng\na\nb\nX\n",  # short row
+            "B\n\n1\n2\n\ng\na\nb\nXXX\n",  # long row
+            "B\n\n2\n2\n\ng\nh\na\nb\nX?\nX\n",  # illegal cell before a short row
+            "B\n\n1\n2\n\ng\na\nb\nXX\n\n",  # trailing blank line
+            "B\n\n1\n1\n\ng\nm\nX.\r\n",  # CRLF on a long last row
+            "B\r\n\r\n1\r\n1\r\n\r\ng\r\nm\r\nX\r",  # a stray CR in a row
+            "B\n\n2\n1\n\ng\ng\nm\n.\nX\n",  # duplicate object names
+            "B\n\n99999999999\n1\n\ng\n",  # a count far past the file
+        ],
+    )
+    def test_fault_order_matches_line_walk(self, text):
+        assert parse_outcome(parse_cxt, text) == parse_outcome(oracles.parse_cxt, text)
+        assert parse_outcome(parse_cxt, text)[0] != "ok"
+
+    @given(seeds, st.integers(0, 2100), st.integers(0, 70))
+    @settings(max_examples=40, deadline=None)
+    def test_columns_cut_from_the_cells_match(self, seed, n, m):
+        """Parse and write back, at sizes crossing the 1024-row chunks."""
+        rows = random_rows(random.Random(seed), n, m)
+        context = FormalContext(
+            [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows
+        )
+        text = oracles.format_cxt(context)
+        assert format_cxt(context) == text
+        assert context_view(parse_cxt(text)) == context_view(context)
+
+
+# --- context construction checks ------------------------------------------------
+
+
+def built(objects, attributes, rows):
+    context = FormalContext(objects, attributes, rows)
+    view = context_view(context)
+    return view[5], view[6], view[2]
+
+
+class TestContextChecks:
+    ROWS = st.one_of(
+        st.integers(-3, 20), st.booleans(), st.sampled_from([1.0, None, "1", 2**70])
+    )
+
+    @given(st.data())
+    def test_matches_per_item_checks(self, data):
+        """Same indexes and rows, or the same error text for the same offender."""
+        unique = data.draw(st.booleans())
+        objects = data.draw(
+            st.lists(
+                st.sampled_from(["a", "b", "c", 1, 1.0, True, ("t",)]),
+                max_size=5,
+                unique=unique,
+            )
+        )
+        attributes = data.draw(
+            st.lists(st.sampled_from(["a", "b", "x", 0, False]), max_size=4, unique=unique)
+        )
+        if data.draw(st.booleans()):
+            rows = data.draw(st.lists(self.ROWS, max_size=6))
+        else:
+            # as many rows as objects, each up to one past the attribute universe
+            top = (1 << len(attributes)) + 1
+            rows = data.draw(
+                st.lists(
+                    st.one_of(st.integers(-1, top), self.ROWS),
+                    min_size=len(objects),
+                    max_size=len(objects),
+                )
+            )
+        assert outcome(built, objects, attributes, rows) == outcome(
+            oracles.context_checks, objects, attributes, rows
+        )
+
+    @pytest.mark.parametrize(
+        "objects, attributes, rows",
+        [
+            (["a", "a", []], ["m"], [0, 0, 0]),  # a repeat before an unhashable name
+            (["a", [], "a"], ["m"], [0, 0, 0]),  # an unhashable name first
+            (["a", "b"], ["m", "m"], [0, 5]),  # both a duplicate attribute and a bad row
+            (["a", "b", "c"], ["m"], [1, -1, 2]),
+            (["a", "b"], ["m"], [1, 2]),  # one past the universe
+            (["a"], [], [1]),
+            (["a", "b"], ["m"], [True, False]),  # bools are ints and fit
+            (["a"], [], [0]),
+            ([], [], []),
+        ],
+    )
+    def test_edge_cases_match(self, objects, attributes, rows):
+        assert outcome(built, objects, attributes, rows) == outcome(
+            oracles.context_checks, objects, attributes, rows
+        )
+
+
+# --- ranking checks read off the strata -------------------------------------------
+
+
+class TestLeastStratum:
+    @given(seeds)
+    @settings(max_examples=300)
+    def test_matches_member_walk_and_satisfaction(self, seed):
+        """Any convex ranking, so violated conditionals occur too."""
+        rng = random.Random(seed)
+        ranked = random_ranked_context(rng, max_objects=8)
+        context = ranked.context
+        names = list(context.attributes)
+        strata = ranked.ranking.strata()
+        for _ in range(4):
+            c = random_conditional(rng, names)
+            ant = extension(context, c.antecedent)
+            level, least = _least_stratum(strata, ant)
+            assert level == oracles.antecedent_rank(ranked, ant)
+            assert least == ranked.minimise_objects(ant)
+            mat = extension(context, materialise(c))
+            assert (least & ~mat == 0) == ranked.satisfies(c)
+
+    @given(seeds)
+    @settings(max_examples=200)
+    def test_object_rank_result_passes_the_satisfaction_check(self, seed):
+        rng = random.Random(seed)
+        context = random_context(rng, max_objects=6, max_attributes=4)
+        kb = [
+            random_conditional(rng, list(context.attributes))
+            for _ in range(rng.randint(0, 4))
+        ]
+        try:
+            ranked, partition = object_rank(context, kb)
+        except ValidityError:
+            return
+        assert partition.strata == ranked.ranking.strata()
+        oracles.closing_check(ranked, KnowledgeBase(kb))
+
+
+# --- the CLI's rank table -----------------------------------------------------------
+
+
+class TestRankTable:
+    @given(seeds)
+    @settings(max_examples=300)
+    def test_matches_cell_by_cell_padding(self, seed):
+        """Empty, wide and non-ASCII names; columns that no shown object has."""
+        rng = random.Random(seed)
+        n, m = rng.randint(0, 7), rng.choice([0, 1, 3, 8, 9, 17])
+        pool = ["", "a", "Wind", "fw. alice", "Köln", " pad ", "a-much-longer-name"]
+        objects = [rng.choice(pool) + str(i) for i in range(n)]
+        if n and rng.random() < 0.3:
+            objects[rng.randrange(n)] = "x \t"
+        attributes = [rng.choice(pool) + "#" * (j + 1) for j in range(m)]
+        if m and rng.random() < 0.5:
+            attributes[rng.randrange(m)] = ""
+        density = rng.choice([0.0, 0.3, 1.0])
+        rows = [
+            sum(1 << j for j in range(m) if rng.random() < density) for _ in range(n)
+        ]
+        context = FormalContext(objects, attributes, rows)
+        ranking = random_ranking(rng, n)
+        strata = list(ranking.strata())
+        if rng.random() < 0.3:
+            strata.insert(rng.randint(0, len(strata)), 0)  # an empty stratum
+        if n and rng.random() < 0.3:
+            strata[-1] &= ~1  # an object left out of the table
+        partition = RankPartition(tuple(strata))
+        assert _rank_table(context, partition) == oracles.rank_table(context, partition)
+
+
+# --- strict orders: modularity ------------------------------------------------------
+
+
+class TestIsModular:
+    @given(seeds, st.integers(0, 25))
+    @settings(max_examples=300)
+    def test_matches_pairwise_check(self, seed, n):
+        rng = random.Random(seed)
+        roll = rng.random()
+        if roll < 0.4:
+            order = order_from_ranks(random_ranking(rng, n))
+        elif roll < 0.5:
+            order = StrictOrder(n, [(i, i + 1) for i in range(n - 1)])
+        elif roll < 0.7 and n:
+            # a modular order with one pair added or one element moved
+            ranking = random_ranking(rng, n)
+            pairs = order_from_ranks(ranking).pairs()
+            if pairs and rng.random() < 0.5:
+                pairs.remove(rng.choice(pairs))
+            order = StrictOrder(n, pairs)
+        else:
+            order = random_order(rng, n, density=rng.choice([0.05, 0.3, 0.9]))
+        assert order.is_modular() == oracles.is_modular(order)

@@ -130,6 +130,22 @@ class TestFormatCxt:
         context = random_context(rng)
         assert parse_cxt(format_cxt(context)) == context
 
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (1025, 0), (0, 1), (0, 40)])
+    def test_round_trip_without_objects_or_attributes(self, n, m):
+        from dfca import FormalContext
+
+        context = FormalContext(
+            [f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], [0] * n
+        )
+        text = format_cxt(context)
+        assert text == "\n".join(
+            ["B", "", str(n), str(m), ""]
+            + list(context.objects)
+            + list(context.attributes)
+            + [""] * n
+        ) + "\n"
+        assert parse_cxt(text) == context
+
     def test_corpus_files_are_canonical(self):
         files = sorted(CORPUS_DIR.glob("*.cxt"))
         assert len(files) == 8
