@@ -68,7 +68,6 @@ from .ranking import (
     RankPartition,
     context_preference,
     delta_valid,
-    enumerate_ranked_models,
     object_rank,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "context_preference",
     "delta_valid",
     "entailment_diff",
-    "enumerate_ranked_models",
     "extension",
     "format_cxt",
     "format_formula",

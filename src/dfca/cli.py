@@ -73,7 +73,8 @@ def build_parser():
     p.add_argument(
         "--exhaustive",
         action="store_true",
-        help="check every nonempty subset instead of relying on the ranking run",
+        help="state invalidity as a subset without a plausible witness "
+        "(the verdict is the ranking run's)",
     )
 
     p = command("rank", "stratify the context's objects by exceptionality")

@@ -15,9 +15,9 @@ class ClosureSession:
 
     __slots__ = ("_context", "_kb", "_ranked", "_partition")
 
-    def __init__(self, context, kb=(), *, precheck=False):
+    def __init__(self, context, kb=()):
         kb = kb if isinstance(kb, KnowledgeBase) else KnowledgeBase(kb)
-        ranked, partition = object_rank(context, kb, precheck=precheck)
+        ranked, partition = object_rank(context, kb)
         self._context = context
         self._kb = kb
         self._ranked = ranked

@@ -1,9 +1,9 @@
-"""Guard rails for the exponential enumerations.
+"""Guard rail for the exponential enumeration.
 
-Both brute-force procedures in this package (valuation sweeps in the
-propositional module, subset sweeps in the conditional-set validator) walk
-2**n cases. They refuse to start past a cap: 20 by default, overridable
+The valuation sweeps of the propositional module walk 2**n valuations for
+n atoms. They refuse to start past a cap: 20 by default, overridable
 through the DFCA_MAX_ATOMS environment variable or an explicit argument.
+Everything else in the package runs in polynomial time and has no cap.
 """
 
 import os

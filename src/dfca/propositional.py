@@ -13,6 +13,7 @@ skeleton, which is what ties this module to the rest of the package.
 import math
 from dataclasses import dataclass
 
+from . import bitsets
 from .context import FormalContext
 from .errors import (
     BindingError,
@@ -40,6 +41,7 @@ from .formula import (
 )
 from .limits import enumeration_cap
 from .order import PreferentialContext, RankedContext, RankingFunction
+from .ranking import _least_stratum
 
 
 # --- semantics --------------------------------------------------------------
@@ -197,7 +199,7 @@ class RankedInterpretation(_Interpretation):
     least preferred of all.
     """
 
-    __slots__ = ("_ranks",)
+    __slots__ = ("_ranks", "_strata")
 
     def __init__(self, atoms, states, valuations, ranks):
         super().__init__(atoms, states, valuations)
@@ -220,6 +222,12 @@ class RankedInterpretation(_Interpretation):
                 f"finite ranks {sorted(set(finite))} leave gaps"
             )
         self._ranks = ranks
+        # the finite strata in rank order, then the infinite-rank states
+        top = max(finite) + 1 if finite else 0
+        members = [[] for _ in range(top + 1)]
+        for i, r in enumerate(ranks):
+            members[top if r == INFINITE_RANK else r].append(i)
+        self._strata = [bitsets.from_indices(m, len(ranks)) for m in members]
 
     @property
     def ranks(self):
@@ -228,16 +236,8 @@ class RankedInterpretation(_Interpretation):
     def satisfies(self, conditional):
         """Do the least-ranked antecedent states all satisfy the consequent?"""
         antecedent_states = self.state_bits(conditional.antecedent)
-        if antecedent_states == 0:
-            return True
-        members = [i for i in range(len(self._states)) if antecedent_states >> i & 1]
-        least = min(self._ranks[i] for i in members)
-        consequent_states = self.state_bits(conditional.consequent)
-        return all(
-            consequent_states >> i & 1
-            for i in members
-            if self._ranks[i] == least
-        )
+        _, least = _least_stratum(self._strata, antecedent_states)
+        return not least or least & ~self.state_bits(conditional.consequent) == 0
 
 
 # --- base rank and rational closure ------------------------------------------

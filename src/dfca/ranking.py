@@ -7,13 +7,11 @@ conditionals answered on earlier ranks were set aside. The result is the
 least ranked context satisfying the whole set, when any exists.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from . import bitsets
-from .errors import CapacityError, StructureError, ValidityError
+from .errors import StructureError, ValidityError
 from .formula import DEFEASIBLE, bind, extension, materialise
-from .limits import enumeration_cap
 from .order import RankedContext, RankingFunction
 
 
@@ -99,34 +97,61 @@ def _bound_extents(context, kb):
     return mats, ants
 
 
-def delta_valid(context, kb, *, max_conditionals=None):
+def delta_valid(context, kb):
     """Can every nonempty subset of the conditionals be answered plausibly?
 
     True when each such subset has an object satisfying all its material
-    forms and at least one of its antecedents. Walks all subsets, so the
-    size of the conditional set is capped (see the limits module).
+    forms and at least one of its antecedents. This is the test that the
+    ranking loop of ``object_rank`` answers in one pass (Pearl's System Z
+    partition, tolerance in the sense of Goldszmidt and Pearl), so it holds
+    exactly when that loop never stops shrinking:
+
+    - If every subset has a witness, take the conditionals still active at
+      rank k. Their witness satisfies every active material form, and no
+      earlier rank holds it, since that rank would have discarded the
+      conditional whose antecedent it meets. So it settles at rank k and
+      discards at least one of them.
+    - If the loop runs to the end, take any nonempty subset and the first
+      rank that discards one of its members. The whole subset is still
+      active there, so the object settled at that rank that discards the
+      member satisfies all the subset's material forms and meets one of
+      its antecedents: a witness.
     """
     kb = kb if isinstance(kb, KnowledgeBase) else KnowledgeBase(kb)
-    cap = enumeration_cap(max_conditionals)
-    if len(kb) > cap:
-        raise CapacityError(
-            f"validity check enumerates 2**{len(kb)} subsets, cap is 2**{cap}"
-        )
     mats, ants = _bound_extents(context, kb)
-
-    def check(idx, satisfying, antecedents, any_included):
-        if idx == len(mats):
-            return not any_included or satisfying & antecedents != 0
-        if not check(idx + 1, satisfying, antecedents, any_included):
-            return False
-        return check(
-            idx + 1, satisfying & mats[idx], antecedents | ants[idx], True
-        )
-
-    return check(0, context.object_universe, 0, False)
+    _, stalled = _stratify(context.object_universe, mats, ants)
+    return stalled is None
 
 
-def object_rank(context, kb, *, precheck=False):
+def _stratify(universe, mats, ants):
+    """(strata, stalled) for the ranking loop over one universe.
+
+    Rank k settles the members violating no active material form and
+    discards every active conditional whose antecedent meets them.
+    ``stalled`` is the rank where no conditional was discarded, with the
+    strata settled below it, or None when the loop ran to the end; the
+    members violating the last active forms then make one more stratum.
+    """
+    active = list(range(len(mats)))
+    remaining = universe
+    strata = []
+    while active:
+        violators = 0
+        for k in active:
+            violators |= remaining & ~mats[k]
+        settled = remaining & ~violators
+        next_active = [k for k in active if ants[k] & settled == 0]
+        if len(next_active) == len(active):
+            return strata, len(strata)
+        strata.append(settled)
+        remaining = violators
+        active = next_active
+    if remaining:
+        strata.append(remaining)
+    return strata, None
+
+
+def object_rank(context, kb):
     """Stratify the context's objects against the conditional set.
 
     Returns the resulting ranked context together with its partition.
@@ -135,36 +160,21 @@ def object_rank(context, kb, *, precheck=False):
     non-vacuously; the remaining objects move up one rank. The conditional
     set must shrink every iteration and the result must satisfy it, else
     the set is unsatisfiable over this context and a ValidityError is
-    raised. ``precheck=True`` runs the exhaustive subset check first.
+    raised. The loop stops shrinking exactly when some nonempty subset of
+    the conditionals has no plausible witness (see ``delta_valid``); the
+    conditionals still active there form such a subset. When it runs to
+    the end, the first rank whose settled objects meet an antecedent also
+    satisfies that conditional's material form, so the closing check only
+    guards against a fault in the loop.
     """
     kb = kb if isinstance(kb, KnowledgeBase) else KnowledgeBase(kb)
-    if precheck and not delta_valid(context, kb):
+    mats, ants = _bound_extents(context, kb)
+    strata, stalled = _stratify(context.object_universe, mats, ants)
+    if stalled is not None:
         raise ValidityError(
             "no ranking of this context satisfies the conditional set: "
-            "some subset has no plausible witness"
+            f"it stopped shrinking at rank {stalled}"
         )
-    mats, ants = _bound_extents(context, kb)
-    active = list(range(len(mats)))
-    remaining = context.object_universe
-    strata = []
-    iteration = 0
-    while active:
-        violators = 0
-        for k in active:
-            violators |= remaining & ~mats[k]
-        settled = remaining & ~violators
-        next_active = [k for k in active if ants[k] & settled == 0]
-        if len(next_active) == len(active):
-            raise ValidityError(
-                "no ranking of this context satisfies the conditional set: "
-                f"it stopped shrinking at rank {iteration}"
-            )
-        strata.append(settled)
-        remaining = violators
-        active = next_active
-        iteration += 1
-    if remaining:
-        strata.append(remaining)
     ranks = [0] * context.n_objects
     for level, stratum in enumerate(strata):
         for i in bitsets.iter_indices(stratum):
@@ -203,52 +213,3 @@ def context_preference(first, second):
         le=all(x <= y for x, y in zip(a, b)),
         ge=all(x >= y for x, y in zip(a, b)),
     )
-
-
-def _convex_vectors(n):
-    if n == 0:
-        yield ()
-        return
-    for vector in itertools.product(range(n), repeat=n):
-        highest = max(vector)
-        if set(vector) == set(range(highest + 1)):
-            yield vector
-
-
-def enumerate_ranked_models(context, kb, *, max_objects=6):
-    """All convex rankings of the context satisfying every conditional.
-
-    Walks every convex rank vector over the objects, so the object count
-    is capped (default 6). Output is deterministic: ascending by rank
-    vector read left to right.
-    """
-    kb = kb if isinstance(kb, KnowledgeBase) else KnowledgeBase(kb)
-    n = context.n_objects
-    if n > max_objects:
-        raise CapacityError(
-            f"model enumeration walks {n}**{n} rank vectors, cap is "
-            f"{max_objects} objects"
-        )
-    pairs = []
-    for c in kb:
-        bind(context, c.antecedent)
-        bind(context, c.consequent)
-        pairs.append(
-            (extension(context, c.antecedent), extension(context, c.consequent))
-        )
-    results = []
-    for vector in _convex_vectors(n):
-        ok = True
-        for ant, cons in pairs:
-            if ant == 0:
-                continue
-            least = min(vector[i] for i in bitsets.iter_indices(ant))
-            for i in bitsets.iter_indices(ant):
-                if vector[i] == least and not cons >> i & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            results.append(RankedContext(context, RankingFunction(vector)))
-    return results

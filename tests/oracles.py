@@ -3,11 +3,23 @@
 Each one is the library's earlier implementation, kept verbatim apart from
 being lifted out of its class or module, so that differential tests can
 check the fast path against it on random and edge-case inputs. They cost
-O(universe) per member or per pair and must not move back into ``src/``.
+O(universe) per member or per pair, or walk every subset or rank vector,
+and must not move back into ``src/``.
 """
 
-from dfca import FormalContext, RankingFunction, bitsets
-from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
+import itertools
+
+from dfca import FormalContext, KnowledgeBase, RankedContext, RankingFunction, bitsets
+from dfca.errors import (
+    CapacityError,
+    FileFormatError,
+    ModularityError,
+    StructureError,
+    ValidityError,
+)
+from dfca.formula import bind, extension
+from dfca.limits import enumeration_cap
+from dfca.ranking import _bound_extents
 
 
 # --- bitsets ---------------------------------------------------------------
@@ -225,6 +237,106 @@ def rank_table(context, partition):
         for row in table
     ]
     return "\n".join(lines)
+
+
+# --- validity and ranked models, by exhaustion ------------------------------
+
+
+def delta_valid(context, kb, *, max_conditionals=None):
+    """Can every nonempty subset of the conditionals be answered plausibly?
+
+    True when each such subset has an object satisfying all its material
+    forms and at least one of its antecedents. Walks all subsets, so the
+    size of the conditional set is capped (see the limits module).
+    """
+    kb = kb if isinstance(kb, KnowledgeBase) else KnowledgeBase(kb)
+    cap = enumeration_cap(max_conditionals)
+    if len(kb) > cap:
+        raise CapacityError(
+            f"validity check enumerates 2**{len(kb)} subsets, cap is 2**{cap}"
+        )
+    mats, ants = _bound_extents(context, kb)
+
+    def check(idx, satisfying, antecedents, any_included):
+        if idx == len(mats):
+            return not any_included or satisfying & antecedents != 0
+        if not check(idx + 1, satisfying, antecedents, any_included):
+            return False
+        return check(
+            idx + 1, satisfying & mats[idx], antecedents | ants[idx], True
+        )
+
+    return check(0, context.object_universe, 0, False)
+
+
+def _convex_vectors(n):
+    if n == 0:
+        yield ()
+        return
+    for vector in itertools.product(range(n), repeat=n):
+        highest = max(vector)
+        if set(vector) == set(range(highest + 1)):
+            yield vector
+
+
+def enumerate_ranked_models(context, kb, *, max_objects=6):
+    """All convex rankings of the context satisfying every conditional.
+
+    Walks every convex rank vector over the objects, so the object count
+    is capped (default 6). Output is deterministic: ascending by rank
+    vector read left to right.
+    """
+    kb = kb if isinstance(kb, KnowledgeBase) else KnowledgeBase(kb)
+    n = context.n_objects
+    if n > max_objects:
+        raise CapacityError(
+            f"model enumeration walks {n}**{n} rank vectors, cap is "
+            f"{max_objects} objects"
+        )
+    pairs = []
+    for c in kb:
+        bind(context, c.antecedent)
+        bind(context, c.consequent)
+        pairs.append(
+            (extension(context, c.antecedent), extension(context, c.consequent))
+        )
+    results = []
+    for vector in _convex_vectors(n):
+        ok = True
+        for ant, cons in pairs:
+            if ant == 0:
+                continue
+            least = min(vector[i] for i in bitsets.iter_indices(ant))
+            for i in bitsets.iter_indices(ant):
+                if vector[i] == least and not cons >> i & 1:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            results.append(RankedContext(context, RankingFunction(vector)))
+    return results
+
+
+def interpretation_satisfies(interpretation, conditional):
+    """Do the least-ranked antecedent states all satisfy the consequent?
+
+    ``RankedInterpretation.satisfies``, listing the antecedent's states and
+    taking the least of their ranks.
+    """
+    antecedent_states = interpretation.state_bits(conditional.antecedent)
+    if antecedent_states == 0:
+        return True
+    members = [
+        i for i in range(len(interpretation.states)) if antecedent_states >> i & 1
+    ]
+    least = min(interpretation.ranks[i] for i in members)
+    consequent_states = interpretation.state_bits(conditional.consequent)
+    return all(
+        consequent_states >> i & 1
+        for i in members
+        if interpretation.ranks[i] == least
+    )
 
 
 # --- strict orders and rankings --------------------------------------------

@@ -11,6 +11,7 @@ import itertools
 import random
 import time
 
+import oracles
 from conftest import (
     build_elements,
     build_friends,
@@ -37,8 +38,6 @@ from dfca import (
     KnowledgeBase,
     PreferentialContext,
     StrictOrder,
-    delta_valid,
-    enumerate_ranked_models,
     entailment_diff,
     extension,
     format_cxt,
@@ -191,12 +190,14 @@ def test_object_ranking_is_the_unique_least_model():
             random_conditional(rng, context.attributes)
             for _ in range(rng.randint(1, 3))
         )
-        if not delta_valid(context, kb):
+        if not oracles.delta_valid(context, kb):
             continue
         collected += 1
         ranked, _ = object_rank(context, kb)
         got = ranked.ranking.ranks
-        vectors = [m.ranking.ranks for m in enumerate_ranked_models(context, kb)]
+        vectors = [
+            m.ranking.ranks for m in oracles.enumerate_ranked_models(context, kb)
+        ]
         assert all(ranked.satisfies(c) for c in kb)
         assert got in vectors
         for vector in vectors:

@@ -1,12 +1,20 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR, build_friends, friends_delta
+from conftest import (
+    CORPUS_DIR,
+    DATA_DIR,
+    build_friends,
+    friends_delta,
+    random_conditional,
+)
+from dfca import load_context
 from dfca.cli import CliResult, main, run
 from dfca.formula import parse_conditional
 from dfca.ranking import object_rank
@@ -99,11 +107,48 @@ class TestValidate:
         assert exhaustive.exit_code == 1
         assert "witness" in exhaustive.text
 
-    def test_capacity_overrun_is_exit_3(self, monkeypatch):
+    def test_exhaustive_answers_past_the_cap(self, monkeypatch):
+        """Two conditionals against a cap of one: answered, since no sweep runs."""
         monkeypatch.setenv("DFCA_MAX_ATOMS", "1")
-        result = run(["validate", FRIENDS, FRIENDS_KB, "--exhaustive"])
-        assert result.exit_code == 3
-        assert "cap" in result.text
+        result = run(["validate", FRIENDS, FRIENDS_KB, "--exhaustive", "--json"])
+        assert result.exit_code == 0
+        assert result.data["mode"] == "exhaustive"
+        assert result.data["valid"] is True
+
+    @pytest.mark.parametrize(
+        "context, kb",
+        [
+            (context, kb)
+            for context in sorted(DATA_DIR.glob("*.cxt"))
+            for kb in sorted(DATA_DIR.glob("*.kb")) + [DATA_DIR / "friends.probes"]
+        ],
+        ids=lambda path: path.name,
+    )
+    def test_both_modes_agree_on_the_data_files(self, context, kb):
+        assert_modes_agree(str(context), str(kb))
+
+    @pytest.mark.parametrize(
+        "context", sorted(CORPUS_DIR.glob("*.cxt")), ids=lambda path: path.name
+    )
+    def test_both_modes_agree_on_random_kbs(self, context, tmp_path):
+        names = list(load_context(context).attributes)
+        rng = random.Random(context.name)
+        kb = tmp_path / "kb.txt"
+        for _ in range(30):
+            count = rng.randint(0, 5) if names else 0
+            lines = [str(random_conditional(rng, names)) for _ in range(count)]
+            kb.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            assert_modes_agree(str(context), str(kb))
+
+
+def assert_modes_agree(context, kb):
+    """``validate`` with and without --exhaustive: same exit code and verdict."""
+    ranking = run(["validate", context, kb, "--json"])
+    exhaustive = run(["validate", context, kb, "--exhaustive", "--json"])
+    assert ranking.exit_code == exhaustive.exit_code
+    if ranking.exit_code in (0, 1):
+        assert ranking.data["valid"] == exhaustive.data["valid"]
+        assert ranking.data["valid"] == (ranking.exit_code == 0)
 
 
 class TestRank:

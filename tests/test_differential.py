@@ -1,15 +1,17 @@
 """Each fast bitset path against the slow procedure it replaced (see oracles.py)."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import (
     random_conditional,
     random_context,
+    random_formula,
     random_order,
     random_ranked_context,
     random_ranking,
@@ -18,9 +20,20 @@ from dfca import FormalContext, KnowledgeBase, StrictOrder, bitsets
 from dfca.cli import _rank_table
 from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
 from dfca.fileio import format_cxt, parse_cxt
-from dfca.formula import extension, materialise
+from dfca.formula import (
+    And,
+    Atom,
+    Bot,
+    Conditional,
+    Not,
+    Or,
+    PropConditional,
+    extension,
+    materialise,
+)
 from dfca.order import order_from_ranks, ranks_from_order
-from dfca.ranking import RankPartition, _least_stratum, object_rank
+from dfca.propositional import INFINITE_RANK, RankedInterpretation
+from dfca.ranking import RankPartition, _least_stratum, delta_valid, object_rank
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -359,7 +372,7 @@ def mutate(rng, lines):
             lines.insert(k, rng.choice(["", "X.", "junk"]))  # extra line
         elif roll == 6 and k < len(lines):
             del lines[k]
-        elif roll == 7 and 2 <= k < 4:
+        elif roll == 7 and 2 <= k < 4 and k < len(lines):
             lines[k] = rng.choice(["-1", "x", "10", " 2"])  # bad count
         elif roll == 8:
             lines.append(rng.choice(["", "trailing"]))
@@ -378,6 +391,7 @@ def mutate(rng, lines):
 
 class TestCxtFiles:
     @given(seeds)
+    @example(seed=28196)  # a truncation, then a bad count past the last line
     @settings(max_examples=1000)
     def test_malformed_text_matches_line_walk(self, seed):
         """The same context, or the same error text and line."""
@@ -530,6 +544,110 @@ class TestLeastStratum:
             return
         assert partition.strata == ranked.ranking.strata()
         oracles.closing_check(ranked, KnowledgeBase(kb))
+
+
+# --- validity decided by the ranking loop ------------------------------------------
+
+
+class TestDeltaValid:
+    @given(seeds)
+    @settings(max_examples=500)
+    def test_matches_subset_walk(self, seed):
+        """Unwitnessed antecedents and duplicates included; 0-7 objects."""
+        rng = random.Random(seed)
+        context = random_context(rng, max_objects=7, max_attributes=4)
+        names = list(context.attributes)
+        kb = []
+        for _ in range(rng.randint(0, 6)):
+            roll = rng.random()
+            if roll < 0.1 and kb:
+                kb.append(rng.choice(kb))  # a duplicate
+            elif roll < 0.2:
+                never = And(Atom(names[0]), Not(Atom(names[0])))
+                kb.append(Conditional.defeasible(never, random_formula(rng, names, 1)))
+            else:
+                kb.append(random_conditional(rng, names))
+        valid = oracles.delta_valid(context, kb)
+        assert delta_valid(context, kb) == valid
+        try:
+            object_rank(context, kb)
+        except ValidityError:
+            assert not valid
+        else:
+            assert valid
+
+
+# --- ranked interpretations: the least antecedent states ----------------------------
+
+
+def minterm(valuation, atoms):
+    """The formula true exactly under the valuation."""
+    literals = [Atom(a) if valuation[a] else Not(Atom(a)) for a in atoms]
+    formula = literals[0]
+    for literal in literals[1:]:
+        formula = And(formula, literal)
+    return formula
+
+
+def covering(states, valuations, atoms):
+    """The formula true exactly at the given states (their valuations differ)."""
+    formula = Bot()
+    for i in states:
+        formula = Or(formula, minterm(valuations[i], atoms))
+    return formula
+
+
+class TestRankedInterpretation:
+    ATOMS = ("a", "b", "c")
+
+    @given(seeds)
+    @settings(max_examples=500)
+    def test_matches_member_walk(self, seed):
+        """Empty antecedents, antecedents of infinite-rank states only, and
+        models with no finite state among the cases."""
+        rng = random.Random(seed)
+        atoms = self.ATOMS
+        n = rng.randint(0, 8)
+        # distinct valuations, so a set of states is the extension of a formula
+        valuations = [
+            dict(zip(atoms, map(bool, bits)))
+            for bits in rng.sample(list(itertools.product((0, 1), repeat=3)), n)
+        ]
+        infinite_share = rng.choice([0.0, 0.3, 1.0])
+        infinite = [i for i in range(n) if rng.random() < infinite_share]
+        finite = [i for i in range(n) if i not in infinite]
+        ranks = [INFINITE_RANK] * n
+        for i, r in zip(finite, random_ranking(rng, len(finite)).ranks):
+            ranks[i] = r
+        model = RankedInterpretation(atoms, range(n), valuations, ranks)
+        names = list(atoms)
+        for _ in range(6):
+            roll = rng.random()
+            if roll < 0.15:
+                antecedent = And(Atom("a"), Not(Atom("a")))
+            elif roll < 0.4:
+                picked = [i for i in infinite if rng.random() < 0.6]
+                antecedent = covering(picked, valuations, atoms)
+            elif roll < 0.7:
+                picked = [i for i in range(n) if rng.random() < 0.4]
+                antecedent = covering(picked, valuations, atoms)
+            else:
+                antecedent = random_formula(rng, names, 2)
+            if rng.random() < 0.5:
+                picked = [i for i in range(n) if rng.random() < 0.5]
+                consequent = covering(picked, valuations, atoms)
+            else:
+                consequent = random_formula(rng, names, 2)
+            query = PropConditional.defeasible(antecedent, consequent)
+            assert model.satisfies(query) == oracles.interpretation_satisfies(
+                model, query
+            )
+
+    def test_empty_antecedent_reads_no_consequent(self):
+        """An unknown consequent atom goes unread when no state meets the antecedent."""
+        model = RankedInterpretation(("a",), (0,), ({"a": True},), (INFINITE_RANK,))
+        query = PropConditional.defeasible(Not(Atom("a")), Atom("zzz"))
+        assert model.satisfies(query) == oracles.interpretation_satisfies(model, query)
 
 
 # --- the CLI's rank table -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Coarse wall-clock guards against quadratic costs in the bitset layer.
+"""Coarse wall-clock guards against quadratic and exponential costs.
 
 The caps are several times what linear code needs, so they hold on a slow
 or loaded machine, and well below what a per-member ``1 << i`` build or
@@ -6,13 +6,20 @@ walk, a fixed-point order closure and a pairwise modularity check cost at
 these sizes. On a 2-core Intel Xeon VM under Python 3.11.7 the linear
 code takes 0.39 s, 0.04 s, 0.05 s and 0.002 s, the quadratic code 7.9 s,
 1.7 s, 3.1 s and 0.58 s, against caps of 3 s, 0.5 s, 1 s and 0.1 s.
+
+Validity of a conditional set is decided by one ranking pass: 0.001 s for
+31 conditionals over 20k objects, against a cap of 0.5 s. A walk over
+every subset of the conditionals took 0.55 s for 20 of them on the same
+machine and would take about 2000 times as long for 31.
 """
 
 import random
 import time
 
-from dfca import FormalContext, RankingFunction, StrictOrder, bitsets
+from dfca import Conditional, FormalContext, RankingFunction, StrictOrder, bitsets
+from dfca.formula import Atom, Not
 from dfca.order import order_from_ranks
+from dfca.ranking import delta_valid
 
 
 def timed(procedure, *args):
@@ -63,4 +70,31 @@ def test_checking_a_2000_element_order_for_modularity_is_linear():
     modular = order_from_ranks(RankingFunction([i % 50 for i in range(n)]))
     seconds, verdict = timed(modular.is_modular)
     assert seconds < 0.1
+    assert verdict
+
+
+def exception_chain(n, levels, rng):
+    """Objects at random depths of a chain c0 ⊇ c1 ⊇ ..., flying at even depths.
+
+    ``c_j |~ f`` for even j and ``c_j |~ !f`` for odd j: each depth is the
+    exception to the one above it, so the set is satisfiable with one rank
+    per depth.
+    """
+    attributes = [f"c{j}" for j in range(levels)] + ["f"]
+    depths = [rng.randrange(levels) for _ in range(n)]
+    # c0..c_d, and f when d is even
+    rows = [(1 << d + 1) - 1 | (d % 2 == 0) << levels for d in depths]
+    context = FormalContext([f"g{i}" for i in range(n)], attributes, rows)
+    flies = Atom("f")
+    kb = [
+        Conditional.defeasible(Atom(f"c{j}"), flies if j % 2 == 0 else Not(flies))
+        for j in range(levels)
+    ]
+    return context, kb
+
+
+def test_deciding_validity_of_31_conditionals_takes_one_ranking_pass():
+    context, kb = exception_chain(20_000, 31, random.Random(3))
+    seconds, verdict = timed(delta_valid, context, kb)
+    assert seconds < 0.5
     assert verdict
