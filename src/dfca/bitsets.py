@@ -37,11 +37,6 @@ def from_indices(indices, size):
     return int(digits, 2) if digits else 0
 
 
-def to_indices(bits):
-    """Member indices in ascending order."""
-    return list(iter_indices(bits))
-
-
 def iter_indices(bits):
     """Yield member indices in ascending order."""
     if bits < 0:
@@ -85,6 +80,3 @@ def _transpose(rows, width):
 def is_subset(a, b):
     return a & ~b == 0
 
-
-def count(bits):
-    return bits.bit_count()

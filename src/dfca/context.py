@@ -56,9 +56,12 @@ class FormalContext:
         """A context from name tuples and one in-range column per attribute.
 
         Package-internal: the ``.cxt`` parser cuts the columns out of the
-        cell text it has checked. The names are still checked for
-        duplicates; the rows are transposed from the columns only when
-        first asked for, since extensions need only the columns.
+        cell text it has checked, a propositional interpretation builds
+        one column per atom from its valuations, and a derived context
+        takes its interpretation's columns under new object names. The
+        names are still checked for duplicates; the rows are transposed
+        from the columns only when first asked for, since extensions need
+        only the columns.
         """
         context = cls.__new__(cls)
         context._oindex = _name_index(objects, "object")

@@ -137,8 +137,9 @@ def _locate_cxt_fault(lines, n_objects, n_attributes, path):
 
 def format_cxt(context):
     """Canonical Burmeister text for a context; parse_cxt inverts it byte for byte."""
+    # an empty name would be a blank line, which parse_cxt refuses
     for name in context.objects + context.attributes:
-        if "\n" in name or "\r" in name:
+        if name == "" or "\n" in name or "\r" in name:
             raise StructureError(f"name {name!r} cannot be written to .cxt")
     lines = ["B", "", str(context.n_objects), str(context.n_attributes), ""]
     lines.extend(context.objects)
@@ -214,8 +215,9 @@ def load_context(path, fmt=None):
 
 def save_context(context, path):
     """Write a context as canonical Burmeister text."""
+    text = format_cxt(context)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(format_cxt(context))
+        handle.write(text)
 
 
 def _read_text(path):

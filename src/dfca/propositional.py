@@ -5,13 +5,17 @@ formula language (see ``dfca.formula``); the names below re-export them.
 Statements are ranked by exceptionality under classical entailment, and
 queries are answered by rational closure.
 
-Interpretations attach valuations to preference-ordered states. Every
-finitely-ranked interpretation turns into a ranked context on the same
-skeleton, which is what ties this module to the rest of the package.
+Interpretations hold their valuations as a formal context, the states as
+objects and the atoms as attributes, and order the states by preference
+or by rank. Every finitely-ranked interpretation turns into a ranked
+context on the same skeleton, which is what ties this module to the rest
+of the package.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from . import bitsets
 from .context import FormalContext
@@ -116,53 +120,67 @@ INFINITE_RANK = math.inf
 
 
 class _Interpretation:
-    """Distinct states, each labelled with a valuation of the same atoms."""
+    """Distinct states, each labelled with a valuation of the same atoms.
 
-    __slots__ = ("_atoms", "_states", "_valuations")
+    The valuations are held as a formal context: the states are its
+    objects, the atoms its attributes, and a state has an atom exactly
+    when its valuation makes the atom true.
+    """
+
+    __slots__ = ("_context",)
 
     def __init__(self, atoms, states, valuations):
         atoms = tuple(atoms)
-        if len(set(atoms)) != len(atoms):
-            raise StructureError("duplicate atom names")
         states = tuple(states)
-        if len(set(states)) != len(states):
-            raise StructureError("duplicate state labels")
-        valuations = tuple(dict(v) for v in valuations)
+        valuations = [dict(v) for v in valuations]
         if len(valuations) != len(states):
             raise StructureError(
                 f"expected {len(states)} valuations, got {len(valuations)}"
             )
+        declared = set(atoms)
         for label, v in zip(states, valuations):
-            if set(v) != set(atoms):
+            if v.keys() != declared:
                 raise StructureError(
                     f"state {label!r} must value exactly the declared atoms"
                 )
-        self._atoms = atoms
-        self._states = states
-        self._valuations = valuations
+        # column j: the states whose valuation makes atom j true
+        indices = range(len(states))
+        columns = tuple(
+            bitsets.from_indices(
+                compress(indices, map(itemgetter(atom), valuations)), len(states)
+            )
+            for atom in atoms
+        )
+        self._context = FormalContext._from_columns(states, atoms, columns)
 
     @property
     def atoms(self):
-        return self._atoms
+        return self._context.attributes
 
     @property
     def states(self):
-        return self._states
+        return self._context.objects
 
     @property
     def valuations(self):
-        return self._valuations
+        """A fresh ``{atom: bool}`` dict per state, in state order."""
+        atoms = self._context.attributes
+        return tuple(
+            {atom: bool(row >> j & 1) for j, atom in enumerate(atoms)}
+            for row in self._context._row_bits()
+        )
 
     def state_bits(self, formula):
         """Bitset of states whose valuation satisfies the formula."""
+        return evaluate(formula, self._column, self._context.object_universe)
 
-        def column(name):
-            try:
-                return sum(1 << i for i, v in enumerate(self._valuations) if v[name])
-            except KeyError:
-                raise BindingError(f"valuation has no atom {name!r}") from None
-
-        return evaluate(formula, column, (1 << len(self._valuations)) - 1)
+    def _column(self, name):
+        # ``extension``'s column lookup, its error naming the valuation's atom
+        context = self._context
+        try:
+            return context.column(context.attribute_index(name))
+        except BindingError:
+            raise BindingError(f"valuation has no atom {name!r}") from None
 
 
 class PreferentialInterpretation(_Interpretation):
@@ -172,10 +190,10 @@ class PreferentialInterpretation(_Interpretation):
 
     def __init__(self, atoms, states, valuations, order):
         super().__init__(atoms, states, valuations)
-        if order.size != len(self._states):
+        if order.size != len(self.states):
             raise StructureError(
                 f"order covers {order.size} elements, interpretation has "
-                f"{len(self._states)} states"
+                f"{len(self.states)} states"
             )
         self._order = order
 
@@ -204,30 +222,17 @@ class RankedInterpretation(_Interpretation):
     def __init__(self, atoms, states, valuations, ranks):
         super().__init__(atoms, states, valuations)
         ranks = tuple(ranks)
-        if len(ranks) != len(self._states):
+        if len(ranks) != len(self.states):
             raise StructureError(
-                f"expected {len(self._states)} ranks, got {len(ranks)}"
+                f"expected {len(self.states)} ranks, got {len(ranks)}"
             )
-        finite = []
-        for r in ranks:
-            if r == INFINITE_RANK:
-                continue
-            if not isinstance(r, int) or r < 0:
-                raise StructureError(
-                    f"ranks must be non-negative ints or INFINITE_RANK, got {r!r}"
-                )
-            finite.append(r)
-        if finite and set(finite) != set(range(max(finite) + 1)):
-            raise StructureError(
-                f"finite ranks {sorted(set(finite))} leave gaps"
-            )
-        self._ranks = ranks
+        finite = RankingFunction([r for r in ranks if r != INFINITE_RANK])
         # the finite strata in rank order, then the infinite-rank states
-        top = max(finite) + 1 if finite else 0
-        members = [[] for _ in range(top + 1)]
-        for i, r in enumerate(ranks):
-            members[top if r == INFINITE_RANK else r].append(i)
-        self._strata = [bitsets.from_indices(m, len(ranks)) for m in members]
+        top = finite.max_rank + 1 if finite.size else 0
+        self._ranks = ranks
+        self._strata = RankingFunction(
+            [top if r == INFINITE_RANK else r for r in ranks]
+        ).strata()
 
     @property
     def ranks(self):
@@ -255,16 +260,6 @@ class BaseRankResult:
         return len(self.strata)
 
 
-def _unique(statements):
-    items = []
-    seen = set()
-    for s in statements:
-        if s not in seen:
-            seen.add(s)
-            items.append(s)
-    return items
-
-
 def base_rank(statements, *, max_atoms=None):
     """Stratify statements by iterated exceptionality.
 
@@ -274,7 +269,7 @@ def base_rank(statements, *, max_atoms=None):
     exceptional once earlier ranks are removed; statements exceptional
     forever are reported separately (classical assertions end up there).
     """
-    current = _unique(statements)
+    current = list(dict.fromkeys(statements))
     strata = []
     while True:
         materials = [s.material() for s in current]
@@ -285,7 +280,8 @@ def base_rank(statements, *, max_atoms=None):
         ]
         if len(nxt) == len(current):
             break
-        strata.append(tuple(s for s in current if s not in set(nxt)))
+        exceptional = set(nxt)
+        strata.append(tuple(s for s in current if s not in exceptional))
         current = nxt
     return BaseRankResult(tuple(strata), tuple(current))
 
@@ -316,27 +312,16 @@ def rc_decision(statements, query, *, max_atoms=None):
     return verdict, dropped
 
 
-def rc_entails(statements, query, *, max_atoms=None):
-    """Is the query in the rational closure of the statements?"""
-    verdict, _ = rc_decision(statements, query, max_atoms=max_atoms)
-    return verdict
-
-
 # --- derived contexts ---------------------------------------------------------
 
 
 def _derived_parts(interpretation):
-    objects = tuple(str(s) for s in interpretation.states)
+    context = interpretation._context
+    objects = tuple(map(str, context.objects))
     if len(set(objects)) != len(objects):
         raise StructureError("state labels collide once written out as names")
-    rows = []
-    for v in interpretation.valuations:
-        row = 0
-        for j, atom in enumerate(interpretation.atoms):
-            if v[atom]:
-                row |= 1 << j
-        rows.append(row)
-    return FormalContext(objects, interpretation.atoms, rows)
+    columns = tuple(map(context.column, range(context.n_attributes)))
+    return FormalContext._from_columns(objects, context.attributes, columns)
 
 
 def derive_preferential_context(interpretation):

@@ -11,15 +11,17 @@ import itertools
 
 from dfca import FormalContext, KnowledgeBase, RankedContext, RankingFunction, bitsets
 from dfca.errors import (
+    BindingError,
     CapacityError,
     FileFormatError,
     ModularityError,
     StructureError,
     ValidityError,
 )
-from dfca.formula import bind, extension
+from dfca.formula import bind, evaluate, extension
 from dfca.limits import enumeration_cap
-from dfca.ranking import _bound_extents
+from dfca.propositional import INFINITE_RANK
+from dfca.ranking import _bound_extents, _least_stratum
 
 
 # --- bitsets ---------------------------------------------------------------
@@ -337,6 +339,144 @@ def interpretation_satisfies(interpretation, conditional):
         for i in members
         if interpretation.ranks[i] == least
     )
+
+
+# --- interpretations, held as lists of valuation dicts ----------------------
+
+
+class Interpretation:
+    """``propositional._Interpretation`` before it held a formal context.
+
+    ``state_bits`` sums ``1 << i`` over every state for each atom it reads,
+    O(states) per state and atom.
+    """
+
+    __slots__ = ("_atoms", "_states", "_valuations")
+
+    def __init__(self, atoms, states, valuations):
+        atoms = tuple(atoms)
+        if len(set(atoms)) != len(atoms):
+            raise StructureError("duplicate atom names")
+        states = tuple(states)
+        if len(set(states)) != len(states):
+            raise StructureError("duplicate state labels")
+        valuations = tuple(dict(v) for v in valuations)
+        if len(valuations) != len(states):
+            raise StructureError(
+                f"expected {len(states)} valuations, got {len(valuations)}"
+            )
+        for label, v in zip(states, valuations):
+            if set(v) != set(atoms):
+                raise StructureError(
+                    f"state {label!r} must value exactly the declared atoms"
+                )
+        self._atoms = atoms
+        self._states = states
+        self._valuations = valuations
+
+    @property
+    def atoms(self):
+        return self._atoms
+
+    @property
+    def states(self):
+        return self._states
+
+    @property
+    def valuations(self):
+        return self._valuations
+
+    def state_bits(self, formula):
+        """Bitset of states whose valuation satisfies the formula."""
+
+        def column(name):
+            try:
+                return sum(1 << i for i, v in enumerate(self._valuations) if v[name])
+            except KeyError:
+                raise BindingError(f"valuation has no atom {name!r}") from None
+
+        return evaluate(formula, column, (1 << len(self._valuations)) - 1)
+
+
+class PreferentialInterpretation(Interpretation):
+    """``propositional.PreferentialInterpretation`` on the list-held valuations."""
+
+    __slots__ = ("_order",)
+
+    def __init__(self, atoms, states, valuations, order):
+        super().__init__(atoms, states, valuations)
+        if order.size != len(self._states):
+            raise StructureError(
+                f"order covers {order.size} elements, interpretation has "
+                f"{len(self._states)} states"
+            )
+        self._order = order
+
+    @property
+    def order(self):
+        return self._order
+
+
+class RankedInterpretation(Interpretation):
+    """``propositional.RankedInterpretation`` with its own rank checks and
+    strata build: a convexity check over the finite ranks, then one list of
+    members per rank, the infinite-rank states last (an empty last stratum
+    when there are none)."""
+
+    __slots__ = ("_ranks", "_strata")
+
+    def __init__(self, atoms, states, valuations, ranks):
+        super().__init__(atoms, states, valuations)
+        ranks = tuple(ranks)
+        if len(ranks) != len(self._states):
+            raise StructureError(
+                f"expected {len(self._states)} ranks, got {len(ranks)}"
+            )
+        finite = []
+        for r in ranks:
+            if r == INFINITE_RANK:
+                continue
+            if not isinstance(r, int) or r < 0:
+                raise StructureError(
+                    f"ranks must be non-negative ints or INFINITE_RANK, got {r!r}"
+                )
+            finite.append(r)
+        if finite and set(finite) != set(range(max(finite) + 1)):
+            raise StructureError(
+                f"finite ranks {sorted(set(finite))} leave gaps"
+            )
+        self._ranks = ranks
+        # the finite strata in rank order, then the infinite-rank states
+        top = max(finite) + 1 if finite else 0
+        members = [[] for _ in range(top + 1)]
+        for i, r in enumerate(ranks):
+            members[top if r == INFINITE_RANK else r].append(i)
+        self._strata = [bitsets.from_indices(m, len(ranks)) for m in members]
+
+    @property
+    def ranks(self):
+        return self._ranks
+
+    def satisfies(self, conditional):
+        """Do the least-ranked antecedent states all satisfy the consequent?"""
+        antecedent_states = self.state_bits(conditional.antecedent)
+        _, least = _least_stratum(self._strata, antecedent_states)
+        return not least or least & ~self.state_bits(conditional.consequent) == 0
+
+
+def derived_parts(interpretation):
+    """The context of ``derive_*_context``, OR-ing one cell at a time."""
+    objects = tuple(str(s) for s in interpretation.states)
+    if len(set(objects)) != len(objects):
+        raise StructureError("state labels collide once written out as names")
+    rows = []
+    for v in interpretation.valuations:
+        row = 0
+        for j, atom in enumerate(interpretation.atoms):
+            if v[atom]:
+                row |= 1 << j
+        rows.append(row)
+    return FormalContext(objects, interpretation.atoms, rows)
 
 
 # --- strict orders and rankings --------------------------------------------

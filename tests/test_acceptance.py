@@ -456,7 +456,7 @@ def test_penguin_triad_matches_the_exhaustive_minimum():
     )
     oracle = tuple(minimum.satisfies(q) for q in queries)
     assert oracle == (True, True, False)
-    assert tuple(prop.rc_entails(kb, q) for q in queries) == oracle
+    assert tuple(prop.rc_decision(kb, q)[0] for q in queries) == oracle
 
 
 # --- storage --------------------------------------------------------------------

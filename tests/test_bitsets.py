@@ -25,23 +25,19 @@ class TestBasics:
         with pytest.raises(StructureError):
             bitsets.from_indices([-1], 3)
 
-    def test_to_indices_ascending(self):
-        assert bitsets.to_indices(0b1011) == [0, 1, 3]
-
-    def test_count(self):
-        assert bitsets.count(0) == 0
-        assert bitsets.count(0b1011) == 3
+    def test_iter_indices_ascending(self):
+        assert list(bitsets.iter_indices(0b1011)) == [0, 1, 3]
 
 
 class TestLaws:
     @given(st.sets(st.integers(0, 15)))
     def test_round_trip(self, indices):
-        """to_indices inverts from_indices, sorted ascending."""
+        """iter_indices inverts from_indices, sorted ascending."""
         bits = bitsets.from_indices(indices, 16)
-        assert bitsets.to_indices(bits) == sorted(indices)
+        assert list(bitsets.iter_indices(bits)) == sorted(indices)
 
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
     def test_is_subset_matches_set_semantics(self, a, b):
         """is_subset agrees with the set-of-indices reading."""
-        expected = set(bitsets.to_indices(a)) <= set(bitsets.to_indices(b))
+        expected = set(bitsets.iter_indices(a)) <= set(bitsets.iter_indices(b))
         assert bitsets.is_subset(a, b) == expected

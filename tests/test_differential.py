@@ -1,6 +1,7 @@
 """Each fast bitset path against the slow procedure it replaced (see oracles.py)."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -25,14 +26,23 @@ from dfca.formula import (
     Atom,
     Bot,
     Conditional,
+    Iff,
+    Implies,
     Not,
     Or,
     PropConditional,
+    Top,
     extension,
     materialise,
 )
 from dfca.order import order_from_ranks, ranks_from_order
-from dfca.propositional import INFINITE_RANK, RankedInterpretation
+from dfca.propositional import (
+    INFINITE_RANK,
+    PreferentialInterpretation,
+    RankedInterpretation,
+    derive_preferential_context,
+    derive_ranked_context,
+)
 from dfca.ranking import RankPartition, _least_stratum, delta_valid, object_rank
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -63,7 +73,7 @@ class TestBitsets:
 
     @given(st.integers(-(2**70), -1))
     def test_iter_indices_rejects_negative_ints(self, bits):
-        assert outcome(bitsets.to_indices, bits) == outcome(
+        assert outcome(list, bitsets.iter_indices(bits)) == outcome(
             list, oracles.iter_indices(bits)
         )
         with pytest.raises(StructureError):
@@ -648,6 +658,162 @@ class TestRankedInterpretation:
         model = RankedInterpretation(("a",), (0,), ({"a": True},), (INFINITE_RANK,))
         query = PropConditional.defeasible(Not(Atom("a")), Atom("zzz"))
         assert model.satisfies(query) == oracles.interpretation_satisfies(model, query)
+
+
+# --- interpretations held as contexts ------------------------------------------------
+
+
+def random_interpretation_parts(rng):
+    """0-4 atoms and 0-9 states: repeated valuations, int or str labels, and
+    truth values that are bools, the ints 0 and 1, or other objects read by
+    their truth."""
+    atoms = tuple(f"p{j}" for j in range(rng.randint(0, 4)))
+    n = rng.choice([0, rng.randint(1, 9)])
+    labels = tuple(range(n)) if rng.random() < 0.5 else tuple(f"s{i}" for i in range(n))
+    values = rng.choice([(False, True), (0, 1), (None, 2, "", "yes", 0.0)])
+    pool = [{a: rng.choice(values) for a in atoms} for _ in range(rng.randint(1, 3))]
+    return atoms, labels, [dict(rng.choice(pool)) for _ in range(n)]
+
+
+def random_rank_vector(rng, n):
+    """All finite, all infinite or mixed; the finite ranks are convex."""
+    infinite = [rng.random() < rng.choice([0.0, 0.4, 1.0]) for _ in range(n)]
+    finite = iter(random_ranking(rng, n - sum(infinite)).ranks)
+    return [INFINITE_RANK if inf else next(finite) for inf in infinite]
+
+
+def random_prop_formula(rng, atoms, depth):
+    """Every connective, TOP and BOT; the atoms may be none."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Top(), Bot(), *map(Atom, atoms)])
+    kind = rng.choice([Not, And, Or, Implies, Iff])
+    if kind is Not:
+        return Not(random_prop_formula(rng, atoms, depth - 1))
+    return kind(
+        random_prop_formula(rng, atoms, depth - 1),
+        random_prop_formula(rng, atoms, depth - 1),
+    )
+
+
+def ranked_pair(rng):
+    """The same random ranked interpretation, as held now and by the oracle."""
+    atoms, labels, valuations = random_interpretation_parts(rng)
+    ranks = random_rank_vector(rng, len(labels))
+    return (
+        RankedInterpretation(atoms, labels, valuations, ranks),
+        oracles.RankedInterpretation(atoms, labels, valuations, ranks),
+    )
+
+
+def trimmed(strata):
+    """The strata without trailing empty ones."""
+    strata = list(strata)
+    while strata and not strata[-1]:
+        strata.pop()
+    return strata
+
+
+MALFORMED_VALUATIONS = ({"p": True}, {"p": False})
+
+
+class TestInterpretationContext:
+    @given(seeds)
+    @settings(max_examples=500)
+    def test_state_bits_and_valuations_match_column_sum(self, seed):
+        rng = random.Random(seed)
+        model, oracle = ranked_pair(rng)
+        assert (model.atoms, model.states) == (oracle.atoms, oracle.states)
+        assert model.valuations == tuple(
+            {atom: bool(value) for atom, value in v.items()} for v in oracle.valuations
+        )
+        for _ in range(5):
+            formula = random_prop_formula(rng, model.atoms, 3)
+            assert model.state_bits(formula) == oracle.state_bits(formula)
+        if model.states:
+            # an undeclared atom is named after the formula's left part is read
+            unknown = And(random_prop_formula(rng, model.atoms, 2), Atom("zz"))
+            assert outcome(model.state_bits, unknown) == outcome(
+                oracle.state_bits, unknown
+            )
+
+    @given(seeds)
+    @settings(max_examples=500)
+    def test_strata_and_satisfaction_match(self, seed):
+        """The oracle ends on an empty infinite-rank stratum when no state has
+        infinite rank; it holds no member, so it is trimmed before comparing."""
+        rng = random.Random(seed)
+        model, oracle = ranked_pair(rng)
+        assert trimmed(model._strata) == trimmed(oracle._strata)
+        for _ in range(6):
+            query = PropConditional.defeasible(
+                random_prop_formula(rng, model.atoms, 2),
+                random_prop_formula(rng, model.atoms, 2),
+            )
+            assert model.satisfies(query) == oracle.satisfies(query)
+
+    @given(seeds)
+    @settings(max_examples=300)
+    def test_derived_contexts_match_per_cell_build(self, seed):
+        """Including labels 1 and "1", which collide once written out."""
+        rng = random.Random(seed)
+        atoms, labels, valuations = random_interpretation_parts(rng)
+        if len(labels) >= 2 and rng.random() < 0.2:
+            labels = (1, "1") + labels[2:]
+        ranks = random_ranking(rng, len(labels)).ranks
+        order = random_order(rng, len(labels))
+        ranked = outcome(
+            derive_ranked_context,
+            RankedInterpretation(atoms, labels, valuations, ranks),
+        )
+        preferential = outcome(
+            derive_preferential_context,
+            PreferentialInterpretation(atoms, labels, valuations, order),
+        )
+        expected = outcome(
+            oracles.derived_parts,
+            oracles.RankedInterpretation(atoms, labels, valuations, ranks),
+        )
+        if expected[0] != "ok":
+            assert ranked == preferential == expected
+            return
+        context = expected[1]
+        assert ranked[1].context == preferential[1].context == context
+        assert context_view(ranked[1].context) == context_view(context)
+        assert ranked[1].ranking.ranks == ranks
+        assert preferential[1].order == order
+
+    @pytest.mark.parametrize(
+        "kind, args",
+        [
+            ("ranked", (("p", "p"), ("a",), ({"p": True},), (0,))),
+            ("ranked", (("p",), ("a", "a"), MALFORMED_VALUATIONS, (0, 0))),
+            ("ranked", (("p",), ("a", "b"), ({"p": True},), (0, 0))),
+            ("ranked", (("p",), ("a", "b"), ({"p": True}, {"q": True}), (0, 0))),
+            ("ranked", (("p",), ("a", "b"), MALFORMED_VALUATIONS, (0,))),
+            ("ranked", (("p",), ("a", "b"), MALFORMED_VALUATIONS, (0, 2))),
+            ("ranked", (("p",), ("a", "b"), MALFORMED_VALUATIONS, (1, 1))),
+            ("ranked", (("p",), ("a", "b"), MALFORMED_VALUATIONS, (0, -1))),
+            ("preferential", (("p",), ("a", "b"), MALFORMED_VALUATIONS, StrictOrder(3))),
+            # beyond the unit test: odd ranks and unhashable names
+            ("ranked", (("p",), ("a", "b"), MALFORMED_VALUATIONS, (0, "x"))),
+            ("ranked", (("p",), ("a", "b"), MALFORMED_VALUATIONS, (0, 0.5))),
+            ("ranked", (("p",), ("a", "b"), MALFORMED_VALUATIONS, (math.nan, 0))),
+            ("ranked", (("p",), ("a", "b"), MALFORMED_VALUATIONS, (INFINITE_RANK, 1))),
+            ("ranked", (("p",), (["a"],), ({"p": True},), (0,))),
+            ("ranked", ((["p"],), ("a",), ({"p": True},), (0,))),
+        ],
+    )
+    def test_malformed_input_raises_the_same_type(self, kind, args):
+        build = {
+            "ranked": (RankedInterpretation, oracles.RankedInterpretation),
+            "preferential": (
+                PreferentialInterpretation,
+                oracles.PreferentialInterpretation,
+            ),
+        }[kind]
+        now, before = (outcome(cls, *args)[0] for cls in build)
+        assert now == before
+        assert now in (StructureError, TypeError)
 
 
 # --- the CLI's rank table -----------------------------------------------------------

@@ -123,6 +123,19 @@ class TestFormatCxt:
         with pytest.raises(StructureError):
             format_cxt(context)
 
+    @pytest.mark.parametrize("text", [",,b\ng1,,1\n", ",a\n,1\n"])
+    def test_empty_name_rejected(self, text, tmp_path):
+        """An empty attribute or object name, as a CSV file may give, is refused
+        before a .cxt file that parse_cxt cannot read is written."""
+        context = parse_csv_context(text)
+        assert "" in context.objects + context.attributes
+        with pytest.raises(StructureError, match="cannot be written to .cxt"):
+            format_cxt(context)
+        target = tmp_path / "empty.cxt"
+        with pytest.raises(StructureError):
+            save_context(context, target)
+        assert not target.exists()
+
     @given(seeds)
     def test_write_read_round_trip(self, seed):
         """parse_cxt inverts format_cxt for arbitrary contexts."""

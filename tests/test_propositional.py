@@ -40,7 +40,6 @@ from dfca.propositional import (
     prop_entails,
     prop_eval,
     rc_decision,
-    rc_entails,
 )
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -299,6 +298,23 @@ class TestInterpretations:
         )
         assert model.state_bits(formula) == expected
 
+    def test_valuations_are_fresh_bool_dicts(self):
+        """Mutating a returned valuation, or the caller's, changes nothing."""
+        given = ({"p": True}, {"p": 0})
+        model = RankedInterpretation(("p",), ("a", "b"), given, (0, 1))
+        model.valuations[1]["p"] = True
+        given[1]["p"] = 1
+        assert model.state_bits(Atom("p")) == 0b01
+        assert model.valuations == ({"p": True}, {"p": False})
+        assert type(model.valuations[1]["p"]) is bool
+
+    def test_state_bits_binds_without_states(self):
+        """An undeclared atom is refused even when no state could be read."""
+        model = RankedInterpretation(("p",), (), (), ())
+        assert model.state_bits(Atom("p")) == 0
+        with pytest.raises(BindingError, match="valuation has no atom 'q'"):
+            model.state_bits(Atom("q"))
+
     def test_validation(self):
         atoms = ("p",)
         vals = ({"p": True}, {"p": False})
@@ -405,7 +421,7 @@ class TestRationalClosure:
             False,
             1,
         )
-        assert rc_entails(statements, parse_prop_statement("bird |~ flies"))
+        assert rc_decision(statements, parse_prop_statement("bird |~ flies"))[0]
 
     def test_assertions_join_every_check(self):
         statements = [
@@ -421,18 +437,18 @@ class TestRationalClosure:
             True,
             1,
         )
-        assert not rc_entails(statements, parse_prop_statement("penguin |~ flies"))
+        assert not rc_decision(statements, parse_prop_statement("penguin |~ flies"))[0]
 
     def test_empty_base_answers_tautologies(self):
         assert rc_decision([], parse_prop_statement("p |~ p")) == (True, 0)
-        assert not rc_entails([], parse_prop_statement("p |~ q"))
+        assert not rc_decision([], parse_prop_statement("p |~ q"))[0]
 
     def test_contradictory_assertions_entail_anything(self):
         statements = [
             parse_prop_statement("p"),
             parse_prop_statement("!p"),
         ]
-        assert rc_entails(statements, parse_prop_statement("q |~ r"))
+        assert rc_decision(statements, parse_prop_statement("q |~ r"))[0]
 
     def test_antecedent_rank(self):
         """The rank counts dropped strata; None when no rank allows the antecedent."""
@@ -483,7 +499,7 @@ class TestRationalClosure:
             query = PropConditional.defeasible(
                 random_prop_formula(rng, names, 2), random_prop_formula(rng, names, 2)
             )
-            assert rc_entails(statements, query) == minimum.satisfies(query)
+            assert rc_decision(statements, query)[0] == minimum.satisfies(query)
 
 
 def to_compound(formula):

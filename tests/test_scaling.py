@@ -11,14 +11,22 @@ Validity of a conditional set is decided by one ranking pass: 0.001 s for
 31 conditionals over 20k objects, against a cap of 0.5 s. A walk over
 every subset of the conditionals took 0.55 s for 20 of them on the same
 machine and would take about 2000 times as long for 31.
+
+A ranked interpretation of 100k states over 10 atoms holds its valuations
+as a context's columns: it builds in 0.26-0.31 s and then answers 10
+``state_bits`` and 10 ``satisfies`` calls in under 0.001 s, against a cap
+of 2 s for all of it. Summing ``1 << i`` over every state for each atom
+read, it built in 0.15 s but took 0.22 s per ``state_bits`` and 0.50 s per
+``satisfies``, 6.1 s in all, on the same machine.
 """
 
 import random
 import time
 
 from dfca import Conditional, FormalContext, RankingFunction, StrictOrder, bitsets
-from dfca.formula import Atom, Not
+from dfca.formula import And, Atom, Not, Or, PropConditional
 from dfca.order import order_from_ranks
+from dfca.propositional import RankedInterpretation
 from dfca.ranking import delta_valid
 
 
@@ -51,7 +59,7 @@ def test_building_a_200k_by_40_context_is_linear():
 
 def test_walking_a_random_200k_bit_set_is_linear():
     bits = random.Random(1).getrandbits(200_000)
-    seconds, members = timed(bitsets.to_indices, bits)
+    seconds, members = timed(list, bitsets.iter_indices(bits))
     assert seconds < 0.5
     assert len(members) == bits.bit_count()
 
@@ -98,3 +106,28 @@ def test_deciding_validity_of_31_conditionals_takes_one_ranking_pass():
     seconds, verdict = timed(delta_valid, context, kb)
     assert seconds < 0.5
     assert verdict
+
+
+def test_a_100k_state_interpretation_reads_its_columns():
+    rng = random.Random(4)
+    n, atoms = 100_000, [f"p{j}" for j in range(10)]
+    valuations = [{a: rng.random() < 0.5 for a in atoms} for _ in range(n)]
+    ranks = [i % 7 for i in range(n)]
+    queries = [
+        PropConditional.defeasible(
+            And(Atom(atoms[j]), Not(Atom(atoms[j - 1]))),
+            Or(Atom(atoms[j - 2]), Atom(atoms[j - 3])),
+        )
+        for j in range(10)
+    ]
+
+    def build_and_ask():
+        model = RankedInterpretation(atoms, range(n), valuations, ranks)
+        bits = [model.state_bits(q.antecedent) for q in queries]
+        return bits, [model.satisfies(q) for q in queries]
+
+    seconds, (bits, verdicts) = timed(build_and_ask)
+    assert seconds < 2.0
+    # p0 & !p9 holds at a state exactly when its valuation says so
+    assert bits[0] >> 17 & 1 == (valuations[17]["p0"] and not valuations[17]["p9"])
+    assert verdicts == [False] * 10
