@@ -11,8 +11,11 @@ Context formats:
   names, row lengths, illegal cells) and, only when a check fails, walks
   the lines in order to report the first fault and its line number.
 * ``.csv``: first row is the attribute names (the leading cell is
-  ignored), the first column the object names, cells ``1``/``x`` for
-  incident and ``0``/empty for not.
+  ignored), the first column the object names, cells ``1``/``x``/``X``
+  for incident and ``0``/empty for not, surrounding whitespace ignored.
+  Empty records are skipped. Names are taken verbatim and, as in
+  ``.cxt``, may not be empty. The loader checks the records in bulk and
+  walks them only to report the first fault and its line number.
 
 Conditional files are UTF-8 text, one statement per line; ``#`` starts a
 comment and blank lines are skipped. Order files hold ``a < b`` lines
@@ -22,6 +25,8 @@ hold ``<rank> <object name>`` lines and must cover every object.
 
 import csv
 import io
+import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -38,6 +43,9 @@ from .order import RankingFunction, StrictOrder
 _DROP_CELLS = str.maketrans("", "", "X.")
 _CELL_DIGITS = str.maketrans("X.", "10")
 _DIGIT_CELLS = str.maketrans("10", "X.")
+# .csv incidence cells, stripped, and their binary digits
+_CSV_DIGITS = {"1": "1", "x": "1", "X": "1", "0": "0", "": "0"}
+_CSV_MARKS = str.maketrans("xX", "11")
 
 
 def _cxt_line(lines, index, description, path):
@@ -155,14 +163,99 @@ def format_cxt(context):
 
 
 def parse_csv_context(text, path=None):
-    """Parse CSV context text."""
-    reader = csv.reader(io.StringIO(text))
-    table = list(reader)
+    """Parse CSV context text.
+
+    Plain text is cut up with string methods alone; any other text is read
+    with the ``csv`` module and its records are checked in bulk (row
+    lengths, empty names, one lookup of every stripped cell). Either way
+    the columns are cut out of one digit string as ``parse_cxt`` does. Only
+    when a check fails does ``_locate_csv_fault`` walk the records to
+    report the first fault.
+    """
+    parts = _plain_csv_parts(text)
+    if parts is None:
+        parts = _csv_record_parts(text, path)
+    objects, attributes, digits = parts
+    # digits run row by row, so every m-th one from j on is column j
+    m = len(attributes)
+    cols = tuple(int(digits[j::m][::-1], 2) if objects else 0 for j in range(m))
+    try:
+        return FormalContext._from_columns(objects, attributes, cols)
+    except StructureError as exc:
+        raise FileFormatError(str(exc), path) from exc
+
+
+def _plain_csv_parts(text):
+    """Names and cell digits of plain CSV text, or None for other text.
+
+    Without quotes or carriage returns a record is a line split at its
+    commas, and an empty line an empty record. Plain text here also has
+    at least one attribute and one object, no empty name, and every cell
+    spelt exactly ``1``, ``x``, ``X``, ``0`` or empty. With a comma before
+    each cell, such a cell reads ``,1``, ``,0`` or ``,`` once ``x`` and
+    ``X`` are read as ``1``, and three replacements turn it into one digit;
+    any other cell gives more than one, which the length check catches.
+    """
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    body = list(filter(None, lines[1:]))
+    m = len(header) - 1
+    if not (m and body) or "" in header[1:] or set(
+        map(str.count, body, itertools.repeat(","))
+    ) != {m}:
+        return None
+    parts = list(map(str.partition, body, itertools.repeat(",")))
+    objects = tuple(map(operator.itemgetter(0), parts))
+    cells = "," + ",".join(map(operator.itemgetter(2), parts))
+    digits = (
+        cells.translate(_CSV_MARKS)
+        .replace(",1", "1")
+        .replace(",0", "0")
+        .replace(",", "0")
+    )
+    if "" in objects or len(digits) != len(objects) * m:
+        return None
+    return objects, tuple(header[1:]), digits
+
+
+def _csv_record_parts(text, path):
+    """Names and cell digits of any CSV text, read with the ``csv`` module."""
+    table = list(csv.reader(io.StringIO(text)))
     if not table:
         raise FileFormatError("empty file", path, 1)
+    attributes = tuple(table[0][1:])
+    width = len(attributes) + 1
+    records = list(filter(None, table[1:]))
+    if "" in attributes or not set(map(len, records)) <= {width}:
+        _locate_csv_fault(table, path)
+    # row-major fields: every width-th one from 0 on is an object name,
+    # the rest are the cells
+    fields = list(itertools.chain.from_iterable(records))
+    objects = tuple(fields[::width])
+    del fields[::width]
+    # an illegal cell becomes "?", which no legal cell gives
+    digits = "".join(
+        map(_CSV_DIGITS.get, map(str.strip, fields), itertools.repeat("?"))
+    )
+    if "" in objects or "?" in digits:
+        _locate_csv_fault(table, path)
+    return objects, attributes, digits
+
+
+def _locate_csv_fault(table, path):
+    """Raise for the first faulty record of a CSV table.
+
+    ``parse_csv_context`` calls this only when a bulk check failed, so a
+    fault is there. Line numbers count CSV records, the header being line
+    1; empty records are skipped. Along the records, and within one in
+    this order, the faults are: an empty attribute name, a record of the
+    wrong length, an empty object name, an illegal cell.
+    """
     attributes = table[0][1:]
-    objects = []
-    rows = []
+    if "" in attributes:
+        raise FileFormatError("empty attribute name", path, 1)
     for line_no, record in enumerate(table[1:], start=2):
         if not record:
             continue
@@ -172,23 +265,16 @@ def parse_csv_context(text, path=None):
                 path,
                 line_no,
             )
-        objects.append(record[0])
-        row = 0
-        for j, cell in enumerate(record[1:]):
+        if record[0] == "":
+            raise FileFormatError("empty object name", path, line_no)
+        for cell in record[1:]:
             cell = cell.strip()
-            if cell in ("1", "x", "X"):
-                row |= 1 << j
-            elif cell not in ("0", ""):
+            if cell not in _CSV_DIGITS:
                 raise FileFormatError(
                     f"illegal cell {cell!r}, expected 1, 0, x, or empty",
                     path,
                     line_no,
                 )
-        rows.append(row)
-    try:
-        return FormalContext(objects, attributes, rows)
-    except StructureError as exc:
-        raise FileFormatError(str(exc), path) from exc
 
 
 def load_context(path, fmt=None):

@@ -17,9 +17,15 @@ class StrictOrder:
 
     Built from generating pairs ``(lower, upper)``, closed transitively;
     construction fails if the closure puts any element below itself.
+
+    The order keeps its height layers: layer k holds the elements whose
+    longest chain of predecessors has k links, so an element's
+    predecessors all sit in lower layers. Minimisation walks these layers
+    instead of the members. In the order a ranking induces, the layers are
+    the ranking's strata.
     """
 
-    __slots__ = ("_size", "_succ", "_pred")
+    __slots__ = ("_size", "_succ", "_pred", "_members", "_layers")
 
     def __init__(self, size, pairs=()):
         if size < 0:
@@ -34,39 +40,66 @@ class StrictOrder:
                 raise StructureError(f"index {upper} out of range for size {size}")
             above[lower].append(upper)
             below[upper].append(lower)
-        # Kahn's algorithm on the reversed edges: an element's row is closed
-        # once the rows of all its direct successors are, and is then their
-        # union plus the successors themselves. ``closed`` grows while the
-        # loop walks it, in reverse topological order.
-        waiting = [len(direct) for direct in above]
-        closed = [i for i in range(size) if not waiting[i]]
-        succ = [0] * size
-        for j in closed:
-            row = bitsets.from_indices(above[j], size)
-            for k in above[j]:
-                row |= succ[k]
-            succ[j] = row
-            for i in below[j]:
-                waiting[i] -= 1
-                if not waiting[i]:
-                    closed.append(i)
-        if len(closed) < size:
+        # Kahn's algorithm, one layer at a time: an element's predecessor row
+        # is closed once the rows of all its direct predecessors are, and is
+        # then their union plus those predecessors. The elements whose last
+        # direct predecessor closes in layer k form layer k + 1.
+        waiting = [len(direct) for direct in below]
+        layer = [i for i in range(size) if not waiting[i]]
+        pred = [0] * size
+        members = []
+        placed = 0
+        while layer:
+            members.append(layer)
+            placed += len(layer)
+            next_layer = []
+            for j in layer:
+                row = bitsets.from_indices(below[j], size)
+                for k in below[j]:
+                    row |= pred[k]
+                pred[j] = row
+                for i in above[j]:
+                    waiting[i] -= 1
+                    if not waiting[i]:
+                        next_layer.append(i)
+            layer = next_layer
+        if placed < size:
             raise StructureError(
                 "order pairs close to a cycle through index "
                 f"{_first_on_cycle(above, waiting)}"
             )
         self._size = size
-        self._succ = tuple(succ)
-        self._pred = bitsets._transpose(succ, size)
+        self._pred = tuple(pred)
+        self._succ = bitsets._transpose(pred, size)
+        # the layers as index lists; ``_height_layers`` turns them into
+        # bitsets on first use, so an order that is never minimised does
+        # not pay for them
+        self._members = members
+        self._layers = None
 
     @classmethod
-    def _closed(cls, size, succ, pred):
-        """An order from rows that are already transitively closed."""
+    def _closed(cls, size, succ, pred, layers):
+        """An order from closed rows and their height layers as bitsets."""
         order = cls.__new__(cls)
         order._size = size
         order._succ = succ
         order._pred = pred
+        order._members = None
+        order._layers = layers
         return order
+
+    def _height_layers(self):
+        """Bitsets of the height layers, lowest first, built once.
+
+        A sum of distinct powers of two is their union; each shift costs
+        O(size) bits at most, as one union of rows does.
+        """
+        if self._layers is None:
+            self._layers = tuple(
+                sum(map((1).__lshift__, layer)) for layer in self._members
+            )
+            self._members = None
+        return self._layers
 
     @property
     def size(self):
@@ -94,17 +127,29 @@ class StrictOrder:
         ]
 
     def minimise(self, members):
-        """Members with no strictly smaller member: the most typical ones."""
+        """Members with no strictly smaller member: the most typical ones.
+
+        Walks the height layers upward. The members met in a layer are
+        minimal: a smaller member would sit in a lower layer, and it, or a
+        minimal member below it, would already have removed them with its
+        successor row. The walk stops once no member is left, so it costs
+        one intersection per layer up to the highest minimal member plus
+        one successor row per minimal member, O(height + |minimal|) row
+        operations whatever the number of members.
+        """
         if members < 0 or members & ~bitsets.universe(self._size):
             raise StructureError("member set out of range for this order")
-        return bitsets.from_indices(
-            (
-                i
-                for i in bitsets.iter_indices(members)
-                if self._pred[i] & members == 0
-            ),
-            self._size,
-        )
+        minimal = 0
+        for layer in self._height_layers():
+            if not members:
+                break
+            found = members & layer
+            if found:
+                minimal |= found
+                members ^= found
+                for i in bitsets.iter_indices(found):
+                    members &= ~self._succ[i]
+        return minimal
 
     def is_modular(self):
         """True when incomparable elements sit below exactly the same elements.
@@ -226,32 +271,28 @@ def ranks_from_order(order):
     smaller-rank-first order disagrees with the input, which happens
     exactly for non-modular input.
 
-    In a modular order the predecessors of an element are the strata
-    below it, so an element's stratum is the position of its predecessor
-    count among the distinct counts; the check against the order then
+    Iterated minima are the order's height layers, so an element's rank is
+    its layer index. In a modular order the predecessors of an element are
+    exactly the layers below its own; checking that for every element
     rejects every non-modular input.
     """
-    counts = [order.predecessors(i).bit_count() for i in range(order.size)]
-    level = {count: k for k, count in enumerate(sorted(set(counts)))}
-    ranking = RankingFunction([level[count] for count in counts])
-    expected_pred = []
+    ranks = [0] * order.size
     below = 0
-    for stratum in ranking.strata():
-        expected_pred.append(below)
-        below |= stratum
-    for i, rank in enumerate(ranking.ranks):
-        if order.predecessors(i) != expected_pred[rank]:
-            raise ModularityError(
-                "order is not modular: no ranking induces it"
-            )
-    return ranking
+    for level, layer in enumerate(order._height_layers()):
+        for i in bitsets.iter_indices(layer):
+            if order._pred[i] != below:
+                raise ModularityError("order is not modular: no ranking induces it")
+            ranks[i] = level
+        below |= layer
+    return RankingFunction(ranks)
 
 
 def order_from_ranks(ranking):
     """The strict order a ranking induces: smaller rank strictly first.
 
     Each element's successors are the strata above its rank and its
-    predecessors the strata below, so the rows are closed by construction.
+    predecessors the strata below, so the rows are closed by construction
+    and the strata are the height layers.
     """
     strata = ranking.strata()
     above = [0] * len(strata)
@@ -263,6 +304,7 @@ def order_from_ranks(ranking):
         ranking.size,
         tuple(above[r] for r in ranking.ranks),
         tuple(below[r] for r in ranking.ranks),
+        strata,
     )
 
 

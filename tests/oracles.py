@@ -7,6 +7,8 @@ O(universe) per member or per pair, or walk every subset or rank vector,
 and must not move back into ``src/``.
 """
 
+import csv
+import io
 import itertools
 
 from dfca import FormalContext, KnowledgeBase, RankedContext, RankingFunction, bitsets
@@ -196,6 +198,46 @@ def format_cxt(context):
             "".join("X" if row >> j & 1 else "." for j in range(context.n_attributes))
         )
     return "\n".join(lines) + "\n"
+
+
+def parse_csv_context(text, path=None):
+    """Parse CSV context text, checking each cell and OR-ing ``1 << j`` into its row.
+
+    Accepts empty object and attribute names, which the library now refuses.
+    """
+    reader = csv.reader(io.StringIO(text))
+    table = list(reader)
+    if not table:
+        raise FileFormatError("empty file", path, 1)
+    attributes = table[0][1:]
+    objects = []
+    rows = []
+    for line_no, record in enumerate(table[1:], start=2):
+        if not record:
+            continue
+        if len(record) - 1 != len(attributes):
+            raise FileFormatError(
+                f"row has {len(record) - 1} cells, expected {len(attributes)}",
+                path,
+                line_no,
+            )
+        objects.append(record[0])
+        row = 0
+        for j, cell in enumerate(record[1:]):
+            cell = cell.strip()
+            if cell in ("1", "x", "X"):
+                row |= 1 << j
+            elif cell not in ("0", ""):
+                raise FileFormatError(
+                    f"illegal cell {cell!r}, expected 1, 0, x, or empty",
+                    path,
+                    line_no,
+                )
+        rows.append(row)
+    try:
+        return FormalContext(objects, attributes, rows)
+    except StructureError as exc:
+        raise FileFormatError(str(exc), path) from exc
 
 
 # --- rankings and the CLI's rank table ---------------------------------------
@@ -533,6 +575,20 @@ def minimise(order, members):
         if order.predecessors(i) & members == 0:
             result |= 1 << i
     return result
+
+
+def member_minimise(order, members):
+    """``StrictOrder.minimise`` testing the predecessor row of every member."""
+    if members < 0 or members & ~bitsets.universe(order.size):
+        raise StructureError("member set out of range for this order")
+    return bitsets.from_indices(
+        (
+            i
+            for i in bitsets.iter_indices(members)
+            if order.predecessors(i) & members == 0
+        ),
+        order.size,
+    )
 
 
 def stratum(ranks, level):

@@ -14,8 +14,8 @@ from conftest import (
     friends_delta,
     random_conditional,
 )
-from dfca import load_context
-from dfca.cli import CliResult, main, run
+from dfca import FormalContext, KnowledgeBase, load_context
+from dfca.cli import CliResult, _rank_table, main, run
 from dfca.formula import parse_conditional
 from dfca.ranking import object_rank
 
@@ -514,11 +514,17 @@ class TestModuleEntryPoint:
 
 
 class TestRankTableWidths:
-    def test_an_empty_column_with_an_empty_name_has_no_width(self, tmp_path):
+    def test_an_empty_column_with_an_empty_name_has_no_width(self):
+        """No file format admits an empty name, so the table is drawn directly."""
+        context = FormalContext(["g1"], ["", "b"], [0b10])
+        _, partition = object_rank(context, KnowledgeBase([]))
+        assert _rank_table(context, partition) == "rank  object    b\n0     g1        ×"
+
+    def test_a_csv_file_with_an_empty_name_is_refused(self, tmp_path):
         path = tmp_path / "empty_column.csv"
         path.write_text(",,b\ng1,,1\n", encoding="utf-8")
         kb = tmp_path / "empty.kb"
         kb.write_text("", encoding="utf-8")
         result = run(["rank", str(path), str(kb)])
-        assert result.exit_code == 0
-        assert result.text == "rank  object    b\n0     g1        ×"
+        assert result.exit_code == 2
+        assert result.text == f"error: {path}:1: empty attribute name"

@@ -1,5 +1,7 @@
 """Each fast bitset path against the slow procedure it replaced (see oracles.py)."""
 
+import csv
+import io
 import itertools
 import math
 import random
@@ -17,10 +19,10 @@ from conftest import (
     random_ranked_context,
     random_ranking,
 )
-from dfca import FormalContext, KnowledgeBase, StrictOrder, bitsets
+from dfca import FormalContext, KnowledgeBase, StrictOrder, bitsets, fileio
 from dfca.cli import _rank_table
 from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
-from dfca.fileio import format_cxt, parse_cxt
+from dfca.fileio import format_cxt, parse_csv_context, parse_cxt
 from dfca.formula import (
     And,
     Atom,
@@ -267,6 +269,58 @@ class TestOrderClosure:
         assert order.minimise(members) == oracles.minimise(order, members)
 
 
+def order_shape(rng, n):
+    """A random order, a shuffled chain, an antichain, or the order a ranking
+    induces (its layers are the ranking's strata, not the closure's)."""
+    roll = rng.random()
+    if roll < 0.4:
+        return random_order(rng, n, density=rng.choice([0.05, 0.3, 0.9]))
+    if roll < 0.55:
+        chain = rng.sample(range(n), n)
+        return StrictOrder(n, list(zip(chain, chain[1:])))
+    if roll < 0.65:
+        return StrictOrder(n)
+    return order_from_ranks(random_ranking(rng, n))
+
+
+def iterated_minima(order):
+    """Minima of the whole universe, then of what remains, and so on."""
+    remaining = bitsets.universe(order.size)
+    strata = []
+    while remaining:
+        strata.append(oracles.minimise(order, remaining))
+        remaining &= ~strata[-1]
+    return strata
+
+
+class TestLayeredMinimise:
+    @given(seeds, st.integers(0, 30))
+    @settings(max_examples=300)
+    def test_layers_are_the_iterated_minima(self, seed, n):
+        order = order_shape(random.Random(seed), n)
+        assert list(order._height_layers()) == iterated_minima(order)
+
+    @given(seeds, st.integers(0, 30))
+    @settings(max_examples=500)
+    def test_matches_member_walk(self, seed, n):
+        """Empty, full, random and out-of-range member sets: the same minimal
+        members, or the same error type and text."""
+        rng = random.Random(seed)
+        order = order_shape(rng, n)
+        full = bitsets.universe(n)
+        for members in (
+            0,
+            full,
+            random_bits(rng, n),
+            random_bits(rng, n) | 1 << n + rng.randrange(3),
+            -1 - rng.randrange(3),
+        ):
+            expected = outcome(oracles.member_minimise, order, members)
+            assert outcome(order.minimise, members) == expected
+            if expected[0] == "ok":
+                assert expected[1] == oracles.minimise(order, members)
+
+
 class TestRankings:
     @given(seeds, st.integers(0, 40))
     def test_strata_match_bit_by_bit_builder(self, seed, n):
@@ -299,6 +353,29 @@ class TestRankings:
             order = StrictOrder(n, [(i, i + 1) for i in range(n - 1)])
         else:
             order = random_order(rng, n)
+        assert outcome(ranks_from_order, order) == outcome(
+            oracles.ranks_from_order, order
+        )
+
+    @given(seeds, st.integers(0, 25))
+    @settings(max_examples=300)
+    def test_ranks_from_order_reads_the_layers_of_any_order(self, seed, n):
+        """Orders a ranking induces, the same orders closed from their pairs,
+        and those with one pair removed or one pair added (mostly non-modular)."""
+        rng = random.Random(seed)
+        order = order_shape(rng, n)
+        pairs = order.pairs()
+        roll = rng.random()
+        if roll < 0.3:
+            order = StrictOrder(n, pairs)
+        elif roll < 0.5 and pairs:
+            pairs.remove(rng.choice(pairs))
+            order = StrictOrder(n, pairs)
+        elif roll < 0.7 and n > 1:
+            lower, upper = sorted(rng.sample(range(n), 2))
+            extended = outcome(StrictOrder, n, pairs + [(lower, upper)])
+            if extended[0] == "ok":
+                order = extended[1]
         assert outcome(ranks_from_order, order) == outcome(
             oracles.ranks_from_order, order
         )
@@ -451,6 +528,174 @@ class TestCxtFiles:
         text = oracles.format_cxt(context)
         assert format_cxt(context) == text
         assert context_view(parse_cxt(text)) == context_view(context)
+
+
+# --- .csv parsing, whole files -----------------------------------------------------
+
+
+CSV_NAMES = ["g", "m", "a b", "Köln", " x ", "1", "x", "0", "c,d", 'q"t']
+CSV_CELLS = ["1", "0", "x", "X", "", " 1", "0 ", " X\t", " "]
+CSV_ILLEGAL = ["2", "y", "xx", "-", "1 1", "10", "\t0\t0"]
+
+
+def random_csv_records(rng, plain):
+    """A header and up to 5 records; plain ones need no quotes and spell
+    every cell exactly, as most files do."""
+    n, m = rng.randint(0, 5), rng.randint(0, 4)
+    names = CSV_NAMES[:8] if plain else CSV_NAMES
+    cells = CSV_CELLS[:5] if plain else CSV_CELLS
+    header = [rng.choice(["name", "", " "])]
+    header += [rng.choice(names) + str(j) for j in range(m)]
+    objects = [rng.choice(names) + str(i) for i in range(n)]
+    if n and rng.random() < 0.15:
+        objects[rng.randrange(n)] = rng.choice(objects)  # a duplicate
+    return [header] + [[g] + rng.choices(cells, k=m) for g in objects]
+
+
+def mutate_csv(rng, records, terminators=("\n", "\r\n")):
+    """CSV text of the records after zero, one or two random faults."""
+    records = [list(record) for record in records]
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        if not records:
+            break
+        k = rng.randrange(len(records))
+        record = records[k]
+        roll = rng.randrange(8)
+        if roll == 0 and record:
+            record[rng.randrange(len(record))] = ""  # an empty name or cell
+        elif roll == 1 and record:
+            record[0] = ""  # an empty name
+        elif roll == 2 and record:
+            del record[rng.randrange(len(record))]  # short
+        elif roll == 3:
+            record.append(rng.choice(CSV_CELLS))  # long
+        elif roll == 4 and len(record) > 1:
+            record[rng.randrange(1, len(record))] = rng.choice(CSV_ILLEGAL)
+        elif roll == 5:
+            records.insert(k, [])  # a blank line
+        elif roll == 6:
+            del records[k:]  # truncation, maybe to an empty file
+        elif roll == 7 and record and len(records) > 2:
+            other = records[rng.randrange(1, len(records))]
+            record[0] = other[0] if other else record[0]  # a duplicate name
+    out = io.StringIO()
+    csv.writer(out, lineterminator=rng.choice(terminators)).writerows(records)
+    text = out.getvalue()
+    if rng.random() < 0.1:
+        cut = rng.randint(0, len(text))
+        # a lone CR outside quotes is a csv.Error for both parsers
+        text = text[:cut].rstrip("\r")
+    return text
+
+
+def csv_outcome(parse, text):
+    """The parsed context, or the error's text and line."""
+    try:
+        return "ok", context_view(parse(text, "t.csv"))
+    except FileFormatError as exc:
+        return str(exc), exc.line
+
+
+def csv_expected(text):
+    """The earlier parser's outcome, under the rule that no name is empty.
+
+    An empty attribute name is the first fault. An empty object name in a
+    record of the right length comes before a fault in that record's cells
+    and before any fault in a later record or among the names as a whole.
+    """
+    table = list(csv.reader(io.StringIO(text)))
+    if table and "" in table[0][1:]:
+        return "t.csv:1: empty attribute name", 1
+    width = len(table[0][1:]) + 1 if table else 1
+    empty = next(
+        (
+            line
+            for line, record in enumerate(table[1:], start=2)
+            if len(record) == width and record[0] == ""
+        ),
+        None,
+    )
+    result = csv_outcome(oracles.parse_csv_context, text)
+    if empty is not None and (
+        result[0] == "ok" or result[1] is None or empty <= result[1]
+    ):
+        return f"t.csv:{empty}: empty object name", empty
+    return result
+
+
+class TestCsvFiles:
+    @given(seeds)
+    @settings(max_examples=1000)
+    def test_malformed_text_matches_cell_walk(self, seed):
+        """The same context, or the same error text and line."""
+        rng = random.Random(seed)
+        text = mutate_csv(rng, random_csv_records(rng, rng.random() < 0.5))
+        assert csv_outcome(parse_csv_context, text) == csv_expected(text)
+
+    @given(seeds)
+    @settings(max_examples=500)
+    def test_plain_text_matches_cell_walk(self, seed):
+        """Text without quotes or carriage returns, which string methods cut up."""
+        rng = random.Random(seed)
+        text = mutate_csv(rng, random_csv_records(rng, True), ("\n",))
+        assert csv_outcome(parse_csv_context, text) == csv_expected(text)
+
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            ("name,a,b\ng,1,x\nh,X,\n\nk,0,\n", True),
+            (",a\ng,1", True),  # no final newline, an empty leading cell
+            ("name,a\ng, 1\n", False),  # a padded cell
+            ('name,"a"\ng,1\n', False),  # quotes
+            ("name,a\r\ng,1\r\n", False),
+            ("name,a\ng,2\n", False),
+            ("name,a\n,1\n", False),
+            ("name\ng\n", False),  # no attributes
+            ("name,a\n", False),  # no objects
+        ],
+    )
+    def test_plain_text_is_cut_with_string_methods(self, text, plain):
+        """Which texts the string-method path takes; the rest go to the csv
+        module, and both give the earlier parser's outcome."""
+        assert (fileio._plain_csv_parts(text) is not None) == plain
+        assert csv_outcome(parse_csv_context, text) == csv_expected(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n",
+            "name\n",
+            "name\ng\n\n",
+            ",a,b\n",  # no objects
+            "name,a\ng,1\ng,0\n",  # duplicate object names
+            "name,a,a\ng,1,0\n",  # duplicate attribute names
+            "name,a\ng,2\nh,1,1\n",  # illegal cell before a long row
+            "name,a\ng,1,1\nh,2\n",  # long row before an illegal cell
+            "name,a\n\n\ng,1\n,1\n",  # blank records still count as lines
+            'name,a\n"g\nh",1\n,1\n',  # a quoted newline is one record
+            "name,a\ng,1\n,2\n",  # empty name before an illegal cell in its record
+            "name,a\n,1,1\nh,1\n",  # a long row with an empty name
+            "name,,a\ng,2,1\n",  # empty attribute name before anything else
+        ],
+    )
+    def test_fault_order_matches_cell_walk(self, text):
+        assert csv_outcome(parse_csv_context, text) == csv_expected(text)
+
+    @given(seeds, st.integers(0, 2100), st.integers(0, 70))
+    @settings(max_examples=40, deadline=None)
+    def test_columns_cut_from_the_cells_match(self, seed, n, m):
+        """Every legal cell spelling, at sizes crossing 1024 rows."""
+        rng = random.Random(seed)
+        records = [["name"] + [f"m{j}" for j in range(m)]] + [
+            [f"g{i}"] + rng.choices(CSV_CELLS, k=m) for i in range(n)
+        ]
+        out = io.StringIO()
+        csv.writer(out).writerows(records)
+        text = out.getvalue()
+        assert csv_outcome(parse_csv_context, text) == csv_outcome(
+            oracles.parse_csv_context, text
+        )
 
 
 # --- context construction checks ------------------------------------------------
@@ -658,6 +903,43 @@ class TestRankedInterpretation:
         model = RankedInterpretation(("a",), (0,), ({"a": True},), (INFINITE_RANK,))
         query = PropConditional.defeasible(Not(Atom("a")), Atom("zzz"))
         assert model.satisfies(query) == oracles.interpretation_satisfies(model, query)
+
+
+class TestPreferentialInterpretation:
+    ATOMS = ("a", "b", "c")
+
+    @given(seeds)
+    @settings(max_examples=500)
+    def test_matches_member_walk(self, seed):
+        """A state is among the least antecedent states when no antecedent
+        state precedes it; all of those must meet the consequent."""
+        rng = random.Random(seed)
+        atoms = self.ATOMS
+        n = rng.randint(0, 8)
+        # distinct valuations, so a set of states is the extension of a formula
+        valuations = [
+            dict(zip(atoms, map(bool, bits)))
+            for bits in rng.sample(list(itertools.product((0, 1), repeat=3)), n)
+        ]
+        order = order_shape(rng, n)
+        model = PreferentialInterpretation(atoms, range(n), valuations, order)
+        for _ in range(6):
+            picked = [i for i in range(n) if rng.random() < rng.choice([0.0, 0.5, 1.0])]
+            antecedent = covering(picked, valuations, atoms)
+            if rng.random() < 0.5:
+                kept = [i for i in range(n) if rng.random() < 0.7]
+                consequent = covering(kept, valuations, atoms)
+            else:
+                consequent = random_formula(rng, list(atoms), 2)
+            satisfying = model.state_bits(consequent)
+            least = [
+                i
+                for i in picked
+                if not any(order.precedes(j, i) for j in picked)
+            ]
+            expected = all(satisfying >> i & 1 for i in least)
+            query = PropConditional.defeasible(antecedent, consequent)
+            assert model.satisfies(query) == expected
 
 
 # --- interpretations held as contexts ------------------------------------------------

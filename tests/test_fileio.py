@@ -123,12 +123,17 @@ class TestFormatCxt:
         with pytest.raises(StructureError):
             format_cxt(context)
 
-    @pytest.mark.parametrize("text", [",,b\ng1,,1\n", ",a\n,1\n"])
-    def test_empty_name_rejected(self, text, tmp_path):
-        """An empty attribute or object name, as a CSV file may give, is refused
-        before a .cxt file that parse_cxt cannot read is written."""
-        context = parse_csv_context(text)
-        assert "" in context.objects + context.attributes
+    @pytest.mark.parametrize(
+        "objects, attributes, rows",
+        [(["g1"], ["", "b"], [0b10]), ([""], ["a"], [1])],
+        ids=["attribute", "object"],
+    )
+    def test_empty_name_rejected(self, objects, attributes, rows, tmp_path):
+        """An empty attribute or object name, which the library accepts, is
+        refused before a .cxt file that parse_cxt cannot read is written."""
+        from dfca import FormalContext
+
+        context = FormalContext(objects, attributes, rows)
         with pytest.raises(StructureError, match="cannot be written to .cxt"):
             format_cxt(context)
         target = tmp_path / "empty.cxt"
@@ -196,6 +201,29 @@ class TestCsv:
             parse_csv_context("name,a\ng1,2\n")
         assert err.value.line == 2
         assert "illegal cell" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            (",,b\ng1,,1\n", "empty attribute name", 1),
+            ("name,a\ng1,1\n\n,1\n", "empty object name", 4),
+            # the header comes first, then the records in order
+            (",\n,\n", "empty attribute name", 1),
+            ("name,a\n,2\ng2,3\n", "empty object name", 2),
+            ("name,a\ng1,2\n,1\n", "illegal cell '2', expected 1, 0, x, or empty", 2),
+            ("name,a\n,1,1\n", "row has 2 cells, expected 1", 2),
+        ],
+    )
+    def test_empty_names_refused_as_in_cxt(self, text, message, line):
+        with pytest.raises(FileFormatError) as err:
+            parse_csv_context(text, "t.csv")
+        assert str(err.value) == f"t.csv:{line}: {message}"
+
+    def test_whitespace_names_and_padded_cells(self):
+        context = parse_csv_context("name, a ,b\n g ,  X , 0\n")
+        assert context.objects == (" g ",)
+        assert context.attributes == (" a ", "b")
+        assert context.row(0) == 0b01
 
 
 class TestLoadSave:

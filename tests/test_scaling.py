@@ -18,12 +18,25 @@ as a context's columns: it builds in 0.26-0.31 s and then answers 10
 of 2 s for all of it. Summing ``1 << i`` over every state for each atom
 read, it built in 0.15 s but took 0.22 s per ``state_bits`` and 0.50 s per
 ``satisfies``, 6.1 s in all, on the same machine.
+
+A strict order minimises by walking its height layers. On the
+2000-element order of 200 layers, 200 calls (all members, then random
+members, in turn) take 0.0013-0.0023 s, the layers' first build included,
+against 0.083-0.135 s for a walk over the members and a cap of 0.04 s.
+The walk's worst case, the top member of a 2000-chain alone, meets one
+empty intersection per layer: 0.0002-0.0003 s, against 0.00002-0.00007 s
+for the member walk and a cap of 0.005 s.
+
+A 200k x 40 CSV file of ``x`` and empty cells is cut up with string
+methods in 0.70-0.77 s, against 2.6 s for a per-cell check and
+``1 << j`` per cell, and a cap of 1.5 s.
 """
 
 import random
 import time
 
 from dfca import Conditional, FormalContext, RankingFunction, StrictOrder, bitsets
+from dfca.fileio import parse_csv_context
 from dfca.formula import And, Atom, Not, Or, PropConditional
 from dfca.order import order_from_ranks
 from dfca.propositional import RankedInterpretation
@@ -57,6 +70,20 @@ def test_building_a_200k_by_40_context_is_linear():
     assert context.column(0) >> (n - 1) & 1 == rows[-1] & 1
 
 
+def test_parsing_a_200k_by_40_csv_is_linear():
+    rng = random.Random(6)
+    n, m = 200_000, 40
+    rows = [rng.getrandbits(m) for _ in range(n)]
+    lines = ["name," + ",".join(f"m{j}" for j in range(m))]
+    lines += [
+        f"g{i}," + ",".join("x" if row >> j & 1 else "" for j in range(m))
+        for i, row in enumerate(rows)
+    ]
+    seconds, context = timed(parse_csv_context, "\n".join(lines) + "\n")
+    assert seconds < 1.5
+    assert context.row(n - 1) == rows[-1]
+
+
 def test_walking_a_random_200k_bit_set_is_linear():
     bits = random.Random(1).getrandbits(200_000)
     seconds, members = timed(list, bitsets.iter_indices(bits))
@@ -71,6 +98,27 @@ def test_closing_a_2000_element_layered_order_takes_one_pass():
     assert seconds < 1.0
     # the last element sits above at least one element of every lower layer
     assert order.predecessors(n - 1).bit_count() >= n // width - 1
+
+
+def test_minimising_in_a_2000_element_layered_order_walks_its_layers():
+    n, width = 2000, 10
+    order = StrictOrder(n, layered_pairs(n, width, random.Random(2)))
+    full = bitsets.universe(n)
+    rng = random.Random(5)
+    members = [full if k % 2 else rng.getrandbits(n) for k in range(200)]
+    seconds, minimal = timed(list, map(order.minimise, members))
+    assert seconds < 0.04
+    # all members: the bottom layer, the first ten elements
+    assert minimal[1] == bitsets.universe(width)
+
+
+def test_minimising_the_top_of_a_2000_chain_takes_one_pass_over_the_layers():
+    n = 2000
+    chain = StrictOrder(n, [(i, i + 1) for i in range(n - 1)])
+    chain.minimise(0)  # the first call turns the layers into bitsets
+    seconds, minimal = timed(chain.minimise, 1 << n - 1)
+    assert seconds < 0.005
+    assert minimal == 1 << n - 1
 
 
 def test_checking_a_2000_element_order_for_modularity_is_linear():
