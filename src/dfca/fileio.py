@@ -26,7 +26,6 @@ hold ``<rank> <object name>`` lines and must cover every object.
 import csv
 import io
 import itertools
-import operator
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -45,7 +44,6 @@ _CELL_DIGITS = str.maketrans("X.", "10")
 _DIGIT_CELLS = str.maketrans("10", "X.")
 # .csv incidence cells, stripped, and their binary digits
 _CSV_DIGITS = {"1": "1", "x": "1", "X": "1", "0": "0", "": "0"}
-_CSV_MARKS = str.maketrans("xX", "11")
 
 
 def _cxt_line(lines, index, description, path):
@@ -165,63 +163,12 @@ def format_cxt(context):
 def parse_csv_context(text, path=None):
     """Parse CSV context text.
 
-    Plain text is cut up with string methods alone; any other text is read
-    with the ``csv`` module and its records are checked in bulk (row
-    lengths, empty names, one lookup of every stripped cell). Either way
-    the columns are cut out of one digit string as ``parse_cxt`` does. Only
-    when a check fails does ``_locate_csv_fault`` walk the records to
+    The records are read with the ``csv`` module and checked in bulk: row
+    lengths, empty names, and one lookup of each distinct cell text. The
+    columns are then cut out of one digit string as ``parse_cxt`` does.
+    Only when a check fails does ``_locate_csv_fault`` walk the records to
     report the first fault.
     """
-    parts = _plain_csv_parts(text)
-    if parts is None:
-        parts = _csv_record_parts(text, path)
-    objects, attributes, digits = parts
-    # digits run row by row, so every m-th one from j on is column j
-    m = len(attributes)
-    cols = tuple(int(digits[j::m][::-1], 2) if objects else 0 for j in range(m))
-    try:
-        return FormalContext._from_columns(objects, attributes, cols)
-    except StructureError as exc:
-        raise FileFormatError(str(exc), path) from exc
-
-
-def _plain_csv_parts(text):
-    """Names and cell digits of plain CSV text, or None for other text.
-
-    Without quotes or carriage returns a record is a line split at its
-    commas, and an empty line an empty record. Plain text here also has
-    at least one attribute and one object, no empty name, and every cell
-    spelt exactly ``1``, ``x``, ``X``, ``0`` or empty. With a comma before
-    each cell, such a cell reads ``,1``, ``,0`` or ``,`` once ``x`` and
-    ``X`` are read as ``1``, and three replacements turn it into one digit;
-    any other cell gives more than one, which the length check catches.
-    """
-    if '"' in text or "\r" in text:
-        return None
-    lines = text.split("\n")
-    header = lines[0].split(",")
-    body = list(filter(None, lines[1:]))
-    m = len(header) - 1
-    if not (m and body) or "" in header[1:] or set(
-        map(str.count, body, itertools.repeat(","))
-    ) != {m}:
-        return None
-    parts = list(map(str.partition, body, itertools.repeat(",")))
-    objects = tuple(map(operator.itemgetter(0), parts))
-    cells = "," + ",".join(map(operator.itemgetter(2), parts))
-    digits = (
-        cells.translate(_CSV_MARKS)
-        .replace(",1", "1")
-        .replace(",0", "0")
-        .replace(",", "0")
-    )
-    if "" in objects or len(digits) != len(objects) * m:
-        return None
-    return objects, tuple(header[1:]), digits
-
-
-def _csv_record_parts(text, path):
-    """Names and cell digits of any CSV text, read with the ``csv`` module."""
     table = list(csv.reader(io.StringIO(text)))
     if not table:
         raise FileFormatError("empty file", path, 1)
@@ -235,13 +182,18 @@ def _csv_record_parts(text, path):
     fields = list(itertools.chain.from_iterable(records))
     objects = tuple(fields[::width])
     del fields[::width]
-    # an illegal cell becomes "?", which no legal cell gives
-    digits = "".join(
-        map(_CSV_DIGITS.get, map(str.strip, fields), itertools.repeat("?"))
-    )
-    if "" in objects or "?" in digits:
+    # a file spells its cells a few ways; an illegal one reads "?"
+    digit = {cell: _CSV_DIGITS.get(cell.strip(), "?") for cell in set(fields)}
+    if "" in objects or "?" in digit.values():
         _locate_csv_fault(table, path)
-    return objects, attributes, digits
+    # digits run row by row, so every m-th one from j on is column j
+    digits = "".join(map(digit.__getitem__, fields))
+    m = len(attributes)
+    cols = tuple(int(digits[j::m][::-1], 2) if objects else 0 for j in range(m))
+    try:
+        return FormalContext._from_columns(objects, attributes, cols)
+    except StructureError as exc:
+        raise FileFormatError(str(exc), path) from exc
 
 
 def _locate_csv_fault(table, path):

@@ -19,7 +19,7 @@ from conftest import (
     random_ranked_context,
     random_ranking,
 )
-from dfca import FormalContext, KnowledgeBase, StrictOrder, bitsets, fileio
+from dfca import FormalContext, KnowledgeBase, StrictOrder, bitsets
 from dfca.cli import _rank_table
 from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
 from dfca.fileio import format_cxt, parse_csv_context, parse_cxt
@@ -538,21 +538,18 @@ CSV_CELLS = ["1", "0", "x", "X", "", " 1", "0 ", " X\t", " "]
 CSV_ILLEGAL = ["2", "y", "xx", "-", "1 1", "10", "\t0\t0"]
 
 
-def random_csv_records(rng, plain):
-    """A header and up to 5 records; plain ones need no quotes and spell
-    every cell exactly, as most files do."""
+def random_csv_records(rng):
+    """A header and up to 5 records."""
     n, m = rng.randint(0, 5), rng.randint(0, 4)
-    names = CSV_NAMES[:8] if plain else CSV_NAMES
-    cells = CSV_CELLS[:5] if plain else CSV_CELLS
     header = [rng.choice(["name", "", " "])]
-    header += [rng.choice(names) + str(j) for j in range(m)]
-    objects = [rng.choice(names) + str(i) for i in range(n)]
+    header += [rng.choice(CSV_NAMES) + str(j) for j in range(m)]
+    objects = [rng.choice(CSV_NAMES) + str(i) for i in range(n)]
     if n and rng.random() < 0.15:
         objects[rng.randrange(n)] = rng.choice(objects)  # a duplicate
-    return [header] + [[g] + rng.choices(cells, k=m) for g in objects]
+    return [header] + [[g] + rng.choices(CSV_CELLS, k=m) for g in objects]
 
 
-def mutate_csv(rng, records, terminators=("\n", "\r\n")):
+def mutate_csv(rng, records):
     """CSV text of the records after zero, one or two random faults."""
     records = [list(record) for record in records]
     for _ in range(rng.choice([0, 1, 1, 2])):
@@ -579,7 +576,7 @@ def mutate_csv(rng, records, terminators=("\n", "\r\n")):
             other = records[rng.randrange(1, len(records))]
             record[0] = other[0] if other else record[0]  # a duplicate name
     out = io.StringIO()
-    csv.writer(out, lineterminator=rng.choice(terminators)).writerows(records)
+    csv.writer(out, lineterminator=rng.choice(["\n", "\r\n"])).writerows(records)
     text = out.getvalue()
     if rng.random() < 0.1:
         cut = rng.randint(0, len(text))
@@ -629,35 +626,7 @@ class TestCsvFiles:
     def test_malformed_text_matches_cell_walk(self, seed):
         """The same context, or the same error text and line."""
         rng = random.Random(seed)
-        text = mutate_csv(rng, random_csv_records(rng, rng.random() < 0.5))
-        assert csv_outcome(parse_csv_context, text) == csv_expected(text)
-
-    @given(seeds)
-    @settings(max_examples=500)
-    def test_plain_text_matches_cell_walk(self, seed):
-        """Text without quotes or carriage returns, which string methods cut up."""
-        rng = random.Random(seed)
-        text = mutate_csv(rng, random_csv_records(rng, True), ("\n",))
-        assert csv_outcome(parse_csv_context, text) == csv_expected(text)
-
-    @pytest.mark.parametrize(
-        "text, plain",
-        [
-            ("name,a,b\ng,1,x\nh,X,\n\nk,0,\n", True),
-            (",a\ng,1", True),  # no final newline, an empty leading cell
-            ("name,a\ng, 1\n", False),  # a padded cell
-            ('name,"a"\ng,1\n', False),  # quotes
-            ("name,a\r\ng,1\r\n", False),
-            ("name,a\ng,2\n", False),
-            ("name,a\n,1\n", False),
-            ("name\ng\n", False),  # no attributes
-            ("name,a\n", False),  # no objects
-        ],
-    )
-    def test_plain_text_is_cut_with_string_methods(self, text, plain):
-        """Which texts the string-method path takes; the rest go to the csv
-        module, and both give the earlier parser's outcome."""
-        assert (fileio._plain_csv_parts(text) is not None) == plain
+        text = mutate_csv(rng, random_csv_records(rng))
         assert csv_outcome(parse_csv_context, text) == csv_expected(text)
 
     @pytest.mark.parametrize(
@@ -675,6 +644,14 @@ class TestCsvFiles:
             "name,a\n\n\ng,1\n,1\n",  # blank records still count as lines
             'name,a\n"g\nh",1\n,1\n',  # a quoted newline is one record
             "name,a\ng,1\n,2\n",  # empty name before an illegal cell in its record
+            "name,a,b\ng,1,x\nh,X,\n\nk,0,\n",
+            ",a\ng,1",  # no final newline, an empty leading cell
+            "name,a\ng, 1\n",  # a padded cell
+            'name,"a"\ng,1\n',  # quotes
+            "name,a\r\ng,1\r\n",
+            "name,a\ng,2\n",
+            "name\ng\n",  # no attributes
+            "name,a\n",  # no objects
             "name,a\n,1,1\nh,1\n",  # a long row with an empty name
             "name,,a\ng,2,1\n",  # empty attribute name before anything else
         ],

@@ -27,9 +27,11 @@ The walk's worst case, the top member of a 2000-chain alone, meets one
 empty intersection per layer: 0.0002-0.0003 s, against 0.00002-0.00007 s
 for the member walk and a cap of 0.005 s.
 
-A 200k x 40 CSV file of ``x`` and empty cells is cut up with string
-methods in 0.70-0.77 s, against 2.6 s for a per-cell check and
-``1 << j`` per cell, and a cap of 1.5 s.
+A 200k x 40 CSV file of ``x`` and empty cells parses in 1.3-1.8 s: the
+``csv`` module's reader takes 0.7-1.2 s of it, the bulk checks and the
+cut of the columns the rest. A check and ``1 << j`` per cell took
+2.6-3.2 s on the same machine. Both are linear; the cap of 4 s guards
+against a superlinear parse, not against the per-cell walk.
 """
 
 import random
@@ -80,7 +82,7 @@ def test_parsing_a_200k_by_40_csv_is_linear():
         for i, row in enumerate(rows)
     ]
     seconds, context = timed(parse_csv_context, "\n".join(lines) + "\n")
-    assert seconds < 1.5
+    assert seconds < 4.0
     assert context.row(n - 1) == rows[-1]
 
 
