@@ -6,9 +6,16 @@ costs O(universe/64) words whatever the set's size, and ``iter_indices``
 costs O(universe) per walk. Growing a set one ``bits |= 1 << i`` at a
 time therefore costs O(universe) per member, which is quadratic over a
 whole universe. Build sets with ``from_indices`` instead: it fills a
-byte string and converts it once. Walk them with ``iter_indices``, which
-scans ``bin(bits)`` in C and spends Python time only on the members.
+byte string and converts it once. Walk them with ``iter_indices``. A
+dense set (at least one member per 16 bits of its length) has its
+members picked out of its binary digits by ``itertools.compress`` in one
+C-level pass, about 30 ns per bit. A sparser set is walked with
+``str.rfind`` from member to member, about 0.3 µs per member, so its
+walk costs Python time only per member. Either way a walk costs
+O(universe + members) with a small constant.
 """
+
+from itertools import compress, count
 
 from .errors import StructureError
 
@@ -16,6 +23,12 @@ from .errors import StructureError
 _CHUNK_ROWS = 1024
 
 _ONE = ord("1")
+
+# binary digits as bytes to compress() selectors: b"0" is 0, b"1" is 1
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+# a set is walked as dense from one member per this many bits of its length
+_DENSE = 16
 
 
 def universe(size):
@@ -41,6 +54,12 @@ def iter_indices(bits):
     """Yield member indices in ascending order."""
     if bits < 0:
         raise StructureError("bitsets must be non-negative ints")
+    if bits.bit_count() * _DENSE >= bits.bit_length():
+        # digits least significant first, so digit i is bit i
+        yield from compress(
+            count(), bin(bits)[:1:-1].encode("ascii").translate(_SELECTORS)
+        )
+        return
     digits = bin(bits)
     # bit 0 is the last digit; digits[:2] is the "0b" prefix
     top = len(digits) - 1

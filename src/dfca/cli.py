@@ -191,9 +191,9 @@ def _cell_tables(widths):
 
 
 def _rank_table(context, partition):
-    objects, row_of = context.objects, context.row
+    objects, rows = context.objects, context._row_bits()
     strata = [
-        [(objects[i], row_of(i)) for i in bitsets.iter_indices(stratum)]
+        [(objects[i], rows[i]) for i in bitsets.iter_indices(stratum)]
         for stratum in partition.strata
     ]
     shown = [entry for members in strata for entry in members]
@@ -230,7 +230,9 @@ def _cmd_rank(args):
             for level, stratum in enumerate(partition.strata)
         ],
     }
-    return CliResult(0, _rank_table(context, partition), data)
+    # ``run`` prints the data instead of the text under --json
+    text = "" if args.json else _rank_table(context, partition)
+    return CliResult(0, text, data)
 
 
 def _cmd_entail(args):

@@ -139,12 +139,12 @@ class FormalContext:
     def object_names(self, bits):
         """Names of the member objects, in declaration order."""
         self._check_objects(bits)
-        return tuple(self._objects[i] for i in bitsets.iter_indices(bits))
+        return tuple(map(self._objects.__getitem__, bitsets.iter_indices(bits)))
 
     def attribute_names(self, bits):
         """Names of the member attributes, in declaration order."""
         self._check_attributes(bits)
-        return tuple(self._attributes[j] for j in bitsets.iter_indices(bits))
+        return tuple(map(self._attributes.__getitem__, bitsets.iter_indices(bits)))
 
     def row(self, i):
         """Attributes of object i, as a bitset."""

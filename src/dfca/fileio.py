@@ -167,9 +167,15 @@ def parse_csv_context(text, path=None):
     lengths, empty names, and one lookup of each distinct cell text. The
     columns are then cut out of one digit string as ``parse_cxt`` does.
     Only when a check fails does ``_locate_csv_fault`` walk the records to
-    report the first fault.
+    report the first fault. Text the reader refuses (a field over its size
+    limit, or a line break inside an unquoted field) is a fault on the
+    line where the reader stopped.
     """
-    table = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        table = list(reader)
+    except csv.Error as exc:
+        raise FileFormatError(str(exc), path, reader.line_num) from exc
     if not table:
         raise FileFormatError("empty file", path, 1)
     attributes = tuple(table[0][1:])

@@ -7,6 +7,8 @@ A ranked context replaces the order with a convex rank assignment; the
 order it induces (smaller rank first) is always modular.
 """
 
+from itertools import compress
+
 from . import bitsets
 from .errors import ModularityError, StructureError
 from .formula import DEFEASIBLE, extension
@@ -202,7 +204,7 @@ def _first_on_cycle(above, waiting):
 class RankingFunction:
     """A convex rank per index: rank 0 occupied (when nonempty), no gaps."""
 
-    __slots__ = ("_ranks",)
+    __slots__ = ("_ranks", "_strata")
 
     def __init__(self, ranks):
         ranks = tuple(ranks)
@@ -216,6 +218,8 @@ class RankingFunction:
                     f"ranking is not convex: ranks {sorted(present)} leave gaps"
                 )
         self._ranks = ranks
+        # built by the first ``strata()`` call and kept
+        self._strata = None
 
     @property
     def ranks(self):
@@ -243,13 +247,15 @@ class RankingFunction:
         )
 
     def strata(self):
-        """Bitsets per rank, ascending."""
-        if not self._ranks:
-            return ()
-        members = [[] for _ in range(self.max_rank + 1)]
-        for i, r in enumerate(self._ranks):
-            members[r].append(i)
-        return tuple(bitsets.from_indices(m, len(self._ranks)) for m in members)
+        """Bitsets per rank, ascending, built on the first call and kept."""
+        if self._strata is None:
+            members = [[] for _ in range(max(self._ranks, default=-1) + 1)]
+            for i, r in enumerate(self._ranks):
+                members[r].append(i)
+            self._strata = tuple(
+                bitsets.from_indices(m, len(self._ranks)) for m in members
+            )
+        return self._strata
 
     def __eq__(self, other):
         if not isinstance(other, RankingFunction):
@@ -399,16 +405,23 @@ class RankedContext:
         return PreferentialContext(self._context, self.order)
 
     def minimise_objects(self, members):
+        """The members of least rank.
+
+        One walk lists the members. Their ranks are read, compared and
+        selected at C level by ``map``, ``min`` and ``compress``, and
+        ``from_indices`` sets the bits of the least ones.
+        """
         if members < 0 or members & ~self._context.object_universe:
             raise StructureError("member set out of range for this context")
         if members == 0:
             return 0
-        least = min(self._ranking.ranks[i] for i in bitsets.iter_indices(members))
-        result = 0
-        for i in bitsets.iter_indices(members):
-            if self._ranking.ranks[i] == least:
-                result |= 1 << i
-        return result
+        indices = list(bitsets.iter_indices(members))
+        member_ranks = list(map(self._ranking.ranks.__getitem__, indices))
+        least = min(member_ranks)
+        return bitsets.from_indices(
+            compress(indices, map(least.__eq__, member_ranks)),
+            self._context.n_objects,
+        )
 
     def satisfies(self, conditional):
         if conditional.kind != DEFEASIBLE:

@@ -577,6 +577,24 @@ def minimise(order, members):
     return result
 
 
+def ranked_minimise(ranked, members):
+    """``RankedContext.minimise_objects`` walking the members twice in Python.
+
+    The walks use this module's lowest-bit ``iter_indices``, so the oracle
+    does not share the library's walk.
+    """
+    if members < 0 or members & ~ranked.context.object_universe:
+        raise StructureError("member set out of range for this context")
+    if members == 0:
+        return 0
+    least = min(ranked.ranking.ranks[i] for i in iter_indices(members))
+    result = 0
+    for i in iter_indices(members):
+        if ranked.ranking.ranks[i] == least:
+            result |= 1 << i
+    return result
+
+
 def member_minimise(order, members):
     """``StrictOrder.minimise`` testing the predecessor row of every member."""
     if members < 0 or members & ~bitsets.universe(order.size):

@@ -165,6 +165,12 @@ class TestRank:
             {"rank": 2, "objects": ["alice", "david"]},
         ]
 
+    def test_json_text_is_the_data_alone(self):
+        """Under --json the table is not built; the printed text is the data."""
+        result = run(["rank", FRIENDS, FRIENDS_KB, "--json"])
+        assert result.text == json.dumps(result.data, ensure_ascii=False, indent=2)
+        assert run(["rank", FRIENDS, FRIENDS_KB]).data == result.data
+
     def test_classical_statement_in_kb_rejected(self, tmp_path):
         kb = tmp_path / "kb.txt"
         kb.write_text('"fw. alice" -> "fw. bob"\n', encoding="utf-8")
@@ -364,6 +370,13 @@ class TestErrorPaths:
         result = run(["extension", WEATHER, "Snow"])
         assert result.exit_code == 2
         assert "Snow" in result.text
+
+    def test_a_csv_field_over_the_reader_limit_is_exit_2(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("name,a\ng1," + "1" * 131073 + "\n", encoding="utf-8")
+        result = run(["extension", str(path), "a"])
+        assert result.exit_code == 2
+        assert result.text.startswith(f"error: {path}:2: field larger than")
 
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]).exit_code == 2

@@ -19,7 +19,7 @@ from conftest import (
     random_ranked_context,
     random_ranking,
 )
-from dfca import FormalContext, KnowledgeBase, StrictOrder, bitsets
+from dfca import FormalContext, KnowledgeBase, RankedContext, StrictOrder, bitsets
 from dfca.cli import _rank_table
 from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
 from dfca.fileio import format_cxt, parse_csv_context, parse_cxt
@@ -59,8 +59,11 @@ def outcome(procedure, *args):
 
 
 def random_bits(rng, size):
-    """A set over ``size`` indices: empty, full, sparse or dense."""
-    density = rng.choice([0.0, 0.02, 0.5, 0.98, 1.0])
+    """A set over ``size`` indices: empty, full, sparse or dense.
+
+    0.02 is walked member by member, 0.1 and up as dense digits.
+    """
+    density = rng.choice([0.0, 0.02, 0.1, 0.5, 0.98, 1.0])
     return sum(1 << i for i in range(size) if rng.random() < density)
 
 
@@ -71,6 +74,21 @@ class TestBitsets:
     @given(seeds, st.integers(0, 3000))
     def test_iter_indices_matches_lowest_bit_walk(self, seed, size):
         bits = random_bits(random.Random(seed), size)
+        assert list(bitsets.iter_indices(bits)) == list(oracles.iter_indices(bits))
+
+    @given(seeds, st.integers(1, 4000), st.integers(-2, 2))
+    def test_iter_indices_at_the_density_switch(self, seed, length, offset):
+        """Sets of ``length`` bits with about one member per 16 bits.
+
+        ``offset`` 0 puts the member count exactly at the switch to the
+        dense walk, negative offsets just below it, positive just above.
+        """
+        rng = random.Random(seed)
+        k = min(max(1, -(-length // 16) + offset), length)
+        bits = 1 << length - 1
+        for i in rng.sample(range(length - 1), k - 1):
+            bits |= 1 << i
+        assert bits.bit_length() == length and bits.bit_count() == k
         assert list(bitsets.iter_indices(bits)) == list(oracles.iter_indices(bits))
 
     @given(st.integers(-(2**70), -1))
@@ -580,7 +598,8 @@ def mutate_csv(rng, records):
     text = out.getvalue()
     if rng.random() < 0.1:
         cut = rng.randint(0, len(text))
-        # a lone CR outside quotes is a csv.Error for both parsers
+        # a lone CR outside quotes is a csv.Error for the oracle (the
+        # parser's FileFormatError for it is tested in test_fileio.py)
         text = text[:cut].rstrip("\r")
     return text
 
@@ -760,6 +779,22 @@ class TestLeastStratum:
             assert least == ranked.minimise_objects(ant)
             mat = extension(context, materialise(c))
             assert (least & ~mat == 0) == ranked.satisfies(c)
+
+    @given(seeds, st.integers(0, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_minimise_matches_member_walk_on_large_antecedents(self, seed, n):
+        """Empty, sparse, dense and full antecedents, and out-of-range sets."""
+        rng = random.Random(seed)
+        context = FormalContext([f"g{i}" for i in range(n)], [], [0] * n)
+        ranked = RankedContext(context, random_ranking(rng, n))
+        for members in [random_bits(rng, n) for _ in range(4)] + [
+            bitsets.universe(n),
+            bitsets.universe(n + 1),
+            -1,
+        ]:
+            assert outcome(ranked.minimise_objects, members) == outcome(
+                oracles.ranked_minimise, ranked, members
+            )
 
     @given(seeds)
     @settings(max_examples=200)

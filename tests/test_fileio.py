@@ -219,6 +219,19 @@ class TestCsv:
             parse_csv_context(text, "t.csv")
         assert str(err.value) == f"t.csv:{line}: {message}"
 
+    def test_field_over_the_reader_limit_located(self):
+        text = "name,a\ng1,1\ng2," + "1" * 131073 + "\n"
+        with pytest.raises(FileFormatError) as err:
+            parse_csv_context(text, "t.csv")
+        assert err.value.line == 3
+        assert "field larger than field limit" in str(err.value)
+
+    def test_lone_carriage_return_located(self):
+        with pytest.raises(FileFormatError) as err:
+            parse_csv_context("name,a\ng1,1\ng2\rg3,1\n", "t.csv")
+        assert err.value.line == 3
+        assert "new-line character seen in unquoted field" in str(err.value)
+
     def test_whitespace_names_and_padded_cells(self):
         context = parse_csv_context("name, a ,b\n g ,  X , 0\n")
         assert context.objects == (" g ",)

@@ -175,6 +175,10 @@ class TestRankingFunction:
         assert ranking.stratum(2) == 0b1000
         assert ranking.stratum(5) == 0
         assert ranking.strata() == (0b0101, 0b0010, 0b1000)
+        # built once: later calls and the induced order share the tuple
+        assert ranking.strata() is ranking.strata()
+        assert order_from_ranks(ranking)._height_layers() is ranking.strata()
+        assert RankingFunction(()).strata() == ()
 
     def test_empty_ranking_has_no_max(self):
         with pytest.raises(StructureError):

@@ -12,6 +12,19 @@ Validity of a conditional set is decided by one ranking pass: 0.001 s for
 every subset of the conditionals took 0.55 s for 20 of them on the same
 machine and would take about 2000 times as long for 31.
 
+A random 200k-bit set is walked in 0.014-0.017 s: half its bits are
+members, so ``iter_indices`` picks them out of the binary digits in one
+C-level pass. Walking it with ``str.rfind`` from member to member took
+0.036-0.042 s on the same machine. The cap is 0.5 s.
+
+``ClosureSession.entails`` over a 200k-object exception chain of 11
+levels answers 19 random queries over its classes and ``f`` in a median
+of 0.031-0.039 s each (max 0.064-0.072 s, 0.61-0.73 s in all, six
+rounds): it lists the antecedent's members once and reads their ranks at
+C level. Walking the members twice in Python and adding the least ones
+by ``|= 1 << i`` took a median of 0.118-0.140 s (max 0.27-0.42 s,
+2.5-2.9 s in all) on the same machine, against a cap of 2 s for all 19.
+
 A ranked interpretation of 100k states over 10 atoms holds its valuations
 as a context's columns: it builds in 0.26-0.31 s and then answers 10
 ``state_bits`` and 10 ``satisfies`` calls in under 0.001 s, against a cap
@@ -37,7 +50,14 @@ against a superlinear parse, not against the per-cell walk.
 import random
 import time
 
-from dfca import Conditional, FormalContext, RankingFunction, StrictOrder, bitsets
+from dfca import (
+    ClosureSession,
+    Conditional,
+    FormalContext,
+    RankingFunction,
+    StrictOrder,
+    bitsets,
+)
 from dfca.fileio import parse_csv_context
 from dfca.formula import And, Atom, Not, Or, PropConditional
 from dfca.order import order_from_ranks
@@ -156,6 +176,35 @@ def test_deciding_validity_of_31_conditionals_takes_one_ranking_pass():
     seconds, verdict = timed(delta_valid, context, kb)
     assert seconds < 0.5
     assert verdict
+
+
+def random_query_formula(rng, names, connectives):
+    formula = Atom(rng.choice(names))
+    for _ in range(connectives):
+        other = Atom(rng.choice(names))
+        if rng.random() < 0.3:
+            other = Not(other)
+        formula = (And if rng.random() < 0.6 else Or)(formula, other)
+    return formula
+
+
+def test_entailment_over_200k_objects_lists_the_members_once():
+    rng = random.Random(7)
+    context, kb = exception_chain(200_000, 11, rng)
+    session = ClosureSession(context, kb)
+    names = list(context.attributes)
+    queries = [
+        Conditional.defeasible(
+            random_query_formula(rng, names, rng.randint(0, 2)),
+            random_query_formula(rng, names, rng.randint(0, 1)),
+        )
+        for _ in range(19)
+    ]
+    seconds, verdicts = timed(list, map(session.entails, queries))
+    assert seconds < 2.0
+    # the lowest stratum holds the objects of depth 0, which fly
+    assert session.entails(Conditional.defeasible(Atom("c0"), Atom("f")))
+    assert len(verdicts) == 19
 
 
 def test_a_100k_state_interpretation_reads_its_columns():
