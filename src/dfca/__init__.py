@@ -28,11 +28,9 @@ from .errors import (
     ValidityError,
 )
 from .fileio import (
-    ContextDocument,
     format_cxt,
     load_conditionals,
     load_context,
-    load_document,
     load_order,
     load_prop_statements,
     load_ranks,
@@ -81,7 +79,6 @@ __all__ = [
     "CapacityError",
     "ClosureSession",
     "Conditional",
-    "ContextDocument",
     "DfcaError",
     "FileFormatError",
     "FormalContext",
@@ -112,7 +109,6 @@ __all__ = [
     "implication_holds",
     "load_conditionals",
     "load_context",
-    "load_document",
     "load_order",
     "load_prop_statements",
     "load_ranks",

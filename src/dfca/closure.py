@@ -13,15 +13,13 @@ from .ranking import KnowledgeBase, object_rank
 class ClosureSession:
     """Immutable pairing of a context and knowledge base with their ranking."""
 
-    __slots__ = ("_context", "_kb", "_ranked", "_partition")
+    __slots__ = ("_context", "_kb", "_ranked")
 
     def __init__(self, context, kb=()):
         kb = kb if isinstance(kb, KnowledgeBase) else KnowledgeBase(kb)
-        ranked, partition = object_rank(context, kb)
         self._context = context
         self._kb = kb
-        self._ranked = ranked
-        self._partition = partition
+        self._ranked, _ = object_rank(context, kb)
 
     @property
     def context(self):
@@ -34,10 +32,6 @@ class ClosureSession:
     @property
     def ranked(self):
         return self._ranked
-
-    @property
-    def partition(self):
-        return self._partition
 
     def entails(self, conditional):
         """Does the least ranking for the knowledge base satisfy the conditional?"""

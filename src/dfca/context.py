@@ -175,12 +175,6 @@ class FormalContext:
             result &= self._cols[j]
         return result
 
-    def implication(self, premises, conclusions):
-        """AttributeImplication from attribute names."""
-        return AttributeImplication(
-            self.attribute_set(premises), self.attribute_set(conclusions)
-        )
-
     def _row_bits(self):
         if self._rows is None:
             self._rows = bitsets._transpose(self._cols, len(self._objects))

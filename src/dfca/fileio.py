@@ -27,8 +27,6 @@ import csv
 import io
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Optional
 
 from .context import FormalContext
 from .errors import BindingError, FileFormatError, FormulaSyntaxError, StructureError
@@ -282,26 +280,24 @@ def _statement_lines(path):
         yield line_no, line
 
 
-def load_conditionals(path):
-    """Load compound-attribute statements, one ``phi |~ psi`` or ``phi -> psi`` per line."""
+def _load_statements(path, parse):
     statements = []
     for line_no, line in _statement_lines(path):
         try:
-            statements.append(parse_conditional(line))
+            statements.append(parse(line))
         except FormulaSyntaxError as exc:
             raise FileFormatError(str(exc), path, line_no) from exc
     return statements
+
+
+def load_conditionals(path):
+    """Load compound-attribute statements, one ``phi |~ psi`` or ``phi -> psi`` per line."""
+    return _load_statements(path, parse_conditional)
 
 
 def load_prop_statements(path):
     """Load propositional statements, one ``phi |~ psi`` or bare formula per line."""
-    statements = []
-    for line_no, line in _statement_lines(path):
-        try:
-            statements.append(parse_prop_statement(line))
-        except FormulaSyntaxError as exc:
-            raise FileFormatError(str(exc), path, line_no) from exc
-    return statements
+    return _load_statements(path, parse_prop_statement)
 
 
 def load_order(path, context):
@@ -354,28 +350,3 @@ def load_ranks(path, context):
     if missing:
         raise FileFormatError(f"objects never ranked: {missing!r}", path)
     return RankingFunction(tuple(assigned[i] for i in range(context.n_objects)))
-
-
-@dataclass(frozen=True)
-class ContextDocument:
-    """A loaded context plus at most one preference block."""
-
-    context: FormalContext
-    order: Optional[StrictOrder] = None
-    ranking: Optional[RankingFunction] = None
-
-    def __post_init__(self):
-        if self.order is not None and self.ranking is not None:
-            raise StructureError(
-                "a document carries an order or a ranking, never both"
-            )
-
-
-def load_document(context_path, *, order_path=None, ranks_path=None, fmt=None):
-    """Load a context and, optionally, exactly one of an order or a ranking."""
-    if order_path is not None and ranks_path is not None:
-        raise StructureError("pass order_path or ranks_path, never both")
-    context = load_context(context_path, fmt=fmt)
-    order = load_order(order_path, context) if order_path is not None else None
-    ranking = load_ranks(ranks_path, context) if ranks_path is not None else None
-    return ContextDocument(context, order, ranking)

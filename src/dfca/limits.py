@@ -2,8 +2,10 @@
 
 The valuation sweeps of the propositional module walk 2**n valuations for
 n atoms. They refuse to start past a cap: 20 by default, overridable
-through the DFCA_MAX_ATOMS environment variable or an explicit argument.
-Everything else in the package runs in polynomial time and has no cap.
+through the DFCA_MAX_ATOMS environment variable. ``enumeration_cap`` also
+takes an explicit cap, which wins over both, for callers that enumerate
+under their own limit. Everything else in the package runs in polynomial
+time and has no cap.
 """
 
 import os

@@ -240,12 +240,6 @@ class RankingFunction:
             raise StructureError(f"index {i} out of range")
         return self._ranks[i]
 
-    def stratum(self, level):
-        """Bitset of indices at the given rank."""
-        return bitsets.from_indices(
-            (i for i, r in enumerate(self._ranks) if r == level), len(self._ranks)
-        )
-
     def strata(self):
         """Bitsets per rank, ascending, built on the first call and kept."""
         if self._strata is None:
@@ -314,6 +308,21 @@ def order_from_ranks(ranking):
     )
 
 
+def _satisfies(context, minimise, conditional):
+    """Do the antecedent objects that ``minimise`` keeps all satisfy the consequent?
+
+    The preferential and the ranked context differ only in how they pick
+    the most typical objects.
+    """
+    if conditional.kind != DEFEASIBLE:
+        raise StructureError(
+            "preference satisfaction is defined for defeasible conditionals; "
+            "check classical implications against extensions directly"
+        )
+    minimal = minimise(extension(context, conditional.antecedent))
+    return bitsets.is_subset(minimal, extension(context, conditional.consequent))
+
+
 class PreferentialContext:
     """A formal context with a strict preference order on its objects."""
 
@@ -341,16 +350,7 @@ class PreferentialContext:
 
     def satisfies(self, conditional):
         """Do the most typical antecedent objects all satisfy the consequent?"""
-        if conditional.kind != DEFEASIBLE:
-            raise StructureError(
-                "preference satisfaction is defined for defeasible conditionals; "
-                "check classical implications against extensions directly"
-            )
-        antecedent_objects = extension(self._context, conditional.antecedent)
-        minimal = self._order.minimise(antecedent_objects)
-        return bitsets.is_subset(
-            minimal, extension(self._context, conditional.consequent)
-        )
+        return _satisfies(self._context, self.minimise_objects, conditional)
 
     def __eq__(self, other):
         if not isinstance(other, PreferentialContext):
@@ -398,12 +398,6 @@ class RankedContext:
             self._order = order_from_ranks(self._ranking)
         return self._order
 
-    def rank_of(self, i):
-        return self._ranking.rank_of(i)
-
-    def as_preferential(self):
-        return PreferentialContext(self._context, self.order)
-
     def minimise_objects(self, members):
         """The members of least rank.
 
@@ -424,16 +418,8 @@ class RankedContext:
         )
 
     def satisfies(self, conditional):
-        if conditional.kind != DEFEASIBLE:
-            raise StructureError(
-                "preference satisfaction is defined for defeasible conditionals; "
-                "check classical implications against extensions directly"
-            )
-        antecedent_objects = extension(self._context, conditional.antecedent)
-        minimal = self.minimise_objects(antecedent_objects)
-        return bitsets.is_subset(
-            minimal, extension(self._context, conditional.consequent)
-        )
+        """Do the antecedent objects of least rank all satisfy the consequent?"""
+        return _satisfies(self._context, self.minimise_objects, conditional)
 
     def __eq__(self, other):
         if not isinstance(other, RankedContext):

@@ -93,14 +93,14 @@ def all_valuations(names):
         }
 
 
-def prop_entails(premises, conclusion, *, max_atoms=None):
+def prop_entails(premises, conclusion):
     """Classical entailment by exhausting valuations over the mentioned atoms."""
     premises = list(premises)
     names = set(atom_names(conclusion))
     for p in premises:
         names |= atom_names(p)
     names = sorted(names)
-    cap = enumeration_cap(max_atoms)
+    cap = enumeration_cap()
     if len(names) > cap:
         raise CapacityError(
             f"entailment check enumerates 2**{len(names)} valuations, "
@@ -260,7 +260,7 @@ class BaseRankResult:
         return len(self.strata)
 
 
-def base_rank(statements, *, max_atoms=None):
+def base_rank(statements):
     """Stratify statements by iterated exceptionality.
 
     A statement is exceptional for a set when the set's material forms
@@ -273,11 +273,7 @@ def base_rank(statements, *, max_atoms=None):
     strata = []
     while True:
         materials = [s.material() for s in current]
-        nxt = [
-            s
-            for s in current
-            if prop_entails(materials, Not(s.antecedent), max_atoms=max_atoms)
-        ]
+        nxt = [s for s in current if prop_entails(materials, Not(s.antecedent))]
         if len(nxt) == len(current):
             break
         exceptional = set(nxt)
@@ -286,7 +282,7 @@ def base_rank(statements, *, max_atoms=None):
     return BaseRankResult(tuple(strata), tuple(current))
 
 
-def rc_decision(statements, query, *, max_atoms=None):
+def rc_decision(statements, query):
     """Rational-closure verdict for a query, with the rank of its antecedent.
 
     Removes the lowest remaining stratum while the leftover material forms
@@ -295,19 +291,17 @@ def rc_decision(statements, query, *, max_atoms=None):
     removed: the rank where the antecedent stops being exceptional, or None
     when no finite rank makes it possible (the verdict is then True).
     """
-    ranked = base_rank(statements, max_atoms=max_atoms)
+    ranked = base_rank(statements)
     fixed = [s.material() for s in ranked.infinite]
     live = [[s.material() for s in level] for level in ranked.strata]
     negated = Not(query.antecedent)
     dropped = 0
-    while live and prop_entails(
-        fixed + [m for level in live for m in level], negated, max_atoms=max_atoms
-    ):
+    while live and prop_entails(fixed + [m for level in live for m in level], negated):
         live.pop(0)
         dropped += 1
     premises = fixed + [m for level in live for m in level]
-    verdict = prop_entails(premises, query.material(), max_atoms=max_atoms)
-    if not live and prop_entails(fixed, negated, max_atoms=max_atoms):
+    verdict = prop_entails(premises, query.material())
+    if not live and prop_entails(fixed, negated):
         return verdict, None
     return verdict, dropped
 

@@ -71,12 +71,6 @@ class RankPartition:
 
     strata: tuple
 
-    @property
-    def top_rank(self):
-        if not self.strata:
-            raise StructureError("empty partition has no ranks")
-        return len(self.strata) - 1
-
 
 @dataclass(frozen=True)
 class PreferenceComparison:

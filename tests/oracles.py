@@ -247,7 +247,7 @@ def antecedent_rank(ranked, antecedent):
     """Least rank among the antecedent objects, one member at a time."""
     if not antecedent:
         return None
-    return min(ranked.rank_of(i) for i in bitsets.iter_indices(antecedent))
+    return min(ranked.ranking.rank_of(i) for i in bitsets.iter_indices(antecedent))
 
 
 def closing_check(ranked, kb):

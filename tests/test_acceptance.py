@@ -234,7 +234,7 @@ def test_preferential_postulates_and_rational_monotonicity():
             gamma = random_formula(rng, names, 3)
             assert not rm_violated(rc, phi, psi, gamma)
             assert preferential_postulate_violations(
-                rc.as_preferential(), phi, psi, gamma
+                PreferentialContext(rc.context, rc.order), phi, psi, gamma
             ) == []
     assert time.perf_counter() - started < 120.0
 

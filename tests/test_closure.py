@@ -11,7 +11,7 @@ from conftest import (
     random_context,
     random_formula,
 )
-from dfca import BindingError, StructureError, ValidityError
+from dfca import BindingError, PreferentialContext, StructureError, ValidityError
 from dfca.closure import ClosureSession, entailment_diff
 from dfca.formula import parse_conditional
 
@@ -135,7 +135,7 @@ class TestEntailmentLaws:
             session = ClosureSession(context, delta)
         except ValidityError:
             return
-        pc = session.ranked.as_preferential()
+        pc = PreferentialContext(context, session.ranked.order)
         names = context.attributes
         phi = random_formula(rng, names, 2)
         psi = random_formula(rng, names, 2)

@@ -152,11 +152,15 @@ class TestImplications:
 
     def test_holds_with_counterexample(self, elements):
         # Carbon is a non-metal but no gas
-        impl = elements.implication(["Non-metal"], ["Gas"])
+        impl = AttributeImplication(
+            elements.attribute_set(["Non-metal"]), elements.attribute_set(["Gas"])
+        )
         assert not implication_holds(elements, impl)
 
     def test_holds_when_extents_nest(self, elements):
-        impl = elements.implication(["Gas"], ["Non-metal"])
+        impl = AttributeImplication(
+            elements.attribute_set(["Gas"]), elements.attribute_set(["Non-metal"])
+        )
         assert implication_holds(elements, impl)
 
     def test_holds_for_empty_premise_and_conclusion(self, elements):

@@ -343,10 +343,6 @@ class TestRankings:
     @given(seeds, st.integers(0, 40))
     def test_strata_match_bit_by_bit_builder(self, seed, n):
         ranking = random_ranking(random.Random(seed), n)
-        levels = range(-1, (ranking.max_rank if n else 0) + 2)
-        assert [ranking.stratum(k) for k in levels] == [
-            oracles.stratum(ranking.ranks, k) for k in levels
-        ]
         assert ranking.strata() == tuple(
             oracles.stratum(ranking.ranks, k) for k in range(len(ranking.strata()))
         )

@@ -15,11 +15,9 @@ from conftest import (
 )
 from dfca import FileFormatError, RankingFunction, StructureError
 from dfca.fileio import (
-    ContextDocument,
     format_cxt,
     load_conditionals,
     load_context,
-    load_document,
     load_order,
     load_prop_statements,
     load_ranks,
@@ -382,38 +380,3 @@ class TestRankFiles:
         target.write_text("0 Helium\n0 Hydrogen\n2 Carbon\n", encoding="utf-8")
         with pytest.raises(StructureError):
             load_ranks(target, elements)
-
-
-class TestDocuments:
-    def test_context_only(self):
-        document = load_document(DATA_DIR / "elements.cxt")
-        assert document.context == build_elements()
-        assert document.order is None and document.ranking is None
-
-    def test_context_with_order(self):
-        document = load_document(
-            DATA_DIR / "elements.cxt", order_path=DATA_DIR / "elements.order"
-        )
-        assert document.order == elements_order()
-
-    def test_context_with_ranks(self, tmp_path):
-        ranks = tmp_path / "r.ranks"
-        ranks.write_text("0 Helium\n0 Hydrogen\n1 Carbon\n", encoding="utf-8")
-        document = load_document(DATA_DIR / "elements.cxt", ranks_path=ranks)
-        assert document.ranking == RankingFunction([0, 0, 1])
-
-    def test_order_and_ranks_exclusive(self, tmp_path):
-        ranks = tmp_path / "r.ranks"
-        ranks.write_text("0 Helium\n0 Hydrogen\n1 Carbon\n", encoding="utf-8")
-        with pytest.raises(StructureError):
-            load_document(
-                DATA_DIR / "elements.cxt",
-                order_path=DATA_DIR / "elements.order",
-                ranks_path=ranks,
-            )
-        with pytest.raises(StructureError):
-            ContextDocument(
-                build_elements(),
-                order=elements_order(),
-                ranking=RankingFunction([0, 0, 1]),
-            )

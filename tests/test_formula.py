@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import build_elements, build_weather
 from dfca import BindingError, FormulaSyntaxError
 from dfca import bitsets
-from dfca.context import implication_holds
+from dfca.context import AttributeImplication, implication_holds
 from dfca import propositional
 from dfca.formula import (
     And,
@@ -275,7 +275,9 @@ class TestSemanticLaws:
         conclusion_names = data.draw(
             st.lists(st.sampled_from(context.attributes), min_size=1, max_size=3)
         )
-        impl = context.implication(premise_names, conclusion_names)
+        impl = AttributeImplication(
+            context.attribute_set(premise_names), context.attribute_set(conclusion_names)
+        )
 
         def conjunction(names):
             result = Atom(names[0])

@@ -195,11 +195,13 @@ class TestEntailment:
         premises = [parse_prop_formula("p & !p")]
         assert prop_entails(premises, parse_prop_formula("q"))
 
-    def test_capacity_cap(self):
+    def test_capacity_cap(self, monkeypatch):
         premises = [parse_prop_formula("a1 & a2 & a3")]
-        assert prop_entails(premises, parse_prop_formula("a2"), max_atoms=3)
+        monkeypatch.setenv("DFCA_MAX_ATOMS", "3")
+        assert prop_entails(premises, parse_prop_formula("a2"))
+        monkeypatch.setenv("DFCA_MAX_ATOMS", "2")
         with pytest.raises(CapacityError):
-            prop_entails(premises, parse_prop_formula("a2"), max_atoms=2)
+            prop_entails(premises, parse_prop_formula("a2"))
 
     @given(seeds)
     def test_agrees_with_satisfiability_scan(self, seed):
@@ -458,11 +460,12 @@ class TestRationalClosure:
         statements = [parse_prop_statement("p |~ BOT")]
         assert rc_decision(statements, parse_prop_statement("p |~ q")) == (True, None)
 
-    def test_capacity_cap(self):
+    def test_capacity_cap(self, monkeypatch):
         statements = penguin_statements()
         query = parse_prop_statement("penguin |~ flies")
+        monkeypatch.setenv("DFCA_MAX_ATOMS", "2")
         with pytest.raises(CapacityError):
-            rc_decision(statements, query, max_atoms=2)
+            rc_decision(statements, query)
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)

@@ -104,7 +104,6 @@ class TestObjectRank:
         ranked, partition = object_rank(friends, friends_delta())
         # bob, eva first; charlie, frank above them; alice, david on top
         assert partition.strata == (0b000011, 0b001100, 0b110000)
-        assert partition.top_rank == 2
         assert ranked.ranking.ranks == (0, 0, 1, 1, 2, 2)
 
     def test_friendship_verdicts(self, friends):
