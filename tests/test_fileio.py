@@ -306,6 +306,13 @@ class TestStatementFiles:
         statements = load_prop_statements(target)
         assert statements[0].kind == "classical"
 
+    def test_prop_syntax_error_is_located(self, tmp_path):
+        target = tmp_path / "kb.txt"
+        target.write_text("p |~ q\n\n# note\np & |~ q\n", encoding="utf-8")
+        with pytest.raises(FileFormatError) as err:
+            load_prop_statements(target)
+        assert err.value.line == 4
+
 
 class TestOrderFiles:
     def test_packaged_order(self, elements):

@@ -318,6 +318,16 @@ class TestRankedContext:
         with pytest.raises(StructureError):
             rc.satisfies(parse_conditional('"fw. david" -> "fw. charlie"'))
 
+    def test_both_contexts_refuse_classical_alike(self, friends):
+        implication = parse_conditional('"fw. david" -> "fw. charlie"')
+        ranked = self.build_friends_ranked()
+        preferential = PreferentialContext(friends, ranked.order)
+        with pytest.raises(StructureError) as from_ranked:
+            ranked.satisfies(implication)
+        with pytest.raises(StructureError) as from_preferential:
+            preferential.satisfies(implication)
+        assert str(from_ranked.value) == str(from_preferential.value)
+
     def test_induced_order_is_modular(self):
         rc = self.build_friends_ranked()
         assert rc.order.is_modular()
