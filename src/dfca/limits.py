@@ -2,10 +2,8 @@
 
 The valuation sweeps of the propositional module walk 2**n valuations for
 n atoms. They refuse to start past a cap: 20 by default, overridable
-through the DFCA_MAX_ATOMS environment variable. ``enumeration_cap`` also
-takes an explicit cap, which wins over both, for callers that enumerate
-under their own limit. Everything else in the package runs in polynomial
-time and has no cap.
+through the DFCA_MAX_ATOMS environment variable. Everything else in the
+package runs in polynomial time and has no cap.
 """
 
 import os
@@ -16,12 +14,8 @@ DEFAULT_ENUMERATION_CAP = 20
 CAP_ENV_VAR = "DFCA_MAX_ATOMS"
 
 
-def enumeration_cap(explicit=None):
-    """Resolve the active cap: explicit argument, then env var, then default."""
-    if explicit is not None:
-        if explicit < 0:
-            raise StructureError("enumeration cap must be non-negative")
-        return explicit
+def enumeration_cap():
+    """Resolve the active cap: env var, then default."""
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_ENUMERATION_CAP

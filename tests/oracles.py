@@ -286,7 +286,7 @@ def rank_table(context, partition):
 # --- validity and ranked models, by exhaustion ------------------------------
 
 
-def delta_valid(context, kb, *, max_conditionals=None):
+def delta_valid(context, kb):
     """Can every nonempty subset of the conditionals be answered plausibly?
 
     True when each such subset has an object satisfying all its material
@@ -294,7 +294,7 @@ def delta_valid(context, kb, *, max_conditionals=None):
     size of the conditional set is capped (see the limits module).
     """
     kb = kb if isinstance(kb, KnowledgeBase) else KnowledgeBase(kb)
-    cap = enumeration_cap(max_conditionals)
+    cap = enumeration_cap()
     if len(kb) > cap:
         raise CapacityError(
             f"validity check enumerates 2**{len(kb)} subsets, cap is 2**{cap}"

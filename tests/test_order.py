@@ -32,6 +32,9 @@ from dfca.order import order_from_ranks, ranks_from_order
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
+# Both context kinds refuse a classical implication with this one message.
+CLASSICAL_REFUSAL = "preference satisfaction is defined for defeasible conditionals"
+
 
 class TestStrictOrder:
     def test_transitive_closure(self):
@@ -246,7 +249,7 @@ class TestPreferentialContext:
 
     def test_classical_conditional_rejected(self, elements):
         pc = PreferentialContext(elements, elements_order())
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=CLASSICAL_REFUSAL):
             pc.satisfies(parse_conditional("Non-metal -> Gas"))
 
     @given(seeds)
@@ -315,18 +318,8 @@ class TestRankedContext:
 
     def test_classical_conditional_rejected(self):
         rc = self.build_friends_ranked()
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=CLASSICAL_REFUSAL):
             rc.satisfies(parse_conditional('"fw. david" -> "fw. charlie"'))
-
-    def test_both_contexts_refuse_classical_alike(self, friends):
-        implication = parse_conditional('"fw. david" -> "fw. charlie"')
-        ranked = self.build_friends_ranked()
-        preferential = PreferentialContext(friends, ranked.order)
-        with pytest.raises(StructureError) as from_ranked:
-            ranked.satisfies(implication)
-        with pytest.raises(StructureError) as from_preferential:
-            preferential.satisfies(implication)
-        assert str(from_ranked.value) == str(from_preferential.value)
 
     def test_induced_order_is_modular(self):
         rc = self.build_friends_ranked()

@@ -389,14 +389,6 @@ class TestBaseRank:
         assert result.strata == ()
         assert result.infinite == (statement,)
 
-    def test_capacity_cap(self, monkeypatch):
-        statements = penguin_statements()
-        monkeypatch.setenv("DFCA_MAX_ATOMS", "3")
-        assert base_rank(statements).height == 2
-        monkeypatch.setenv("DFCA_MAX_ATOMS", "2")
-        with pytest.raises(CapacityError):
-            base_rank(statements)
-
     @given(seeds)
     def test_strata_partition_the_statements(self, seed):
         """base_rank splits the distinct statements into disjoint nonempty layers."""
@@ -471,6 +463,8 @@ class TestRationalClosure:
     def test_capacity_cap(self, monkeypatch):
         statements = penguin_statements()
         query = parse_prop_statement("penguin |~ flies")
+        monkeypatch.setenv("DFCA_MAX_ATOMS", "3")
+        assert rc_decision(statements, query) == (False, 1)
         monkeypatch.setenv("DFCA_MAX_ATOMS", "2")
         with pytest.raises(CapacityError):
             rc_decision(statements, query)
