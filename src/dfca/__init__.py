@@ -11,10 +11,7 @@ from .closure import ClosureSession, entailment_diff
 from .context import (
     AttributeImplication,
     FormalContext,
-    closure_under,
-    implication_follows,
     implication_holds,
-    set_satisfies,
 )
 from .errors import (
     BindingError,
@@ -98,14 +95,12 @@ __all__ = [
     "ValidityError",
     "atom_names",
     "bind",
-    "closure_under",
     "context_preference",
     "delta_valid",
     "entailment_diff",
     "extension",
     "format_cxt",
     "format_formula",
-    "implication_follows",
     "implication_holds",
     "load_conditionals",
     "load_context",
@@ -121,5 +116,4 @@ __all__ = [
     "parse_formula",
     "ranks_from_order",
     "save_context",
-    "set_satisfies",
 ]

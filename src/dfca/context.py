@@ -239,36 +239,8 @@ class AttributeImplication:
             raise StructureError("implication sides must be non-negative bitsets")
 
 
-def set_satisfies(attribute_bits, implication):
-    """Does an attribute set respect A -> B (A not contained, or B contained)?"""
-    if not bitsets.is_subset(implication.premise, attribute_bits):
-        return True
-    return bitsets.is_subset(implication.conclusion, attribute_bits)
-
-
 def implication_holds(context, implication):
     """Does A -> B hold in the context, i.e. is extent(A) contained in extent(B)?"""
     return bitsets.is_subset(
         context.extent(implication.premise), context.extent(implication.conclusion)
     )
-
-
-def closure_under(implications, attribute_bits):
-    """Smallest superset of the attribute set closed under every implication."""
-    result = attribute_bits
-    changed = True
-    while changed:
-        changed = False
-        for impl in implications:
-            if bitsets.is_subset(impl.premise, result) and not bitsets.is_subset(
-                impl.conclusion, result
-            ):
-                result |= impl.conclusion
-                changed = True
-    return result
-
-
-def implication_follows(implications, implication):
-    """Does the implication hold in every attribute set satisfying the others?"""
-    closed = closure_under(implications, implication.premise)
-    return bitsets.is_subset(implication.conclusion, closed)

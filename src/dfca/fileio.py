@@ -52,7 +52,8 @@ def _cxt_line(lines, index, description, path):
 
 def parse_cxt(text, path=None):
     """Parse Burmeister context text."""
-    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -202,65 +202,104 @@ def _first_on_cycle(above, waiting):
 
 
 class RankingFunction:
-    """A convex rank per index: rank 0 occupied (when nonempty), no gaps."""
+    """A convex rank per index: rank 0 occupied (when nonempty), no gaps.
 
-    __slots__ = ("_ranks", "_strata")
+    The ranking is held as its strata, one bitset per rank from 0 up. The
+    rank tuple is built from them on the first read of ``ranks``,
+    ``rank_of`` or ``repr`` and kept.
+    """
+
+    __slots__ = ("_size", "_strata", "_ranks")
 
     def __init__(self, ranks):
         ranks = tuple(ranks)
-        for r in ranks:
-            if not isinstance(r, int) or r < 0:
-                raise StructureError(f"ranks must be non-negative ints, got {r!r}")
-        if ranks:
-            present = set(ranks)
-            if present != set(range(max(present) + 1)):
-                raise StructureError(
-                    f"ranking is not convex: ranks {sorted(present)} leave gaps"
-                )
+        self._size = len(ranks)
+        self._strata = tuple(
+            bitsets.from_indices(layer, len(ranks))
+            for layer in _rank_layers(enumerate(ranks))
+        )
         self._ranks = ranks
-        # built by the first ``strata()`` call and kept
-        self._strata = None
+
+    @classmethod
+    def _from_strata(cls, strata, size):
+        """A ranking from nonempty, disjoint strata covering 0..size-1.
+
+        Package-internal: the ranking loop and an order's height layers
+        hand over their bitsets, checked with one intersection and one
+        union per stratum.
+        """
+        union = 0
+        for stratum in strata:
+            if not stratum:
+                raise StructureError("ranking strata must be nonempty")
+            if union & stratum:
+                raise StructureError("ranking strata overlap")
+            union |= stratum
+        if union != bitsets.universe(size):
+            raise StructureError(f"ranking strata do not cover 0..{size - 1}")
+        ranking = cls.__new__(cls)
+        ranking._size = size
+        ranking._strata = tuple(strata)
+        ranking._ranks = None
+        return ranking
 
     @property
     def ranks(self):
+        if self._ranks is None:
+            ranks = [0] * self._size
+            for level, stratum in enumerate(self._strata):
+                for i in bitsets.iter_indices(stratum):
+                    ranks[i] = level
+            self._ranks = tuple(ranks)
         return self._ranks
 
     @property
     def size(self):
-        return len(self._ranks)
+        return self._size
 
     @property
     def max_rank(self):
-        if not self._ranks:
+        if not self._strata:
             raise StructureError("empty ranking has no ranks")
-        return max(self._ranks)
+        return len(self._strata) - 1
 
     def rank_of(self, i):
-        if not 0 <= i < len(self._ranks):
+        if not 0 <= i < self._size:
             raise StructureError(f"index {i} out of range")
-        return self._ranks[i]
+        return self.ranks[i]
 
     def strata(self):
-        """Bitsets per rank, ascending, built on the first call and kept."""
-        if self._strata is None:
-            members = [[] for _ in range(max(self._ranks, default=-1) + 1)]
-            for i, r in enumerate(self._ranks):
-                members[r].append(i)
-            self._strata = tuple(
-                bitsets.from_indices(m, len(self._ranks)) for m in members
-            )
+        """Bitsets per rank, ascending."""
         return self._strata
 
     def __eq__(self, other):
         if not isinstance(other, RankingFunction):
             return NotImplemented
-        return self._ranks == other._ranks
+        return self._strata == other._strata
 
     def __hash__(self):
-        return hash(self._ranks)
+        return hash(self._strata)
 
     def __repr__(self):
-        return f"RankingFunction({list(self._ranks)!r})"
+        return f"RankingFunction({list(self.ranks)!r})"
+
+
+def _rank_layers(indexed):
+    """The indices of each rank, rank 0 first, from (index, rank) pairs.
+
+    Every rank must be a non-negative int, and the ranks present must
+    leave no gap.
+    """
+    members = {}
+    for i, r in indexed:
+        if not isinstance(r, int) or r < 0:
+            raise StructureError(f"ranks must be non-negative ints, got {r!r}")
+        members.setdefault(r, []).append(i)
+    if members.keys() != set(range(len(members))):
+        raise StructureError(
+            f"ranking is not convex: ranks {sorted(members)} leave gaps"
+        )
+    return [members[k] for k in range(len(members))]
 
 
 def ranks_from_order(order):
@@ -271,20 +310,19 @@ def ranks_from_order(order):
     smaller-rank-first order disagrees with the input, which happens
     exactly for non-modular input.
 
-    Iterated minima are the order's height layers, so an element's rank is
-    its layer index. In a modular order the predecessors of an element are
-    exactly the layers below its own; checking that for every element
+    Iterated minima are the order's height layers, so they are the
+    ranking's strata. In a modular order the predecessors of an element
+    are exactly the layers below its own; checking that for every element
     rejects every non-modular input.
     """
-    ranks = [0] * order.size
+    layers = order._height_layers()
     below = 0
-    for level, layer in enumerate(order._height_layers()):
+    for layer in layers:
         for i in bitsets.iter_indices(layer):
             if order._pred[i] != below:
                 raise ModularityError("order is not modular: no ranking induces it")
-            ranks[i] = level
         below |= layer
-    return RankingFunction(ranks)
+    return RankingFunction._from_strata(layers, order.size)
 
 
 def order_from_ranks(ranking):

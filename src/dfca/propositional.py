@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
+from types import MappingProxyType
 
 from . import bitsets
 from .context import FormalContext
@@ -44,7 +45,7 @@ from .formula import (
     parse_prop_statement,
 )
 from .limits import enumeration_cap
-from .order import PreferentialContext, RankedContext, RankingFunction
+from .order import PreferentialContext, RankedContext, RankingFunction, _rank_layers
 from .ranking import _least_stratum
 
 
@@ -127,7 +128,7 @@ class _Interpretation:
     when its valuation makes the atom true.
     """
 
-    __slots__ = ("_context",)
+    __slots__ = ("_context", "_valuations")
 
     def __init__(self, atoms, states, valuations):
         atoms = tuple(atoms)
@@ -152,6 +153,7 @@ class _Interpretation:
             for atom in atoms
         )
         self._context = FormalContext._from_columns(states, atoms, columns)
+        self._valuations = None
 
     @property
     def atoms(self):
@@ -163,12 +165,24 @@ class _Interpretation:
 
     @property
     def valuations(self):
-        """A fresh ``{atom: bool}`` dict per state, in state order."""
-        atoms = self._context.attributes
-        return tuple(
-            {atom: bool(row >> j & 1) for j, atom in enumerate(atoms)}
-            for row in self._context._row_bits()
-        )
+        """A read-only ``{atom: bool}`` mapping per state, in state order.
+
+        Built on the first read and kept: one mapping per distinct row of
+        the context, shared by the states with that row. Digit j of a row,
+        read from the right, is atom j.
+        """
+        if self._valuations is None:
+            atoms = self._context.attributes
+            spec = f"0{len(atoms)}b"
+            rows = self._context._row_bits()
+            distinct = {
+                row: MappingProxyType(
+                    dict(zip(atoms, map("1".__eq__, format(row, spec)[::-1])))
+                )
+                for row in set(rows)
+            }
+            self._valuations = tuple(map(distinct.__getitem__, rows))
+        return self._valuations
 
     def state_bits(self, formula):
         """Bitset of states whose valuation satisfies the formula."""
@@ -226,13 +240,17 @@ class RankedInterpretation(_Interpretation):
             raise StructureError(
                 f"expected {len(self.states)} ranks, got {len(ranks)}"
             )
-        finite = RankingFunction([r for r in ranks if r != INFINITE_RANK])
         # the finite strata in rank order, then the infinite-rank states
-        top = finite.max_rank + 1 if finite.size else 0
+        layers = _rank_layers(
+            (i, r) for i, r in enumerate(ranks) if r != INFINITE_RANK
+        )
+        infinite = [i for i, r in enumerate(ranks) if r == INFINITE_RANK]
+        if infinite:
+            layers.append(infinite)
         self._ranks = ranks
-        self._strata = RankingFunction(
-            [top if r == INFINITE_RANK else r for r in ranks]
-        ).strata()
+        self._strata = tuple(
+            bitsets.from_indices(layer, len(ranks)) for layer in layers
+        )
 
     @property
     def ranks(self):
@@ -333,4 +351,6 @@ def derive_ranked_context(interpretation):
                 "ranked context"
             )
     context = _derived_parts(interpretation)
-    return RankedContext(context, RankingFunction(interpretation.ranks))
+    # with no infinite rank, the interpretation's strata are the ranking's
+    ranking = RankingFunction._from_strata(interpretation._strata, context.n_objects)
+    return RankedContext(context, ranking)

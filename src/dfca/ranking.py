@@ -8,8 +8,8 @@ least ranked context satisfying the whole set, when any exists.
 """
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from . import bitsets
 from .errors import StructureError, ValidityError
 from .formula import DEFEASIBLE, bind, extension, materialise
 from .order import RankedContext, RankingFunction
@@ -169,11 +169,7 @@ def object_rank(context, kb):
             "no ranking of this context satisfies the conditional set: "
             f"it stopped shrinking at rank {stalled}"
         )
-    ranks = [0] * context.n_objects
-    for level, stratum in enumerate(strata):
-        for i in bitsets.iter_indices(stratum):
-            ranks[i] = level
-    ranked = RankedContext(context, RankingFunction(ranks))
+    ranking = RankingFunction._from_strata(strata, context.n_objects)
     for c, mat, ant in zip(kb, mats, ants):
         _, least = _least_stratum(strata, ant)
         if least & ~mat:
@@ -181,7 +177,7 @@ def object_rank(context, kb):
                 "no ranking of this context satisfies the conditional set: "
                 f"the result violates '{c}'"
             )
-    return ranked, RankPartition(tuple(strata))
+    return RankedContext(context, ranking), RankPartition(ranking.strata())
 
 
 def _least_stratum(strata, members):
@@ -198,12 +194,21 @@ def _least_stratum(strata, members):
 
 
 def context_preference(first, second):
-    """Pointwise rank comparison of two ranked contexts over one context."""
+    """Pointwise rank comparison of two ranked contexts over one context.
+
+    Every object ranks no higher in the first than in the second exactly
+    when, for each k, the objects of rank at most k in the second all have
+    rank at most k in the first. So the prefix unions of the strata are
+    compared, a ranking's union staying whole past its top rank.
+    """
     if first.context != second.context:
         raise StructureError("cannot compare rankings of different contexts")
-    a = first.ranking.ranks
-    b = second.ranking.ranks
-    return PreferenceComparison(
-        le=all(x <= y for x, y in zip(a, b)),
-        ge=all(x >= y for x, y in zip(a, b)),
-    )
+    le = ge = True
+    a = b = 0
+    pairs = zip_longest(first.ranking.strata(), second.ranking.strata(), fillvalue=0)
+    for x, y in pairs:
+        a |= x
+        b |= y
+        le = le and b & ~a == 0
+        ge = ge and a & ~b == 0
+    return PreferenceComparison(le=le, ge=ge)

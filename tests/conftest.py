@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import set_satisfies
 from dfca import (
     FormalContext,
     PreferentialContext,
@@ -13,7 +14,6 @@ from dfca import (
     StructureError,
 )
 from dfca import bitsets
-from dfca.context import closure_under, set_satisfies
 from dfca.formula import And, Atom, Conditional, Not, Or, extension
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"

@@ -11,7 +11,14 @@ import csv
 import io
 import itertools
 
-from dfca import FormalContext, KnowledgeBase, RankedContext, RankingFunction, bitsets
+from dfca import (
+    FormalContext,
+    KnowledgeBase,
+    PreferenceComparison,
+    RankedContext,
+    RankingFunction,
+    bitsets,
+)
 from dfca.errors import (
     BindingError,
     CapacityError,
@@ -240,7 +247,82 @@ def parse_csv_context(text, path=None):
         raise FileFormatError(str(exc), path) from exc
 
 
+# --- attribute implications -----------------------------------------------
+
+
+def set_satisfies(attribute_bits, implication):
+    """Does an attribute set respect A -> B (A not contained, or B contained)?"""
+    if not bitsets.is_subset(implication.premise, attribute_bits):
+        return True
+    return bitsets.is_subset(implication.conclusion, attribute_bits)
+
+
+def closure_under(implications, attribute_bits):
+    """Smallest superset of the attribute set closed under every implication."""
+    result = attribute_bits
+    changed = True
+    while changed:
+        changed = False
+        for impl in implications:
+            if bitsets.is_subset(impl.premise, result) and not bitsets.is_subset(
+                impl.conclusion, result
+            ):
+                result |= impl.conclusion
+                changed = True
+    return result
+
+
+def implication_follows(implications, implication):
+    """Does the implication hold in every attribute set satisfying the others?"""
+    closed = closure_under(implications, implication.premise)
+    return bitsets.is_subset(implication.conclusion, closed)
+
+
 # --- rankings and the CLI's rank table ---------------------------------------
+
+
+def object_ranks(context, kb):
+    """The rank list of ``object_rank``'s loop, settling one object at a time.
+
+    The loop rewritten over object and conditional indices, so that it
+    shares no code with ``_stratify`` beyond the bound extents. Each round gives the current rank to every remaining object violating
+    no active material form, then drops every active conditional whose
+    antecedent one of them meets; a round that drops none raises.
+    """
+    kb = kb if isinstance(kb, KnowledgeBase) else KnowledgeBase(kb)
+    mats, ants = _bound_extents(context, kb)
+    ranks = [None] * context.n_objects
+    remaining = list(range(context.n_objects))
+    active = list(range(len(kb)))
+    level = 0
+    while active:
+        settled = [i for i in remaining if all(mats[k] >> i & 1 for k in active)]
+        kept = [k for k in active if not any(ants[k] >> i & 1 for i in settled)]
+        if len(kept) == len(active):
+            raise ValidityError(
+                "no ranking of this context satisfies the conditional set: "
+                f"it stopped shrinking at rank {level}"
+            )
+        for i in settled:
+            ranks[i] = level
+        remaining = [i for i in remaining if ranks[i] is None]
+        active = kept
+        level += 1
+    for i in remaining:
+        ranks[i] = level
+    return ranks
+
+
+def context_preference(first, second):
+    """Pointwise rank comparison of two ranked contexts, one object at a time."""
+    if first.context != second.context:
+        raise StructureError("cannot compare rankings of different contexts")
+    a = first.ranking.ranks
+    b = second.ranking.ranks
+    return PreferenceComparison(
+        le=all(x <= y for x, y in zip(a, b)),
+        ge=all(x >= y for x, y in zip(a, b)),
+    )
 
 
 def antecedent_rank(ranked, antecedent):

@@ -3,14 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_closure, brute_follows, build_elements, build_weather
+from oracles import closure_under, implication_follows, set_satisfies
 from dfca import AttributeImplication, BindingError, FormalContext, StructureError
 from dfca import bitsets
-from dfca.context import (
-    closure_under,
-    implication_follows,
-    implication_holds,
-    set_satisfies,
-)
+from dfca.context import implication_holds
 
 
 @st.composite

@@ -19,7 +19,14 @@ from conftest import (
     random_ranked_context,
     random_ranking,
 )
-from dfca import FormalContext, KnowledgeBase, RankedContext, StrictOrder, bitsets
+from dfca import (
+    FormalContext,
+    KnowledgeBase,
+    RankedContext,
+    RankingFunction,
+    StrictOrder,
+    bitsets,
+)
 from dfca.cli import _rank_table
 from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
 from dfca.fileio import format_cxt, parse_csv_context, parse_cxt
@@ -45,7 +52,13 @@ from dfca.propositional import (
     derive_preferential_context,
     derive_ranked_context,
 )
-from dfca.ranking import RankPartition, _least_stratum, delta_valid, object_rank
+from dfca.ranking import (
+    RankPartition,
+    _least_stratum,
+    context_preference,
+    delta_valid,
+    object_rank,
+)
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -347,6 +360,73 @@ class TestRankings:
             oracles.stratum(ranking.ranks, k) for k in range(len(ranking.strata()))
         )
         assert sum(ranking.strata()) == bitsets.universe(n)
+
+    @given(seeds, st.integers(0, 40))
+    @example(0, 0)
+    def test_strata_built_ranking_matches_ranks_built(self, seed, n):
+        by_ranks = random_ranking(random.Random(seed), n)
+        by_strata = RankingFunction._from_strata(by_ranks.strata(), n)
+        assert by_strata.ranks == by_ranks.ranks
+        assert by_strata.strata() == by_ranks.strata()
+        assert by_strata.size == n
+        assert outcome(lambda r: r.max_rank, by_strata) == outcome(
+            lambda r: r.max_rank, by_ranks
+        )
+        for i in range(-1, n + 1):
+            assert outcome(by_strata.rank_of, i) == outcome(by_ranks.rank_of, i)
+        assert by_strata == by_ranks
+        assert hash(by_strata) == hash(by_ranks)
+        assert repr(by_strata) == repr(by_ranks)
+
+    @given(seeds, st.integers(1, 40))
+    def test_bad_strata_are_refused(self, seed, n):
+        """An empty stratum, two strata sharing a member, a member missing
+        or one past the size."""
+        rng = random.Random(seed)
+        strata = list(random_ranking(rng, n).strata())
+        k = rng.randrange(len(strata))
+        roll = rng.random()
+        if roll < 0.25:
+            strata.insert(rng.randrange(len(strata) + 1), 0)
+        elif roll < 0.5:
+            strata.append(strata[k] & -strata[k])
+        elif roll < 0.75:
+            strata[k] &= strata[k] - 1
+            strata = [stratum for stratum in strata if stratum]
+        else:
+            strata[k] |= 1 << n + rng.randrange(3)
+        with pytest.raises(StructureError):
+            RankingFunction._from_strata(strata, n)
+
+    @given(seeds)
+    @settings(max_examples=300)
+    def test_object_rank_matches_the_rank_list(self, seed):
+        """Up to 40 objects, so both member walks of the strata occur."""
+        rng = random.Random(seed)
+        context = random_context(rng, max_objects=40, max_attributes=4)
+        kb = [
+            random_conditional(rng, list(context.attributes))
+            for _ in range(rng.randint(0, 5))
+        ]
+        result = outcome(object_rank, context, kb)
+        expected = outcome(oracles.object_ranks, context, kb)
+        if expected[0] != "ok":
+            assert result == expected
+            return
+        ranked, partition = result[1]
+        assert ranked.ranking.ranks == tuple(expected[1])
+        assert ranked.ranking == RankingFunction(expected[1])
+        assert partition.strata is ranked.ranking.strata()
+
+    @given(seeds, st.integers(0, 30))
+    def test_context_preference_matches_pointwise_walk(self, seed, n):
+        """Random rankings, often of different heights, and a ranking with itself."""
+        rng = random.Random(seed)
+        context = FormalContext([f"g{i}" for i in range(n)], [], [0] * n)
+        first = RankedContext(context, random_ranking(rng, n))
+        second = RankedContext(context, random_ranking(rng, n))
+        for a, b in [(first, second), (second, first), (first, first)]:
+            assert context_preference(a, b) == oracles.context_preference(a, b)
 
     @given(seeds, st.integers(0, 40))
     def test_order_from_ranks_matches_pairwise_build(self, seed, n):
@@ -805,7 +885,7 @@ class TestLeastStratum:
             ranked, partition = object_rank(context, kb)
         except ValidityError:
             return
-        assert partition.strata == ranked.ranking.strata()
+        assert partition.strata is ranked.ranking.strata()
         oracles.closing_check(ranked, KnowledgeBase(kb))
 
 

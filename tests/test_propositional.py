@@ -300,15 +300,17 @@ class TestInterpretations:
         )
         assert model.state_bits(formula) == expected
 
-    def test_valuations_are_fresh_bool_dicts(self):
-        """Mutating a returned valuation, or the caller's, changes nothing."""
+    def test_valuations_are_read_only_bool_maps(self):
+        """A returned valuation refuses writes; mutating the caller's changes nothing."""
         given = ({"p": True}, {"p": 0})
         model = RankedInterpretation(("p",), ("a", "b"), given, (0, 1))
-        model.valuations[1]["p"] = True
+        with pytest.raises(TypeError):
+            model.valuations[1]["p"] = True
         given[1]["p"] = 1
         assert model.state_bits(Atom("p")) == 0b01
         assert model.valuations == ({"p": True}, {"p": False})
         assert type(model.valuations[1]["p"]) is bool
+        assert model.valuations is model.valuations
 
     def test_state_bits_binds_without_states(self):
         """An undeclared atom is refused even when no state could be read."""
