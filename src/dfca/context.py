@@ -26,8 +26,8 @@ class FormalContext:
     def __init__(self, objects, attributes, incidence):
         objects = tuple(objects)
         attributes = tuple(attributes)
-        oindex = _name_index(objects, "object")
-        aindex = _name_index(attributes, "attribute")
+        _check_names(objects, "object")
+        _check_names(attributes, "attribute")
         rows = tuple(incidence)
         if len(rows) != len(objects):
             raise StructureError(
@@ -48,8 +48,8 @@ class FormalContext:
         self._attributes = attributes
         self._rows = rows
         self._cols = bitsets._transpose(rows, len(attributes))
-        self._oindex = oindex
-        self._aindex = aindex
+        self._oindex = None
+        self._aindex = None
 
     @classmethod
     def _from_columns(cls, objects, attributes, cols):
@@ -63,9 +63,11 @@ class FormalContext:
         from the columns only when first asked for, since extensions need
         only the columns.
         """
+        _check_names(objects, "object")
+        _check_names(attributes, "attribute")
         context = cls.__new__(cls)
-        context._oindex = _name_index(objects, "object")
-        context._aindex = _name_index(attributes, "attribute")
+        context._oindex = None
+        context._aindex = None
         context._objects = objects
         context._attributes = attributes
         context._rows = None
@@ -113,12 +115,16 @@ class FormalContext:
         return bitsets.universe(len(self._attributes))
 
     def object_index(self, name):
+        if self._oindex is None:
+            self._oindex = dict(zip(self._objects, range(len(self._objects))))
         try:
             return self._oindex[name]
         except KeyError:
             raise BindingError(f"unknown object {name!r}") from None
 
     def attribute_index(self, name):
+        if self._aindex is None:
+            self._aindex = dict(zip(self._attributes, range(len(self._attributes))))
         try:
             return self._aindex[name]
         except KeyError:
@@ -207,24 +213,24 @@ class FormalContext:
         )
 
 
-def _name_index(names, what):
-    """Position of each name; a repeated name is a StructureError.
+def _check_names(names, what):
+    """Raise a StructureError for the first repeated name.
 
-    One C-level ``dict`` build answers the common case. Only when it comes
+    One C-level ``set`` build answers the common case. Only when it comes
     out short (a repeat) or fails (an unhashable name) are the names walked
     in order, so the error names the first repeat as a per-name check would.
+    The name-to-index dicts are built on the first lookup.
     """
     try:
-        index = dict(zip(names, range(len(names))))
+        if len(set(names)) == len(names):
+            return
     except TypeError:
-        index = {}
-    if len(index) < len(names):
-        index = {}
-        for i, name in enumerate(names):
-            if name in index:
-                raise StructureError(f"duplicate {what} name {name!r}")
-            index[name] = i
-    return index
+        pass
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise StructureError(f"duplicate {what} name {name!r}")
+        seen.add(name)
 
 
 @dataclass(frozen=True)

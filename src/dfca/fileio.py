@@ -7,9 +7,14 @@ Context formats:
   line, one attribute name per line, and one row of ``X``/``.`` cells per
   object. Names are taken verbatim (UTF-8, spaces allowed, no trimming);
   the loader tolerates CRLF, the writer emits LF with a final newline.
-  The loader checks the name and row blocks in bulk (line count, empty
-  names, row lengths, illegal cells) and, only when a check fails, walks
-  the lines in order to report the first fault and its line number.
+  The loader splits lines only in the header and the name block and
+  keeps the rows as one block, which a fixed number of C-level passes
+  check (ASCII, its length, nothing but ``n`` line breaks besides the
+  ``X``/``.`` cells, a line break after every ``m`` cells), map to binary
+  digits and cut into columns, one reversed strided slice each. Only
+  when a check fails is the text walked line by line, which reports the
+  first fault and its line number (or parses the rare well-formed file
+  the checks refuse).
 * ``.csv``: first row is the attribute names (the leading cell is
   ignored), the first column the object names, cells ``1``/``x``/``X``
   for incident and ``0``/empty for not, surrounding whitespace ignored.
@@ -38,10 +43,76 @@ from .order import RankingFunction, StrictOrder
 # order; mapping them to binary digits, and back, reads and writes the
 # cells in one C-level pass
 _DROP_CELLS = str.maketrans("", "", "X.")
-_CELL_DIGITS = str.maketrans("X.", "10")
+_CELL_DIGITS = bytes.maketrans(b"X.", b"10")
 _DIGIT_CELLS = str.maketrans("10", "X.")
 # .csv incidence cells, stripped, and their binary digits
 _CSV_DIGITS = {"1": "1", "x": "1", "X": "1", "0": "0", "": "0"}
+
+
+def _columns(digits, n, m, stride):
+    """The m columns of n rows of binary digits, one row every ``stride`` digits.
+
+    Column j of the last row sits at ``(n - 1) * stride + j``; slicing back
+    from there in steps of ``stride`` reads column j from the last row to
+    the first, a binary numeral with row i at bit i.
+    """
+    if not n:
+        return (0,) * m
+    last = (n - 1) * stride
+    return tuple(int(digits[last + j::-stride], 2) for j in range(m))
+
+
+def parse_cxt(text, path=None):
+    """Parse Burmeister context text."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    parts = _split_cxt(text)
+    if parts is None:
+        parts = _walk_cxt(text, path)
+    try:
+        return FormalContext._from_columns(*parts)
+    except StructureError as exc:
+        raise FileFormatError(str(exc), path) from exc
+
+
+def _split_cxt(text):
+    """Names and columns of well-formed ``.cxt`` text, or None.
+
+    Lines are split only up to the end of the names; the rows stay one
+    block, checked in bulk: ASCII, ``n * (m + 1)`` characters once a
+    missing final line break is added, nothing but ``n`` line breaks left
+    when the cells are deleted, and every ``(m + 1)``-th character from
+    ``m`` on a line break. Text failing any check may still be
+    well-formed (no objects and no final line break after the names), so
+    None sends it to the line walk, which parses it or reports its first
+    fault.
+    """
+    head = text.split("\n", 5)
+    if len(head) < 6 or head[0] != "B" or head[1] != "" or head[4] != "":
+        return None
+    try:
+        n, m = int(head[2]), int(head[3])
+    except ValueError:
+        return None
+    # each name takes at least one line break, so larger counts cannot fit
+    if n < 0 or m < 0 or n + m > len(head[5]):
+        return None
+    *names, block = head[5].split("\n", n + m)
+    if block and block[-1] != "\n":
+        block += "\n"
+    if (
+        len(names) != n + m
+        or "" in names
+        or not block.isascii()
+        or len(block) != n * (m + 1)
+    ):
+        return None
+    raw = block.encode("ascii")
+    breaks = b"\n" * n
+    if raw.translate(None, b"X.") != breaks or raw[m::m + 1] != breaks:
+        return None
+    digits = raw.translate(_CELL_DIGITS)
+    return tuple(names[:n]), tuple(names[n:]), _columns(digits, n, m, m + 1)
 
 
 def _cxt_line(lines, index, description, path):
@@ -50,10 +121,14 @@ def _cxt_line(lines, index, description, path):
     return lines[index]
 
 
-def parse_cxt(text, path=None):
-    """Parse Burmeister context text."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
+def _walk_cxt(text, path):
+    """Names and columns of ``.cxt`` text, read one line at a time.
+
+    ``parse_cxt`` calls this only when a bulk check failed. It raises for
+    the first fault along the lines: a bad header or count, an early end
+    of the file, an empty name, a row of the wrong length or with an
+    illegal cell, or content after the rows.
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -76,55 +151,22 @@ def parse_cxt(text, path=None):
     n, m = counts
     if _cxt_line(lines, 4, "the blank line after the counts", path) != "":
         raise FileFormatError("expected a blank line after the counts", path, 5)
-    row_start = 5 + n + m
-    objects = tuple(lines[5:5 + n])
-    attributes = tuple(lines[5 + n:row_start])
-    rows = lines[row_start:row_start + n]
-    cells = "".join(rows)
-    if (
-        len(lines) != row_start + n
-        or "" in objects
-        or "" in attributes
-        or not set(map(len, rows)) <= {m}
-        or cells.translate(_DROP_CELLS)
-    ):
-        _locate_cxt_fault(lines, n, m, path)
-    # every m-th digit from j on is column j with row 0 first; reversed,
-    # it reads as a binary numeral with row i at bit i
-    digits = cells.translate(_CELL_DIGITS)
-    cols = tuple(int(digits[j::m][::-1], 2) if n else 0 for j in range(m))
-    try:
-        return FormalContext._from_columns(objects, attributes, cols)
-    except StructureError as exc:
-        raise FileFormatError(str(exc), path) from exc
 
-
-def _locate_cxt_fault(lines, n_objects, n_attributes, path):
-    """Raise for the first faulty line of the name and row blocks.
-
-    ``parse_cxt`` checks the blocks in bulk and calls this only when a
-    check failed, so a fault is there: an early end of the file, an empty
-    name, a row of the wrong length or with an illegal cell, or content
-    after the rows, named in that order along the lines.
-    """
     def read_names(start, count, what):
         for k in range(count):
             name = _cxt_line(lines, start + k, f"{what} name {k + 1} of {count}", path)
             if name == "":
                 raise FileFormatError(f"empty {what} name", path, start + k + 1)
+        return tuple(lines[start:start + count])
 
-    read_names(5, n_objects, "object")
-    read_names(5 + n_objects, n_attributes, "attribute")
-    row_start = 5 + n_objects + n_attributes
-    for k in range(n_objects):
-        line = _cxt_line(
-            lines, row_start + k, f"incidence row {k + 1} of {n_objects}", path
-        )
-        if len(line) != n_attributes:
+    objects = read_names(5, n, "object")
+    attributes = read_names(5 + n, m, "attribute")
+    row_start = 5 + n + m
+    for k in range(n):
+        line = _cxt_line(lines, row_start + k, f"incidence row {k + 1} of {n}", path)
+        if len(line) != m:
             raise FileFormatError(
-                f"row has {len(line)} cells, expected {n_attributes}",
-                path,
-                row_start + k + 1,
+                f"row has {len(line)} cells, expected {m}", path, row_start + k + 1
             )
         illegal = line.translate(_DROP_CELLS)
         if illegal:
@@ -133,11 +175,12 @@ def _locate_cxt_fault(lines, n_objects, n_attributes, path):
                 path,
                 row_start + k + 1,
             )
-    raise FileFormatError(
-        "unexpected content after the incidence rows",
-        path,
-        row_start + n_objects + 1,
-    )
+    if len(lines) > row_start + n:
+        raise FileFormatError(
+            "unexpected content after the incidence rows", path, row_start + n + 1
+        )
+    digits = "".join(lines[row_start:]).encode("ascii").translate(_CELL_DIGITS)
+    return objects, attributes, _columns(digits, n, m, m)
 
 
 def format_cxt(context):
@@ -191,10 +234,10 @@ def parse_csv_context(text, path=None):
     digit = {cell: _CSV_DIGITS.get(cell.strip(), "?") for cell in set(fields)}
     if "" in objects or "?" in digit.values():
         _locate_csv_fault(table, path)
-    # digits run row by row, so every m-th one from j on is column j
+    # digits run row by row, m to a row
     digits = "".join(map(digit.__getitem__, fields))
     m = len(attributes)
-    cols = tuple(int(digits[j::m][::-1], 2) if objects else 0 for j in range(m))
+    cols = _columns(digits, len(objects), m, m)
     try:
         return FormalContext._from_columns(objects, attributes, cols)
     except StructureError as exc:

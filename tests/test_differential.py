@@ -605,11 +605,39 @@ class TestCxtFiles:
             "B\r\n\r\n1\r\n1\r\n\r\ng\r\nm\r\nX\r",  # a stray CR in a row
             "B\n\n2\n1\n\ng\ng\nm\n.\nX\n",  # duplicate object names
             "B\n\n99999999999\n1\n\ng\n",  # a count far past the file
+            "B\n\n2\n0\n\ng\nh\n\n",  # no attributes and no final newline: a row short
+            "B\n\n1\n0\n\ng\n",  # no attributes, the only row missing
+            "B\n\n2\n2\n\ng\nh\na\nb\nX.\n×.\n",  # a non-ASCII cell
+            "B\n\n2\n2\n\ng\nh\na\nb\nX.\n\nX\n",  # a line break inside the rows' span
+            "B\n\n2\n2\n\ng\nh\na\nb\nX.\nX.X\n",  # rows run into each other
+            "B\n\n2\n2\n\ng\nh\na\nb\nX.\n.X\r",  # a stray CR in the last row
         ],
     )
     def test_fault_order_matches_line_walk(self, text):
         assert parse_outcome(parse_cxt, text) == parse_outcome(oracles.parse_cxt, text)
         assert parse_outcome(parse_cxt, text)[0] != "ok"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "B\n\n2\n2\n\ng\nh\na\nb\nX.\n.X",  # no final newline
+            "B\r\n\r\n2\r\n2\r\n\r\ng\r\nh\r\na\r\nb\r\nX.\r\n.X\r\n",  # CRLF
+            "B\n\n2\n0\n\ng\nh\n\n\n",  # no attributes
+            "B\n\n0\n2\n\na\nb\n",  # no objects
+            "B\n\n0\n2\n\na\nb",  # no objects, no final newline
+            "B\n\n0\n0\n\n",
+            "B\n\n2\n1\n\nKöln\n北京\ngrößer\nX\n.\n",  # non-ASCII names
+        ],
+    )
+    def test_edges_of_the_format_match_line_walk(self, text):
+        assert parse_outcome(parse_cxt, text) == parse_outcome(oracles.parse_cxt, text)
+        assert parse_outcome(parse_cxt, text)[0] == "ok"
+
+    def test_a_repeated_object_name_reports_the_first_repeat(self):
+        text = "B\n\n4\n1\n\ng\nh\nh\ng\nm\nX\n.\nX\n.\n"
+        outcome = parse_outcome(parse_cxt, text)
+        assert outcome == parse_outcome(oracles.parse_cxt, text)
+        assert outcome == ("t.cxt: duplicate object name 'h'", None)
 
     @given(seeds, st.integers(0, 2100), st.integers(0, 70))
     @settings(max_examples=40, deadline=None)
