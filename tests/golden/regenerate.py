@@ -2,10 +2,14 @@
 
 Run from anywhere: ``python tests/golden/regenerate.py``. It imports
 ``dfca`` from this checkout's ``src``, rewrites the inputs under
-``tests/golden/inputs`` (a conditional file for each context in ``data/``
-and ``tests/data/corpus``, and a set of malformed context files), runs
-every command in-process from the repository root, and writes each
-argv with its exit code, stdout and stderr to ``tests/golden/manifest.json``.
+``tests/golden/inputs`` (a conditional file and a probe file for each
+context in ``data/`` and ``tests/data/corpus``, statement files at the
+edges of the formula language, and a set of malformed context files),
+runs every command from the repository root, and writes each argv with
+its exit code, stdout and stderr to ``tests/golden/manifest.json``.
+Commands run in-process, except the few whose argv starts with
+``python -m dfca``, which run the package's entry point in a child
+process.
 
 The transcripts pin what the CLI answers. A regenerated entry that
 differs is a change in behaviour, to be listed in CHANGES.md with its
@@ -16,6 +20,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +28,8 @@ GOLDEN = Path(__file__).resolve().parent
 ROOT = GOLDEN.parent.parent
 INPUTS = GOLDEN / "inputs"
 MANIFEST = GOLDEN / "manifest.json"
+# an argv starting with this runs the entry point in a child process
+MODULE = ["python", "-m", "dfca"]
 
 # context files with a fault, or at an edge of the format, as raw bytes
 MALFORMED = {
@@ -67,11 +74,66 @@ def quote(name):
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# statement files at the edges of the formula language, keyed by file name:
+# doubled negations, an attribute or atom named TOP (a plain name in the
+# context language, a constant in the propositional one unless quoted),
+# classical statements and assertions, antecedents nothing satisfies, and
+# bases with statements no finite rank accepts
+STATEMENTS = {
+    "friends_edges.kb": "\n".join([
+        "# doubled and tripled negations",
+        '!!"fw. alice" |~ "fw. bob"',
+        '"fw. david" |~ "fw. charlie" | "fw. eva"',
+        '!!!"fw. frank" |~ !!("fw. bob" | !"fw. bob")',
+    ]),
+    # no object satisfies the antecedent, so no ranking can witness it
+    "friends_impossible.kb": '"fw. eva" & !"fw. eva" |~ "fw. frank"',
+    "friends_edges.probes": "\n".join([
+        '"fw. alice" |~ "fw. bob"',
+        '!!"fw. alice" |~ !"fw. frank"',
+        '"fw. eva" & !"fw. eva" |~ "fw. frank"',
+        '"fw. david" |~ "fw. charlie"',
+        '"fw. frank" |~ "fw. frank"',
+    ]),
+    "friends_invalid.kb": '"fw. alice" |~ "fw. bob"\n"fw. alice" |~ !"fw. bob"',
+    # a classical statement, which neither a ranking nor a probe accepts
+    "friends_classical.kb": '"fw. alice" |~ "fw. bob"\n"fw. charlie" -> !!"fw. charlie"',
+    "top.cxt": "B\n\n3\n2\n\ng\nh\nk\nTOP\nBOT\nX.\nXX\n..",
+    "top.kb": '"TOP" |~ BOT\nTOP & !BOT |~ !!TOP',
+    "birds.kb": "\n".join([
+        "# a doubled negation, an atom named TOP, assertions",
+        "bird |~ flies",
+        "penguin |~ bird",
+        "penguin |~ !!!flies",
+        '"TOP" |~ bird',
+        "penguin -> bird",
+        "!(robin & penguin)",
+        "TOP",
+    ]),
+    "contradiction.kb": "\n".join([
+        "# a |~ b and a |~ !b leave a exceptional at every finite rank",
+        "a |~ b",
+        "a |~ !b",
+        "c |~ a",
+        "d |~ e",
+    ]),
+    "bad_syntax.kb": "bird |~ flies\nbird |~ (flies",
+}
+
+
 def kb_lines(context):
     """Objects with the first attribute normally have the last; none without any."""
     if not context.attributes:
         return ["# no attributes"]
     return [f"{quote(context.attributes[0])} |~ {quote(context.attributes[-1])}"]
+
+
+def probe_lines(context):
+    """Defeasible queries over the first and last attributes, both ways round."""
+    if not context.attributes:
+        return ["# no attributes"]
+    first, last = quote(context.attributes[0]), quote(context.attributes[-1])
+    return [f"{first} |~ {last}", f"{last} |~ !{first}", f"{first} | {last} |~ {last}"]
 
 
 def every_object(context):
@@ -86,6 +148,113 @@ def relative(path):
     return path.relative_to(ROOT).as_posix()
 
 
+def edge_commands(empty_kb):
+    """Statement files at the edges of the language, faults, and the entry point."""
+    for name, text in STATEMENTS.items():
+        (INPUTS / name).write_text(text + "\n", encoding="utf-8")
+    friends = relative(ROOT / "data" / "friends.cxt")
+    friends_kb = relative(ROOT / "data" / "friends.kb")
+    penguin = relative(ROOT / "data" / "penguin.kb")
+    empty = relative(empty_kb)
+    edges, invalid, classical, top, top_kb, birds, contradiction, bad_syntax = (
+        relative(INPUTS / name)
+        for name in (
+            "friends_edges.kb",
+            "friends_invalid.kb",
+            "friends_classical.kb",
+            "top.cxt",
+            "top.kb",
+            "birds.kb",
+            "contradiction.kb",
+            "bad_syntax.kb",
+        )
+    )
+    argvs = []
+    for flags in ([], ["--json"]):
+        argvs += [
+            ["rank", *flags, friends, edges],
+            ["validate", *flags, friends, edges],
+            ["entail", *flags, friends, edges, '!!"fw. alice" |~ "fw. bob"'],
+            ["entail", *flags, friends, edges, '"fw. eva" & !"fw. eva" |~ "fw. frank"'],
+            ["extension", *flags, friends, '!!"fw. alice" & !("fw. bob" | "fw. eva")'],
+            ["holds", *flags, friends, '"fw. charlie" -> !!"fw. charlie"'],
+            ["holds", *flags, friends, '"fw. eva" & !"fw. eva" -> BOT'],
+            [
+                "diff", *flags, friends, empty, edges,
+                "--probe", relative(INPUTS / "friends_edges.probes"),
+            ],
+            [
+                "diff", *flags, friends, friends_kb,
+                relative(ROOT / "data" / "friends_extended.kb"),
+                "--probe", relative(ROOT / "data" / "friends.probes"),
+            ],
+            ["validate", *flags, friends, invalid],
+            ["validate", *flags, friends, relative(INPUTS / "friends_impossible.kb")],
+            ["validate", "--exhaustive", *flags, friends, invalid],
+            ["rank", *flags, friends, invalid],
+            ["entail", *flags, friends, invalid, '"fw. alice" |~ "fw. bob"'],
+            ["extension", *flags, top, 'TOP & !"BOT"'],
+            ["rank", *flags, top, top_kb],
+            ["entail", *flags, top, top_kb, '"TOP" |~ !!BOT'],
+            ["baserank", *flags, penguin],
+            ["baserank", *flags, birds],
+            ["baserank", *flags, contradiction],
+            ["baserank", *flags, empty],
+            ["rcprop", *flags, penguin, "penguin |~ !flies"],
+            ["rcprop", *flags, penguin, "bird |~ flies"],
+            ["rcprop", *flags, penguin, "penguin |~ flies"],
+            ["rcprop", *flags, birds, '"TOP" |~ flies'],
+            ["rcprop", *flags, birds, "TOP |~ !!bird | !bird"],
+            ["rcprop", *flags, birds, "robin & penguin |~ flies"],
+            ["rcprop", *flags, birds, "BOT |~ flies"],
+            ["rcprop", *flags, contradiction, "a |~ b"],
+            ["rcprop", *flags, contradiction, "d |~ e"],
+            ["rcprop", *flags, contradiction, "d |~ !c"],
+        ]
+    # usage errors, faults in the input, and a command given the wrong kind
+    # of statement
+    argvs += [
+        [],
+        ["frobnicate"],
+        ["extension", friends],
+        ["extension", "--json"],
+        ["rank", "--bogus", friends, friends_kb],
+        ["diff", friends, friends_kb, friends_kb],
+        ["validate", "--json", "--exhaustive"],
+        ["extension", friends, '"fw. zed"'],
+        ["extension", "--json", friends, '"fw. alice" &'],
+        ["extension", "data/missing.cxt", "a"],
+        ["extension", friends_kb, "a"],
+        ["holds", friends, '"fw. alice" |~ "fw. bob"'],
+        ["entail", friends, friends_kb, '"fw. alice" -> "fw. bob"'],
+        ["entail", friends, friends_kb, '"fw. alice" |~ "fw. zed"'],
+        ["rcprop", penguin, "penguin"],
+        ["rcprop", "--json", penguin, "penguin |~"],
+        ["diff", friends, friends_kb, friends_kb, "--probe", classical],
+        ["rank", friends, classical],
+        ["rank", friends, bad_syntax],
+        ["baserank", bad_syntax],
+        ["baserank", "data/missing.kb"],
+    ]
+    # the entry point, in a child process
+    argvs += [
+        [*MODULE, "extension", friends, '"fw. alice"'],
+        [*MODULE, "rank", "--json", friends, friends_kb],
+        [*MODULE, "holds", friends, '"fw. alice" -> "fw. bob"'],
+        [*MODULE, "rcprop", penguin, "penguin |~ !flies"],
+        [*MODULE, "entail", friends, invalid, '"fw. alice" |~ "fw. bob"'],
+        [*MODULE],
+    ]
+    return argvs
+
+
+def first_last(context):
+    """Quoted names of the first and last attributes, or an unknown name twice."""
+    if not context.attributes:
+        return "TOP", "TOP"
+    return quote(context.attributes[0]), quote(context.attributes[-1])
+
+
 def commands():
     """Every argv of the manifest, in order, writing each context's conditional file."""
     from dfca import load_context
@@ -96,34 +265,81 @@ def commands():
     corpus = ROOT / "tests" / "data" / "corpus"
     contexts += sorted(corpus.glob("*.cxt")) + sorted(corpus.glob("*.csv"))
     argvs = []
+    # ranked by no conditionals, a context prints every object and its row
+    empty_kb = INPUTS / "empty.kb"
+    empty_kb.write_text("# no conditionals\n", encoding="utf-8")
     for path in contexts:
         context = load_context(path)
         kb = INPUTS / f"{path.parent.name}_{path.stem}.kb"
         kb.write_text("\n".join(kb_lines(context)) + "\n", encoding="utf-8")
+        probes = INPUTS / f"{path.parent.name}_{path.stem}.probes"
+        probes.write_text("\n".join(probe_lines(context)) + "\n", encoding="utf-8")
         kbs = [kb]
         if path.name == "friends.cxt":
             kbs += [ROOT / "data" / "friends.kb", ROOT / "data" / "friends_extended.kb"]
+        first, last = first_last(context)
         for flags in ([], ["--json"]):
             argvs.append(["extension", *flags, relative(path), every_object(context)])
             for kb in kbs:
                 argvs.append(["rank", *flags, relative(path), relative(kb)])
                 argvs.append(["validate", *flags, relative(path), relative(kb)])
-    # ranked by no conditionals, a context prints every object and its row
-    empty_kb = INPUTS / "empty.kb"
-    empty_kb.write_text("# no conditionals\n", encoding="utf-8")
+            argvs.append(["holds", *flags, relative(path), f"{first} -> {last}"])
+            argvs.append(["entail", *flags, relative(path), relative(kbs[0]), f"{first} |~ {last}"])
+            argvs.append([
+                "diff", *flags, relative(path), relative(empty_kb), relative(kbs[-1]),
+                "--probe", relative(probes),
+            ])
+    argvs += edge_commands(empty_kb)
     for name in MALFORMED:
         for flags in ([], ["--json"]):
             argvs.append(["rank", *flags, relative(INPUTS / name), relative(empty_kb)])
+        # a context that loads answers from the columns of a and b alone
+        argvs.append(["extension", relative(INPUTS / name), "a & !b"])
     return argvs
 
 
 def replay(argv):
-    """Run one invocation in-process: its exit code, stdout and stderr."""
+    """Run one invocation: its exit code, stdout and stderr.
+
+    An argv starting with ``python -m dfca`` runs the entry point in a
+    child process with this checkout's ``src`` first on its path; any other
+    runs ``dfca.cli.main`` in-process. Usage text is wrapped at 80 columns
+    either way, whatever the terminal.
+    """
+    if argv[:3] == MODULE:
+        path = [str(ROOT / "src")] + list(filter(None, [os.environ.get("PYTHONPATH")]))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(path),
+            PYTHONIOENCODING="utf-8",
+            COLUMNS="80",
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "dfca", *argv[3:]],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            encoding="utf-8",
+        )
+        return {
+            "argv": argv,
+            "exit": done.returncode,
+            "stdout": done.stdout,
+            "stderr": done.stderr,
+        }
     from dfca.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
