@@ -12,7 +12,10 @@ members picked out of its binary digits by ``itertools.compress`` in one
 C-level pass, about 30 ns per bit. A sparser set is walked with
 ``str.rfind`` from member to member, about 0.3 µs per member, so its
 walk costs Python time only per member. Either way a walk costs
-O(universe + members) with a small constant.
+O(universe + members) with a small constant. To pick the items of a
+sequence (names, rows) at a set's members, ``select`` runs the same
+C-level ``compress`` over the sequence itself, so no index is ever
+produced in Python.
 """
 
 from itertools import compress, count
@@ -55,10 +58,7 @@ def iter_indices(bits):
     if bits < 0:
         raise StructureError("bitsets must be non-negative ints")
     if bits.bit_count() * _DENSE >= bits.bit_length():
-        # digits least significant first, so digit i is bit i
-        yield from compress(
-            count(), bin(bits)[:1:-1].encode("ascii").translate(_SELECTORS)
-        )
+        yield from select(count(), bits)
         return
     digits = bin(bits)
     # bit 0 is the last digit; digits[:2] is the "0b" prefix
@@ -67,6 +67,17 @@ def iter_indices(bits):
     while pos >= 0:
         yield top - pos
         pos = digits.rfind("1", 2, pos)
+
+
+def select(items, bits):
+    """The items at the member indices of a non-negative set, in order.
+
+    One ``itertools.compress`` over the set's binary digits, least
+    significant first, as 0/1 selectors: a C-level pass of about 30 ns per
+    bit of the set's length, whatever its density. Items past the highest
+    member are never read.
+    """
+    return compress(items, bin(bits)[:1:-1].encode("ascii").translate(_SELECTORS))
 
 
 def _transpose(rows, width):

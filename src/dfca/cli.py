@@ -372,12 +372,45 @@ def run(argv):
     except (ValidityError, CapacityError) as exc:
         return CliResult(3, f"error: {exc}")
     if args.json:
-        return CliResult(
-            result.exit_code,
-            json.dumps(result.data, ensure_ascii=False, indent=2),
-            result.data,
-        )
+        return CliResult(result.exit_code, _dump_json(result.data), result.data)
     return result
+
+
+_encode_string = json.encoder.encode_basestring
+
+
+def _dump_json(value, indent="\n"):
+    """``json.dumps(value, ensure_ascii=False, indent=2)``, byte for byte.
+
+    With an indent the ``json`` module walks every item in Python. Here a
+    list of strings, such as a command's object names, is escaped and
+    joined at C level, one ``encode_basestring`` per item; dicts (with
+    string keys, as every command's are) and other lists recurse, and
+    other scalars go through ``json.dumps``. ``indent`` is the line break
+    and the indentation that open a line at this depth.
+    """
+    if isinstance(value, str):
+        return _encode_string(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        opening, closing = "{", "}"
+        items = [
+            _encode_string(key) + ": " + _dump_json(item, inner)
+            for key, item in value.items()
+        ]
+    elif isinstance(value, list):
+        if not value:
+            return "[]"
+        opening, closing = "[", "]"
+        try:
+            items = list(map(_encode_string, value))
+        except TypeError:
+            items = [_dump_json(item, inner) for item in value]
+    else:
+        return json.dumps(value)
+    return opening + inner + ("," + inner).join(items) + indent + closing
 
 
 def main(argv=None):

@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from . import bitsets
 from .errors import BindingError, StructureError
 
+# incidence cells to binary digits: .cxt's X and . become 1 and 0, and
+# .csv's digits stay as they are
+_CELL_DIGITS = bytes.maketrans(b"X.", b"10")
+
 
 class FormalContext:
     """An immutable object/attribute incidence table.
@@ -21,7 +25,17 @@ class FormalContext:
     and together they form a Galois connection.
     """
 
-    __slots__ = ("_objects", "_attributes", "_rows", "_cols", "_oindex", "_aindex")
+    __slots__ = (
+        "_objects",
+        "_attributes",
+        "_rows",
+        "_cols",
+        "_cells",
+        "_stride",
+        "_uncut",
+        "_oindex",
+        "_aindex",
+    )
 
     def __init__(self, objects, attributes, incidence):
         objects = tuple(objects)
@@ -48,6 +62,7 @@ class FormalContext:
         self._attributes = attributes
         self._rows = rows
         self._cols = bitsets._transpose(rows, len(attributes))
+        self._cells = None
         self._oindex = None
         self._aindex = None
 
@@ -55,13 +70,12 @@ class FormalContext:
     def _from_columns(cls, objects, attributes, cols):
         """A context from name tuples and one in-range column per attribute.
 
-        Package-internal: the ``.cxt`` parser cuts the columns out of the
-        cell text it has checked, a propositional interpretation builds
-        one column per atom from its valuations, and a derived context
-        takes its interpretation's columns under new object names. The
-        names are still checked for duplicates; the rows are transposed
-        from the columns only when first asked for, since extensions need
-        only the columns.
+        Package-internal: a propositional interpretation builds one column
+        per atom from its valuations, and a derived context takes its
+        interpretation's columns under new object names. The names are
+        still checked for duplicates; the rows are transposed from the
+        columns only when first asked for, since extensions need only the
+        columns.
         """
         _check_names(objects, "object")
         _check_names(attributes, "attribute")
@@ -72,6 +86,27 @@ class FormalContext:
         context._attributes = attributes
         context._rows = None
         context._cols = cols
+        context._cells = None
+        return context
+
+    @classmethod
+    def _from_cells(cls, objects, attributes, cells, stride):
+        """A context over a checked block of cells, cut into columns on first read.
+
+        Package-internal: the ``.cxt`` and ``.csv`` parsers hand over the
+        cells they have checked as one bytes block, row i's ``m`` cells
+        (``X``/``.`` or ``1``/``0``) starting at ``i * stride``. Column j is
+        cut the first time it is read (``_cut``) and kept; the block is
+        dropped once every column has been cut. The names are checked for
+        duplicates here; nothing else can fail later.
+        """
+        m = len(attributes)
+        if not objects or not m:
+            return cls._from_columns(objects, attributes, (0,) * m)
+        context = cls._from_columns(objects, attributes, [None] * m)
+        context._cells = cells
+        context._stride = stride
+        context._uncut = m
         return context
 
     @classmethod
@@ -145,12 +180,12 @@ class FormalContext:
     def object_names(self, bits):
         """Names of the member objects, in declaration order."""
         self._check_objects(bits)
-        return tuple(map(self._objects.__getitem__, bitsets.iter_indices(bits)))
+        return tuple(bitsets.select(self._objects, bits))
 
     def attribute_names(self, bits):
         """Names of the member attributes, in declaration order."""
         self._check_attributes(bits)
-        return tuple(map(self._attributes.__getitem__, bitsets.iter_indices(bits)))
+        return tuple(bitsets.select(self._attributes, bits))
 
     def row(self, i):
         """Attributes of object i, as a bitset."""
@@ -162,7 +197,8 @@ class FormalContext:
         """Objects having attribute j, as a bitset."""
         if not 0 <= j < len(self._attributes):
             raise StructureError(f"attribute index {j} out of range")
-        return self._cols[j]
+        col = self._cols[j]
+        return self._cut(j) if col is None else col
 
     def intent(self, object_bits):
         """Attributes common to every object in the set (all of M for the empty set)."""
@@ -178,12 +214,35 @@ class FormalContext:
         self._check_attributes(attribute_bits)
         result = self.object_universe
         for j in bitsets.iter_indices(attribute_bits):
-            result &= self._cols[j]
+            result &= self.column(j)
         return result
+
+    def _cut(self, j):
+        """Cut column j out of the cell block and keep it.
+
+        Column j of the last row sits at ``(n - 1) * stride + j``; slicing
+        back from there in steps of ``stride`` reads the column from the
+        last row to the first, which as binary digits puts row i at bit i.
+        """
+        stride = self._stride
+        cells = self._cells[(len(self._objects) - 1) * stride + j::-stride]
+        col = self._cols[j] = int(cells.translate(_CELL_DIGITS), 2)
+        self._uncut -= 1
+        if not self._uncut:
+            self._cols = tuple(self._cols)
+            self._cells = None
+        return col
+
+    def _columns(self):
+        """Every column, as a tuple, cutting those not read yet."""
+        if self._cells is not None:
+            self._cols = tuple(map(self.column, range(len(self._attributes))))
+            self._cells = None
+        return self._cols
 
     def _row_bits(self):
         if self._rows is None:
-            self._rows = bitsets._transpose(self._cols, len(self._objects))
+            self._rows = bitsets._transpose(self._columns(), len(self._objects))
         return self._rows
 
     def _check_objects(self, bits):
@@ -200,11 +259,11 @@ class FormalContext:
         return (
             self._objects == other._objects
             and self._attributes == other._attributes
-            and self._cols == other._cols
+            and self._columns() == other._columns()
         )
 
     def __hash__(self):
-        return hash((self._objects, self._attributes, self._cols))
+        return hash((self._objects, self._attributes, self._columns()))
 
     def __repr__(self):
         return (

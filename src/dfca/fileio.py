@@ -10,17 +10,23 @@ Context formats:
   The loader splits lines only in the header and the name block and
   keeps the rows as one block, which a fixed number of C-level passes
   check (ASCII, its length, nothing but ``n`` line breaks besides the
-  ``X``/``.`` cells, a line break after every ``m`` cells), map to binary
-  digits and cut into columns, one reversed strided slice each. Only
-  when a check fails is the text walked line by line, which reports the
-  first fault and its line number (or parses the rare well-formed file
-  the checks refuse).
+  ``X``/``.`` cells, a line break after every ``m`` cells). Only when a
+  check fails is the text walked line by line, which reports the first
+  fault and its line number (or parses the rare well-formed file the
+  checks refuse).
 * ``.csv``: first row is the attribute names (the leading cell is
   ignored), the first column the object names, cells ``1``/``x``/``X``
   for incident and ``0``/empty for not, surrounding whitespace ignored.
   Empty records are skipped. Names are taken verbatim and, as in
-  ``.cxt``, may not be empty. The loader checks the records in bulk and
-  walks them only to report the first fault and its line number.
+  ``.cxt``, may not be empty or hold a line break. The loader checks the
+  records in bulk and walks them only to report the first fault and its
+  line number.
+
+Every check is made at load. The checked cells are then handed to the
+context as one block, and each column is cut out of it (one reversed
+strided slice, mapped to binary digits) the first time it is read, so a
+command pays only for the attributes it reads; the block is kept until
+every column has been cut.
 
 Conditional files are UTF-8 text, one statement per line; ``#`` starts a
 comment and blank lines are skipped. Order files hold ``a < b`` lines
@@ -40,26 +46,11 @@ from .order import RankingFunction, StrictOrder
 
 
 # .cxt incidence cells: deleting the legal ones leaves the illegal ones in
-# order; mapping them to binary digits, and back, reads and writes the
-# cells in one C-level pass
+# order; mapping binary digits to cells writes a row in one C-level pass
 _DROP_CELLS = str.maketrans("", "", "X.")
-_CELL_DIGITS = bytes.maketrans(b"X.", b"10")
 _DIGIT_CELLS = str.maketrans("10", "X.")
 # .csv incidence cells, stripped, and their binary digits
-_CSV_DIGITS = {"1": "1", "x": "1", "X": "1", "0": "0", "": "0"}
-
-
-def _columns(digits, n, m, stride):
-    """The m columns of n rows of binary digits, one row every ``stride`` digits.
-
-    Column j of the last row sits at ``(n - 1) * stride + j``; slicing back
-    from there in steps of ``stride`` reads column j from the last row to
-    the first, a binary numeral with row i at bit i.
-    """
-    if not n:
-        return (0,) * m
-    last = (n - 1) * stride
-    return tuple(int(digits[last + j::-stride], 2) for j in range(m))
+_CSV_DIGITS = {"1": b"1", "x": b"1", "X": b"1", "0": b"0", "": b"0"}
 
 
 def parse_cxt(text, path=None):
@@ -70,13 +61,13 @@ def parse_cxt(text, path=None):
     if parts is None:
         parts = _walk_cxt(text, path)
     try:
-        return FormalContext._from_columns(*parts)
+        return FormalContext._from_cells(*parts)
     except StructureError as exc:
         raise FileFormatError(str(exc), path) from exc
 
 
 def _split_cxt(text):
-    """Names and columns of well-formed ``.cxt`` text, or None.
+    """Names, cell block and row stride of well-formed ``.cxt`` text, or None.
 
     Lines are split only up to the end of the names; the rows stay one
     block, checked in bulk: ASCII, ``n * (m + 1)`` characters once a
@@ -107,12 +98,11 @@ def _split_cxt(text):
         or len(block) != n * (m + 1)
     ):
         return None
-    raw = block.encode("ascii")
+    cells = block.encode("ascii")
     breaks = b"\n" * n
-    if raw.translate(None, b"X.") != breaks or raw[m::m + 1] != breaks:
+    if cells.translate(None, b"X.") != breaks or cells[m::m + 1] != breaks:
         return None
-    digits = raw.translate(_CELL_DIGITS)
-    return tuple(names[:n]), tuple(names[n:]), _columns(digits, n, m, m + 1)
+    return tuple(names[:n]), tuple(names[n:]), cells, m + 1
 
 
 def _cxt_line(lines, index, description, path):
@@ -122,7 +112,7 @@ def _cxt_line(lines, index, description, path):
 
 
 def _walk_cxt(text, path):
-    """Names and columns of ``.cxt`` text, read one line at a time.
+    """Names, cell block and row stride of ``.cxt`` text, read one line at a time.
 
     ``parse_cxt`` calls this only when a bulk check failed. It raises for
     the first fault along the lines: a bad header or count, an early end
@@ -179,8 +169,7 @@ def _walk_cxt(text, path):
         raise FileFormatError(
             "unexpected content after the incidence rows", path, row_start + n + 1
         )
-    digits = "".join(lines[row_start:]).encode("ascii").translate(_CELL_DIGITS)
-    return objects, attributes, _columns(digits, n, m, m)
+    return objects, attributes, "".join(lines[row_start:]).encode("ascii"), m
 
 
 def format_cxt(context):
@@ -206,12 +195,13 @@ def parse_csv_context(text, path=None):
     """Parse CSV context text.
 
     The records are read with the ``csv`` module and checked in bulk: row
-    lengths, empty names, and one lookup of each distinct cell text. The
-    columns are then cut out of one digit string as ``parse_cxt`` does.
-    Only when a check fails does ``_locate_csv_fault`` walk the records to
-    report the first fault. Text the reader refuses (a field over its size
-    limit, or a line break inside an unquoted field) is a fault on the
-    line where the reader stopped.
+    lengths, empty names, line breaks in names, and one lookup of each
+    distinct cell text. The cells become one block of binary digits, cut
+    into columns on first read as ``parse_cxt``'s are. Only when a check
+    fails does ``_locate_csv_fault`` walk the records to report the first
+    fault. Text the reader refuses (a field over its size limit, or a line
+    break inside an unquoted field) is a fault on the line where the reader
+    stopped.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -231,15 +221,15 @@ def parse_csv_context(text, path=None):
     objects = tuple(fields[::width])
     del fields[::width]
     # a file spells its cells a few ways; an illegal one reads "?"
-    digit = {cell: _CSV_DIGITS.get(cell.strip(), "?") for cell in set(fields)}
-    if "" in objects or "?" in digit.values():
+    digit = {cell: _CSV_DIGITS.get(cell.strip(), b"?") for cell in set(fields)}
+    # .cxt holds a name on one line, so neither format takes a line break
+    names = "".join(attributes) + "".join(objects)
+    if "" in objects or b"?" in digit.values() or "\n" in names or "\r" in names:
         _locate_csv_fault(table, path)
     # digits run row by row, m to a row
-    digits = "".join(map(digit.__getitem__, fields))
-    m = len(attributes)
-    cols = _columns(digits, len(objects), m, m)
+    digits = b"".join(map(digit.__getitem__, fields))
     try:
-        return FormalContext._from_columns(objects, attributes, cols)
+        return FormalContext._from_cells(objects, attributes, digits, len(attributes))
     except StructureError as exc:
         raise FileFormatError(str(exc), path) from exc
 
@@ -250,12 +240,15 @@ def _locate_csv_fault(table, path):
     ``parse_csv_context`` calls this only when a bulk check failed, so a
     fault is there. Line numbers count CSV records, the header being line
     1; empty records are skipped. Along the records, and within one in
-    this order, the faults are: an empty attribute name, a record of the
-    wrong length, an empty object name, an illegal cell.
+    this order, the faults are: an empty attribute name, a line break in
+    an attribute name, a record of the wrong length, an empty object name,
+    a line break in an object name, an illegal cell.
     """
     attributes = table[0][1:]
     if "" in attributes:
         raise FileFormatError("empty attribute name", path, 1)
+    for name in attributes:
+        _refuse_line_break(name, "attribute", path, 1)
     for line_no, record in enumerate(table[1:], start=2):
         if not record:
             continue
@@ -267,6 +260,7 @@ def _locate_csv_fault(table, path):
             )
         if record[0] == "":
             raise FileFormatError("empty object name", path, line_no)
+        _refuse_line_break(record[0], "object", path, line_no)
         for cell in record[1:]:
             cell = cell.strip()
             if cell not in _CSV_DIGITS:
@@ -275,6 +269,11 @@ def _locate_csv_fault(table, path):
                     path,
                     line_no,
                 )
+
+
+def _refuse_line_break(name, what, path, line_no):
+    if "\n" in name or "\r" in name:
+        raise FileFormatError(f"line break in {what} name {name!r}", path, line_no)
 
 
 def load_context(path, fmt=None):

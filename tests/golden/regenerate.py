@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 GOLDEN = Path(__file__).resolve().parent
 ROOT = GOLDEN.parent.parent
@@ -67,6 +68,8 @@ MALFORMED = {
     "short_record.csv": b"name,a,b\ng,1\n",
     "illegal_cell.csv": b"name,a,b\ng,1,2\n",
     "empty_object_name.csv": b"name,a\n,1\n",
+    "line_break_in_object_name.csv": b'name,a\n"g\nh",1\nk,0\n',
+    "line_break_in_attribute_name.csv": b'name,"a\r\nb",b\ng,1,0\n',
 }
 
 
@@ -284,7 +287,9 @@ def commands():
                 argvs.append(["rank", *flags, relative(path), relative(kb)])
                 argvs.append(["validate", *flags, relative(path), relative(kb)])
             argvs.append(["holds", *flags, relative(path), f"{first} -> {last}"])
-            argvs.append(["entail", *flags, relative(path), relative(kbs[0]), f"{first} |~ {last}"])
+            argvs.append(
+                ["entail", *flags, relative(path), relative(kbs[0]), f"{first} |~ {last}"]
+            )
             argvs.append([
                 "diff", *flags, relative(path), relative(empty_kb), relative(kbs[-1]),
                 "--probe", relative(probes),
@@ -330,16 +335,12 @@ def replay(argv):
     from dfca.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
+    with (
+        mock.patch.dict(os.environ, COLUMNS="80"),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = main(argv)
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

@@ -56,6 +56,15 @@ def from_indices(indices, size):
     return bits
 
 
+def select(items, bits):
+    """The items at a set's members, looked up one member index at a time.
+
+    ``FormalContext.object_names`` and ``attribute_names`` walked names
+    this way before they selected them with ``bitsets.select``.
+    """
+    return tuple(map(items.__getitem__, bitsets.iter_indices(bits)))
+
+
 # --- contexts and .cxt rows ------------------------------------------------
 
 

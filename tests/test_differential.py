@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import json
 import math
 import random
 
@@ -27,7 +28,7 @@ from dfca import (
     StrictOrder,
     bitsets,
 )
-from dfca.cli import _rank_table
+from dfca.cli import _dump_json, _rank_table
 from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
 from dfca.fileio import format_cxt, parse_csv_context, parse_cxt
 from dfca.formula import (
@@ -111,6 +112,20 @@ class TestBitsets:
         )
         with pytest.raises(StructureError):
             next(bitsets.iter_indices(bits))
+
+    @given(seeds, st.integers(0, 3000))
+    def test_select_matches_member_index_walk(self, seed, size):
+        """Empty, full, sparse and dense sets over a sequence of names."""
+        bits = random_bits(random.Random(seed), size)
+        names = tuple(f"g{i}" for i in range(size))
+        assert tuple(bitsets.select(names, bits)) == oracles.select(names, bits)
+
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 64, 1000])
+    def test_select_at_the_ends(self, size):
+        names = tuple(range(size))
+        full = bitsets.universe(size)
+        for bits in (0, full, full & 1, full >> 1, full & ~(full >> 1), full & 0x5555):
+            assert tuple(bitsets.select(names, bits)) == oracles.select(names, bits)
 
     @given(st.lists(st.integers(-3, 70)), st.integers(-2, 70))
     def test_from_indices_matches_bit_by_bit_builder(self, indices, size):
@@ -765,7 +780,7 @@ class TestCsvFiles:
             "name,a\ng,2\nh,1,1\n",  # illegal cell before a long row
             "name,a\ng,1,1\nh,2\n",  # long row before an illegal cell
             "name,a\n\n\ng,1\n,1\n",  # blank records still count as lines
-            'name,a\n"g\nh",1\n,1\n',  # a quoted newline is one record
+            'name,a\ng,"1\n"\n,1\n',  # a quoted newline in a cell is one record
             "name,a\ng,1\n,2\n",  # empty name before an illegal cell in its record
             "name,a,b\ng,1,x\nh,X,\n\nk,0,\n",
             ",a\ng,1",  # no final newline, an empty leading cell
@@ -1244,6 +1259,44 @@ class TestRankTable:
             strata[-1] &= ~1  # an object left out of the table
         partition = RankPartition(tuple(strata))
         assert _rank_table(context, partition) == oracles.rank_table(context, partition)
+
+
+# --- the CLI's JSON writer ----------------------------------------------------------
+
+
+# any text (control characters and non-ASCII letters included) in nested
+# lists and dicts, and lists of text alone, as the CLI's name lists are
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(st.text(), max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(json_values)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_json_module(self, value):
+        assert _dump_json(value) == json.dumps(value, ensure_ascii=False, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"": []},
+            [[], {}, [[]], ""],
+            {"objects": ["a\nb", "Köln", '"q"', "\\"], "count": 4, "holds": None},
+            {"strata": [{"rank": 0, "objects": []}, {"rank": 1, "objects": ["x"]}]},
+            [True, False, None, -1, 2**70],
+            ['"', "\\", "/", "\b\f\n\r\t", "\x00\x1f\x7f", "\u2028é€😀", "\ud800"],
+            {"\n": {"\x00": ["\t"]}, "é": "\udfff"},
+        ],
+    )
+    def test_edges_match_the_json_module(self, value):
+        assert _dump_json(value) == json.dumps(value, ensure_ascii=False, indent=2)
 
 
 # --- strict orders: modularity ------------------------------------------------------

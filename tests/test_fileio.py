@@ -1,9 +1,14 @@
+import copy
+import csv
+import io
+import json
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from conftest import (
     CORPUS_DIR,
     DATA_DIR,
@@ -13,8 +18,9 @@ from conftest import (
     friends_delta,
     random_context,
 )
-from dfca import FileFormatError, RankingFunction, StructureError
+from dfca import FileFormatError, FormalContext, RankingFunction, StructureError
 from dfca.fileio import (
+    _walk_cxt,
     format_cxt,
     load_conditionals,
     load_context,
@@ -25,8 +31,9 @@ from dfca.fileio import (
     parse_cxt,
     save_context,
 )
-from dfca.formula import parse_conditional
+from dfca.formula import extension, parse_conditional, parse_formula
 from dfca.propositional import parse_prop_statement
+from golden.regenerate import INPUTS, MALFORMED, MANIFEST, ROOT
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -111,6 +118,131 @@ class TestParseCxt:
         with pytest.raises(FileFormatError) as err:
             parse_cxt(text)
         assert "duplicate" in str(err.value)
+
+
+def csv_text(context):
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["name", *context.attributes])
+    for i, name in enumerate(context.objects):
+        row = context.row(i)
+        cells = ("x" if row >> j & 1 else "" for j in range(context.n_attributes))
+        writer.writerow([name, *cells])
+    return out.getvalue()
+
+
+# a parsed context, from the bulk .cxt path, the .csv path or the line walk
+SOURCES = {
+    "cxt": lambda context: parse_cxt(format_cxt(context)),
+    "csv": lambda context: parse_csv_context(csv_text(context)),
+    "walk": lambda context: FormalContext._from_cells(
+        *_walk_cxt(format_cxt(context), None)
+    ),
+}
+
+
+def cut_columns(context):
+    """Indices of the columns cut out of the cell block so far."""
+    return [j for j, col in enumerate(context._cols) if col is not None]
+
+
+def read_everything(context):
+    """Every answer a context gives, reading its columns last to first."""
+    return (
+        [context.column(j) for j in reversed(range(context.n_attributes))],
+        [context.row(i) for i in range(context.n_objects)],
+        context.intent(context.object_universe),
+        context.extent(context.attribute_universe),
+        hash(context),
+    )
+
+
+EMPTY_KB = (INPUTS / "empty.kb").relative_to(ROOT).as_posix()
+
+
+class TestColumnsCutOnFirstRead:
+    @given(seeds, st.integers(1, 30), st.integers(1, 12), st.sampled_from(list(SOURCES)))
+    def test_any_order_of_reads_gives_the_built_context(self, seed, n, m, source):
+        """Columns in random order, with reads that need every column among them."""
+        rng = random.Random(seed)
+        built = FormalContext(
+            [f"g{i}" for i in range(n)],
+            [f"m{j}" for j in range(m)],
+            [rng.getrandbits(m) for _ in range(n)],
+        )
+        parse = SOURCES[source]
+        whole = parse(built)
+        read_everything(whole)
+        assert whole._cells is None and cut_columns(whole) == list(range(m))
+        context = parse(built)
+        for _ in range(rng.randint(1, 2 * m)):
+            roll = rng.randrange(8)
+            if roll < 3:
+                j = rng.randrange(m)
+                assert context.column(j) == built.column(j)
+            elif roll == 3:
+                i = rng.randrange(n)
+                assert context.row(i) == built.row(i)
+            elif roll == 4:
+                bits = rng.getrandbits(n)
+                assert context.intent(bits) == built.intent(bits)
+            elif roll == 5:
+                bits = rng.getrandbits(m)
+                assert context.extent(bits) == built.extent(bits)
+            elif roll == 6:
+                assert hash(context) == hash(built) == hash(whole)
+            else:
+                assert context == built == whole
+        assert read_everything(context) == read_everything(built)
+        assert context == whole and context._cells is None
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_an_extension_cuts_only_the_columns_it_names(self, source):
+        context = SOURCES[source](build_friends())
+        names = extension(context, parse_formula('"fw. eva" & !"fw. bob" | "fw. eva"'))
+        assert context.object_names(names) == ("eva", "alice", "david")
+        assert cut_columns(context) == [1, 4]
+        assert context._cells is not None
+
+    def test_a_whole_read_drops_the_block(self):
+        context = load_context(DATA_DIR / "friends.cxt")
+        context.column(3)
+        assert context._cells is not None
+        context.row(0)
+        assert cut_columns(context) == list(range(6)) and context._cells is None
+        assert context == build_friends()
+
+    def test_a_shallow_copy_cut_first_leaves_the_original_whole(self):
+        """A copy shares the list of cut columns; the original still reads in full."""
+        context = load_context(DATA_DIR / "friends.cxt")
+        context.column(0)
+        duplicate = copy.copy(context)
+        for j in range(1, 6):
+            duplicate.column(j)
+        assert context == build_friends() == duplicate
+        assert hash(context) == hash(build_friends()) == hash(duplicate)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_golden_inputs_fail_at_load_or_never(self, name, monkeypatch):
+        """A cut cannot fail: every fault is reported by the load, as recorded."""
+        monkeypatch.chdir(ROOT)
+        path = (INPUTS / name).relative_to(ROOT).as_posix()
+        (recorded,) = [
+            entry
+            for entry in json.loads(MANIFEST.read_text(encoding="utf-8"))
+            if entry["argv"] == ["rank", path, EMPTY_KB]
+        ]
+        try:
+            context = load_context(path)
+        except FileFormatError as exc:
+            assert recorded["exit"] == 2
+            assert recorded["stderr"] == f"error: {exc}\n"
+            return
+        assert recorded["exit"] == 0
+        # read as the loader reads it, line ends translated
+        text = (INPUTS / name).read_text(encoding="utf-8")
+        parse = oracles.parse_csv_context if name.endswith(".csv") else oracles.parse_cxt
+        assert read_everything(context) == read_everything(parse(text))
 
 
 class TestFormatCxt:
@@ -216,6 +348,33 @@ class TestCsv:
         with pytest.raises(FileFormatError) as err:
             parse_csv_context(text, "t.csv")
         assert str(err.value) == f"t.csv:{line}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ('name,a\n"g\nh",1\nk,0\n', "line break in object name 'g\\nh'", 2),
+            ('name,a\nk,0\n"g\r\nh",1\n', "line break in object name 'g\\r\\nh'", 3),
+            ('name,"a\rb"\ng,1\n', "line break in attribute name 'a\\rb'", 1),
+            # the header comes first, then the records in order, and within
+            # a record the length, the name, the cells
+            ('name,"a\nb"\n,1\n', "line break in attribute name 'a\\nb'", 1),
+            ('name,,"a\nb"\ng,1,1\n', "empty attribute name", 1),
+            ('name,a\ng,1,1\n"g\nh",1\n', "row has 2 cells, expected 1", 2),
+            ('name,a\n"g\nh",1,1\n', "row has 2 cells, expected 1", 2),
+            ('name,a\n"g\nh",2\n', "line break in object name 'g\\nh'", 2),
+            ('name,a\ng,2\n"g\nh",1\n', "illegal cell '2', expected 1, 0, x, or empty", 2),
+        ],
+    )
+    def test_line_breaks_in_names_refused_as_in_cxt(self, text, message, line):
+        """A name on two lines would print as two objects or split a table row."""
+        with pytest.raises(FileFormatError) as err:
+            parse_csv_context(text, "t.csv")
+        assert str(err.value) == f"t.csv:{line}: {message}"
+
+    def test_line_breaks_in_cells_and_the_leading_cell_are_allowed(self):
+        context = parse_csv_context('"na\nme",a\ng," 1\n"\n', "t.csv")
+        assert context.objects == ("g",)
+        assert context.column(0) == 1
 
     def test_field_over_the_reader_limit_located(self):
         text = "name,a\ng1,1\ng2," + "1" * 131073 + "\n"

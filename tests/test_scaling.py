@@ -51,18 +51,22 @@ The walk's worst case, the top member of a 2000-chain alone, meets one
 empty intersection per layer: 0.0002-0.0003 s, against 0.00002-0.00007 s
 for the member walk and a cap of 0.005 s.
 
-A 200k x 40 CSV file of ``x`` and empty cells parses in 1.3-1.8 s: the
-``csv`` module's reader takes 0.7-1.2 s of it, the bulk checks and the
-cut of the columns the rest. A check and ``1 << j`` per cell took
-2.6-3.2 s on the same machine. Both are linear; the cap of 4 s guards
-against a superlinear parse, not against the per-cell walk.
+A 200k x 40 CSV file of ``x`` and empty cells parses, every column
+read, in 1.3-1.8 s: the ``csv`` module's reader takes 0.7-1.2 s of it,
+the bulk checks and the cut of the columns the rest. A check and
+``1 << j`` per cell took 2.6-3.2 s on the same machine. Both are linear;
+the cap of 4 s guards against a superlinear parse, not against the
+per-cell walk.
 
-A 200k x 40 ``.cxt`` file parses in a median of 0.14 s (0.11-0.26 s over
+A 200k x 40 ``.cxt`` file parses in a median of 0.07 s (0.07-0.09 s over
 seven runs): lines are split only up to the names, and the rows are
-checked, mapped to digits and cut into columns as one block. Splitting
-every line and checking the rows as a list took a median of 0.26 s
-(0.25-0.28 s) on the same machine. Both are linear; the cap of 1.5 s
-guards against a superlinear parse.
+checked as one block. Columns are cut from that block on their first
+read, and the parse with a read of every column, which both parse tests
+time, takes 0.14 s (0.12-0.15 s), as the earlier parse did that cut every
+column at load (0.14 s, 0.12-0.16 s). Splitting every line and checking
+the rows as a list took a median of 0.26 s (0.25-0.28 s) on the same
+machine. All are linear; the cap of 1.5 s guards against a superlinear
+parse or cut.
 """
 
 import random
@@ -87,6 +91,14 @@ def timed(procedure, *args):
     start = time.perf_counter()
     result = procedure(*args)
     return time.perf_counter() - start, result
+
+
+def parse_and_cut(parse, text):
+    """Parse a context file and read every column, which cuts it from the cells."""
+    context = parse(text)
+    for j in range(context.n_attributes):
+        context.column(j)
+    return context
 
 
 def layered_pairs(n, width, rng):
@@ -119,7 +131,7 @@ def test_parsing_a_200k_by_40_csv_is_linear():
         f"g{i}," + ",".join("x" if row >> j & 1 else "" for j in range(m))
         for i, row in enumerate(rows)
     ]
-    seconds, context = timed(parse_csv_context, "\n".join(lines) + "\n")
+    seconds, context = timed(parse_and_cut, parse_csv_context, "\n".join(lines) + "\n")
     assert seconds < 4.0
     assert context.row(n - 1) == rows[-1]
 
@@ -131,7 +143,7 @@ def test_parsing_a_200k_by_40_cxt_is_linear():
     text = format_cxt(
         FormalContext([f"g{i}" for i in range(n)], [f"m{j}" for j in range(m)], rows)
     )
-    seconds, context = timed(parse_cxt, text)
+    seconds, context = timed(parse_and_cut, parse_cxt, text)
     assert seconds < 1.5
     assert context.row(n - 1) == rows[-1]
     assert context.object_index(f"g{n - 1}") == n - 1
