@@ -121,7 +121,35 @@ STATEMENTS = {
         "d |~ e",
     ]),
     "bad_syntax.kb": "bird |~ flies\nbird |~ (flies",
+    # names the lexer reads bare, among them "a-" (as in "a-->b") and TOP
+    "lexer.cxt": "B\n\n3\n4\n\ng\nh\nk\na\nb\na-\nTOP\nXX..\nX.X.\n.X.X",
+    # as a context KB and as a propositional base
+    "lexer.kb": "a |~ b\na- |~ !b",
+    "lexer_fault.kb": "a |~ b\n# a stray '<' on the next line\nb <- a |~ b",
 }
+
+# text at the edges of the lexer, each given to extension, holds, entail and
+# rcprop: stray characters, faulty quoted names, comments, Unicode
+# whitespace, '->' right after a name, and a quoted TOP
+LEXER_TEXTS = [
+    "a - b",
+    "a < b",
+    "a ~ b",
+    "a $ b",
+    "é |~ a",
+    '"a |~ b',
+    '"a\\q" |~ b',
+    '"a\\',
+    "a |~ b \\",
+    "a |~ # b",
+    "a | b # a |~ b",
+    "a\u00a0|~\u2003b",
+    "a\u00a0&\u2003!b",
+    "a->b",
+    "a-->b",
+    '"TOP" |~ a',
+    '"TOP"',
+]
 
 
 def kb_lines(context):
@@ -251,6 +279,27 @@ def edge_commands(empty_kb):
     return argvs
 
 
+def lexer_commands():
+    """Each lexer edge through the four commands that parse text, and a faulty KB."""
+    context, kb, fault = (
+        relative(INPUTS / name) for name in ("lexer.cxt", "lexer.kb", "lexer_fault.kb")
+    )
+    argvs = []
+    for flags in ([], ["--json"]):
+        for text in LEXER_TEXTS:
+            argvs += [
+                ["extension", *flags, context, text],
+                ["holds", *flags, context, text],
+                ["entail", *flags, context, kb, text],
+                ["rcprop", *flags, kb, text],
+            ]
+        argvs += [
+            ["entail", *flags, context, fault, "a |~ b"],
+            ["rcprop", *flags, fault, "a |~ b"],
+        ]
+    return argvs
+
+
 def first_last(context):
     """Quoted names of the first and last attributes, or an unknown name twice."""
     if not context.attributes:
@@ -300,6 +349,7 @@ def commands():
             argvs.append(["rank", *flags, relative(INPUTS / name), relative(empty_kb)])
         # a context that loads answers from the columns of a and b alone
         argvs.append(["extension", relative(INPUTS / name), "a & !b"])
+    argvs += lexer_commands()
     return argvs
 
 
