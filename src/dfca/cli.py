@@ -33,7 +33,7 @@ from .formula import (
 )
 from .fileio import load_conditionals, load_context, load_prop_statements
 from .propositional import base_rank, parse_prop_statement, rc_decision
-from .ranking import KnowledgeBase, _least_stratum, delta_valid, object_rank
+from .ranking import KnowledgeBase, _least_stratum, object_rank
 
 
 @dataclass
@@ -149,17 +149,14 @@ def _cmd_validate(args):
     kb = KnowledgeBase(load_conditionals(args.kb))
     mode = "exhaustive" if args.exhaustive else "ranking"
     reason = None
-    if args.exhaustive:
-        valid = delta_valid(context, kb)
-        if not valid:
+    try:
+        object_rank(context, kb)
+    except ValidityError as exc:
+        # the loop stalls exactly when some subset has no plausible witness
+        reason = str(exc)
+        if args.exhaustive:
             reason = "some nonempty subset has no plausible witness"
-    else:
-        try:
-            object_rank(context, kb)
-            valid = True
-        except ValidityError as exc:
-            valid = False
-            reason = str(exc)
+    valid = reason is None
     text = "valid" if valid else f"invalid: {reason}"
     data = {
         "command": "validate",

@@ -11,9 +11,8 @@ Context formats:
   keeps the rows as one block, which a fixed number of C-level passes
   check (ASCII, its length, nothing but ``n`` line breaks besides the
   ``X``/``.`` cells, a line break after every ``m`` cells). Only when a
-  check fails is the text walked line by line, which reports the first
-  fault and its line number (or parses the rare well-formed file the
-  checks refuse).
+  check fails is the text walked line by line, to report the first fault
+  and its line number.
 * ``.csv``: first row is the attribute names (the leading cell is
   ignored), the first column the object names, cells ``1``/``x``/``X``
   for incident and ``0``/empty for not, surrounding whitespace ignored.
@@ -57,9 +56,11 @@ def parse_cxt(text, path=None):
     """Parse Burmeister context text."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")
+    if text and text[-1] != "\n":
+        text += "\n"
     parts = _split_cxt(text)
     if parts is None:
-        parts = _walk_cxt(text, path)
+        _locate_cxt_fault(text, path)
     try:
         return FormalContext._from_cells(*parts)
     except StructureError as exc:
@@ -69,14 +70,11 @@ def parse_cxt(text, path=None):
 def _split_cxt(text):
     """Names, cell block and row stride of well-formed ``.cxt`` text, or None.
 
-    Lines are split only up to the end of the names; the rows stay one
-    block, checked in bulk: ASCII, ``n * (m + 1)`` characters once a
-    missing final line break is added, nothing but ``n`` line breaks left
-    when the cells are deleted, and every ``(m + 1)``-th character from
-    ``m`` on a line break. Text failing any check may still be
-    well-formed (no objects and no final line break after the names), so
-    None sends it to the line walk, which parses it or reports its first
-    fault.
+    The text ends in a line break. Lines are split only up to the end of
+    the names; the rows stay one block, checked in bulk: ASCII,
+    ``n * (m + 1)`` characters, nothing but ``n`` line breaks left when
+    the cells are deleted, and every ``(m + 1)``-th character from ``m`` on
+    a line break. None means the text has a fault.
     """
     head = text.split("\n", 5)
     if len(head) < 6 or head[0] != "B" or head[1] != "" or head[4] != "":
@@ -89,8 +87,6 @@ def _split_cxt(text):
     if n < 0 or m < 0 or n + m > len(head[5]):
         return None
     *names, block = head[5].split("\n", n + m)
-    if block and block[-1] != "\n":
-        block += "\n"
     if (
         len(names) != n + m
         or "" in names
@@ -111,17 +107,16 @@ def _cxt_line(lines, index, description, path):
     return lines[index]
 
 
-def _walk_cxt(text, path):
-    """Names, cell block and row stride of ``.cxt`` text, read one line at a time.
+def _locate_cxt_fault(text, path):
+    """Raise for the first fault of ``.cxt`` text, read one line at a time.
 
-    ``parse_cxt`` calls this only when a bulk check failed. It raises for
-    the first fault along the lines: a bad header or count, an early end
-    of the file, an empty name, a row of the wrong length or with an
-    illegal cell, or content after the rows.
+    ``parse_cxt`` calls this only when a bulk check failed, so a fault is
+    there. Along the lines, it is a bad header or count, an early end of
+    the file, an empty name, a row of the wrong length or with an illegal
+    cell, or content after the rows.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    # the text is empty or ends in a line break
+    lines = text.split("\n")[:-1]
     if _cxt_line(lines, 0, "the format header", path) != "B":
         raise FileFormatError("expected header 'B'", path, 1)
     if _cxt_line(lines, 1, "the blank line after the header", path) != "":
@@ -142,15 +137,11 @@ def _walk_cxt(text, path):
     if _cxt_line(lines, 4, "the blank line after the counts", path) != "":
         raise FileFormatError("expected a blank line after the counts", path, 5)
 
-    def read_names(start, count, what):
+    for start, count, what in ((5, n, "object"), (5 + n, m, "attribute")):
         for k in range(count):
             name = _cxt_line(lines, start + k, f"{what} name {k + 1} of {count}", path)
             if name == "":
                 raise FileFormatError(f"empty {what} name", path, start + k + 1)
-        return tuple(lines[start:start + count])
-
-    objects = read_names(5, n, "object")
-    attributes = read_names(5 + n, m, "attribute")
     row_start = 5 + n + m
     for k in range(n):
         line = _cxt_line(lines, row_start + k, f"incidence row {k + 1} of {n}", path)
@@ -169,7 +160,6 @@ def _walk_cxt(text, path):
         raise FileFormatError(
             "unexpected content after the incidence rows", path, row_start + n + 1
         )
-    return objects, attributes, "".join(lines[row_start:]).encode("ascii"), m
 
 
 def format_cxt(context):

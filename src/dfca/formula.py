@@ -10,14 +10,15 @@ One grammar serves both:
     neg     := "!" neg | atom ;
     atom    := IDENT | QUOTED | "TOP" | "BOT" | "(" formula ")" .
 
-IDENT matches ``[A-Za-z_][A-Za-z0-9_.-]*``; any other name goes in double
-quotes, with ``\\"`` and ``\\\\`` escapes. Each rule binds tighter than the
-one above it; ``->`` associates to the right, the other binary connectives
-to the left. A ``#`` outside quotes starts a comment running to the end of
-the input. A formula nests at most 100 connectives deep (each link of a
-chain such as ``a & b & c`` counts) and at most 100 parentheses deep;
-deeper text is a syntax error, which keeps the recursive printer and
-evaluators inside Python's recursion limit.
+The lexical grammar is the token table of the lexer below: the operators,
+IDENT (``[A-Za-z_]`` then ``[A-Za-z0-9_.-]``, ending before a ``->``),
+QUOTED (any name in double quotes, with ``\\"`` and ``\\\\`` escapes) and a
+``#`` comment running to the end of the input. Each rule binds tighter
+than the one above it; ``->`` associates to the right, the other binary
+connectives to the left. A formula nests at most 100 connectives deep
+(each link of a chain such as ``a & b & c`` counts) and at most 100
+parentheses deep; deeper text is a syntax error, which keeps the
+recursive printer and evaluators inside Python's recursion limit.
 
 It is read in two dialects:
 
@@ -180,130 +181,78 @@ class PropConditional:
 
 
 # --- lexer ----------------------------------------------------------------
+#
+# These tables are the lexical grammar. Each operator's text is its token
+# kind; IDENT, QUOTED and END are the only other kinds. A token is a
+# (kind, value, offset) triple. The infix operators carry the node they
+# build and their precedence, a larger one binding tighter.
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
+_INFIX_TOKEN = {"<->": (Iff, 1), "->": (Implies, 2), "|": (Or, 3), "&": (And, 4)}
+_OPERATORS = ("|~", "!", "(", ")", *_INFIX_TOKEN)
 
 IDENT = "IDENT"
 QUOTED = "QUOTED"
-BANG = "BANG"
-AMP = "AMP"
-PIPE = "PIPE"
-LPAREN = "LPAREN"
-RPAREN = "RPAREN"
-ARROW = "ARROW"
-DARROW = "DARROW"
-SQUIGGLE = "SQUIGGLE"
 END = "END"
+# an error message names a token by its text, or the end of input
+_LABEL = {END: "end of input"}
 
-_TOKEN_LABEL = {
-    IDENT: "an attribute name",
-    QUOTED: "a quoted name",
-    BANG: "'!'",
-    AMP: "'&'",
-    PIPE: "'|'",
-    LPAREN: "'('",
-    RPAREN: "')'",
-    ARROW: "'->'",
-    DARROW: "'<->'",
-    SQUIGGLE: "'|~'",
-    END: "end of input",
-}
+# the longest operator first, so "|~" is not read as "|"
+_OPERATOR = "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True)))
+# a name runs on through '-' unless '->' follows, so "a->b" reads a, ->, b
+_NAME = r"[A-Za-z_](?:[A-Za-z0-9_.]|-(?!>))*"
+# the inside of a quoted name, with \" and \\ escapes
+_QUOTED_BODY = r'(?:[^"\\]|\\["\\])*'
+_NAME_RE = re.compile(_NAME)
+_QUOTED_BODY_RE = re.compile(_QUOTED_BODY)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    offset: int
+# one token after any whitespace: a comment running to the end of the
+# input, an operator, a quoted name, a name, one stray character, or the
+# end; a group is named after the kind of token it reads
+_TOKEN_RE = re.compile(
+    rf"\s*(?:#.*|(?P<op>{_OPERATOR})|(?P<QUOTED>\"{_QUOTED_BODY}\")"
+    rf"|(?P<IDENT>{_NAME})|(?P<stray>.)|\Z)",
+    re.DOTALL,
+)
 
 
 def tokenize(text):
     """Token list for a formula or statement, ending with an END token."""
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind is None:  # a comment, or the end
             continue
-        if ch == "#":
-            break
-        if ch == "!":
-            tokens.append(Token(BANG, ch, pos))
-            pos += 1
-        elif ch == "&":
-            tokens.append(Token(AMP, ch, pos))
-            pos += 1
-        elif ch == "(":
-            tokens.append(Token(LPAREN, ch, pos))
-            pos += 1
-        elif ch == ")":
-            tokens.append(Token(RPAREN, ch, pos))
-            pos += 1
-        elif ch == "|":
-            if text.startswith("|~", pos):
-                tokens.append(Token(SQUIGGLE, "|~", pos))
-                pos += 2
-            else:
-                tokens.append(Token(PIPE, ch, pos))
-                pos += 1
-        elif ch == "-":
-            if text.startswith("->", pos):
-                tokens.append(Token(ARROW, "->", pos))
-                pos += 2
-            else:
-                raise FormulaSyntaxError(
-                    f"unexpected character {ch!r}", pos, expected="'->'"
-                )
-        elif ch == "<":
-            if text.startswith("<->", pos):
-                tokens.append(Token(DARROW, "<->", pos))
-                pos += 3
-            else:
-                raise FormulaSyntaxError(
-                    f"unexpected character {ch!r}", pos, expected="'<->'"
-                )
-        elif ch == '"':
-            start = pos
-            value, pos = _scan_quoted(text, start)
-            tokens.append(Token(QUOTED, value, start))
-        else:
-            match = IDENT_RE.match(text, pos)
-            if match is None:
-                raise FormulaSyntaxError(
-                    f"unexpected character {ch!r}",
-                    pos,
-                    expected="an attribute name, operator, or parenthesis",
-                )
-            end = match.end()
-            # back off a trailing '-' so "a->b" lexes as a, ->, b
-            if end < n and text[end] == ">" and text[end - 1] == "-" and end - 1 > pos:
-                end -= 1
-            tokens.append(Token(IDENT, text[pos:end], pos))
-            pos = end
-    tokens.append(Token(END, "", n))
+        value = match[kind]
+        offset = match.start(kind)
+        if kind == "stray":
+            raise _stray(text, offset)
+        if kind == QUOTED:
+            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
+        elif kind == "op":
+            kind = value
+        tokens.append((kind, value, offset))
+    tokens.append((END, "", len(text)))
     return tokens
 
 
-def _scan_quoted(text, start):
-    pos = start + 1
-    parts = []
-    while pos < len(text):
-        ch = text[pos]
-        if ch == '"':
-            return "".join(parts), pos + 1
-        if ch == "\\":
-            if pos + 1 >= len(text) or text[pos + 1] not in ('"', "\\"):
-                raise FormulaSyntaxError(
-                    "bad escape in quoted name", pos, expected="'\\\"' or '\\\\'"
-                )
-            parts.append(text[pos + 1])
-            pos += 2
-        else:
-            parts.append(ch)
-            pos += 1
-    raise FormulaSyntaxError("unterminated quoted name", start, expected="closing '\"'")
+def _stray(text, pos):
+    """The syntax error for a character at which no token starts."""
+    char = text[pos]
+    if char == '"':
+        # the quoted name stops short at a bad escape or at the end
+        end = _QUOTED_BODY_RE.match(text, pos + 1).end()
+        if end == len(text):
+            return FormulaSyntaxError(
+                "unterminated quoted name", pos, expected="closing '\"'"
+            )
+        return FormulaSyntaxError(
+            "bad escape in quoted name", end, expected="'\\\"' or '\\\\'"
+        )
+    # a '-' or '<' that starts no operator
+    started = [repr(op) for op in _OPERATORS if op[0] == char]
+    expected = started[0] if started else "an attribute name, operator, or parenthesis"
+    return FormulaSyntaxError(f"unexpected character {char!r}", pos, expected=expected)
 
 
 class TokenStream:
@@ -319,24 +268,21 @@ class TokenStream:
 
     def advance(self):
         token = self._tokens[self._pos]
-        if token.kind != END:
+        if token[0] != END:
             self._pos += 1
         return token
 
     def expect(self, kind):
         token = self.peek()
-        if token.kind != kind:
-            raise self.error(token, _TOKEN_LABEL[kind])
+        if token[0] != kind:
+            raise self.error(token, _LABEL.get(kind, repr(kind)))
         return self.advance()
 
     @staticmethod
     def error(token, expected):
-        found = _TOKEN_LABEL.get(token.kind, repr(token.value))
-        if token.kind in (IDENT, QUOTED):
-            found = repr(token.value)
-        return FormulaSyntaxError(
-            f"unexpected {found}", token.offset, expected=expected
-        )
+        kind, value, offset = token
+        found = _LABEL.get(kind, repr(value))
+        return FormulaSyntaxError(f"unexpected {found}", offset, expected=expected)
 
 
 # --- parsing --------------------------------------------------------------
@@ -351,9 +297,7 @@ _MAX_DEPTH = 100
 
 _CONSTANTS = {"TOP": Top(), "BOT": Bot()}
 
-# infix token -> (node, precedence); a larger precedence binds tighter
-_INFIX_TOKEN = {DARROW: (Iff, 1), ARROW: (Implies, 2), PIPE: (Or, 3), AMP: (And, 4)}
-_COMPOUND_INFIX = (PIPE, AMP)
+_COMPOUND_INFIX = ("|", "&")
 
 
 def _parse_formula(stream, prop):
@@ -365,9 +309,9 @@ def _parse_infix(stream, prop, floor):
     left, height = _parse_neg(stream, prop)
     while True:
         token = stream.peek()
-        if token.kind not in (_INFIX_TOKEN if prop else _COMPOUND_INFIX):
+        if token[0] not in (_INFIX_TOKEN if prop else _COMPOUND_INFIX):
             return left, height
-        node, prec = _INFIX_TOKEN[token.kind]
+        node, prec = _INFIX_TOKEN[token[0]]
         if prec < floor:
             return left, height
         if node is Implies:
@@ -384,10 +328,10 @@ def _parse_implications(stream, first, first_height):
     """Fold ``first -> b -> c ...`` to the right: first -> (b -> (c ...))."""
     operands = [(first, first_height)]
     arrows = []
-    while stream.peek().kind == ARROW:
+    while stream.peek()[0] == "->":
         arrows.append(stream.advance())
         # an operand holds only connectives binding tighter than '->'
-        operands.append(_parse_infix(stream, True, _INFIX_TOKEN[ARROW][1] + 1))
+        operands.append(_parse_infix(stream, True, _INFIX_TOKEN["->"][1] + 1))
     result, height = operands.pop()
     for arrow, (left, left_height) in zip(reversed(arrows), reversed(operands)):
         result = Implies(left, result)
@@ -397,7 +341,7 @@ def _parse_implications(stream, first, first_height):
 
 def _parse_neg(stream, prop):
     bangs = []
-    while stream.peek().kind == BANG:
+    while stream.peek()[0] == "!":
         bangs.append(stream.advance())
     result, height = _parse_atom(stream, prop)
     for bang in reversed(bangs):
@@ -407,21 +351,21 @@ def _parse_neg(stream, prop):
 
 
 def _parse_atom(stream, prop):
-    token = stream.peek()
-    if token.kind in (IDENT, QUOTED):
+    token = kind, value, offset = stream.peek()
+    if kind in (IDENT, QUOTED):
         stream.advance()
-        if prop and token.kind == IDENT and token.value in _CONSTANTS:
-            return _CONSTANTS[token.value], 0
-        return Atom(token.value), 0
-    if token.kind == LPAREN:
+        if prop and kind == IDENT and value in _CONSTANTS:
+            return _CONSTANTS[value], 0
+        return Atom(value), 0
+    if kind == "(":
         if stream.parens == _MAX_DEPTH:
             raise FormulaSyntaxError(
-                f"parentheses nest deeper than {_MAX_DEPTH} levels", token.offset
+                f"parentheses nest deeper than {_MAX_DEPTH} levels", offset
             )
         stream.advance()
         stream.parens += 1
         inner = _parse_infix(stream, prop, 1)
-        stream.expect(RPAREN)
+        stream.expect(")")
         stream.parens -= 1
         return inner
     if prop:
@@ -438,7 +382,7 @@ def _checked_height(height, token):
     """
     if height > _MAX_DEPTH:
         raise FormulaSyntaxError(
-            f"formula nests more than {_MAX_DEPTH} connectives deep", token.offset
+            f"formula nests more than {_MAX_DEPTH} connectives deep", token[2]
         )
     return height
 
@@ -465,9 +409,9 @@ def parse_conditional(text):
     stream = TokenStream(tokenize(text))
     antecedent = _parse_formula(stream, False)
     token = stream.peek()
-    if token.kind == SQUIGGLE:
+    if token[0] == "|~":
         kind = DEFEASIBLE
-    elif token.kind == ARROW:
+    elif token[0] == "->":
         kind = CLASSICAL
     else:
         raise stream.error(token, "'|~' or '->'")
@@ -482,20 +426,20 @@ def parse_prop_statement(text):
     stream = TokenStream(tokenize(text))
     first = _parse_formula(stream, True)
     token = stream.peek()
-    if token.kind == SQUIGGLE:
+    if token[0] == "|~":
         stream.advance()
         second = _parse_formula(stream, True)
         stream.expect(END)
         return PropConditional.defeasible(first, second)
-    if token.kind == END:
+    if token[0] == END:
         return PropConditional.assertion(first)
     raise stream.error(token, "'|~' or end of statement")
 
 
 # --- printing -------------------------------------------------------------
 
-# binary node -> (precedence, symbol); a larger precedence binds tighter
-_INFIX = {Iff: (1, "<->"), Implies: (2, "->"), Or: (3, "|"), And: (4, "&")}
+# binary node -> (precedence, symbol): the lexer's table inverted
+_INFIX = {node: (prec, symbol) for symbol, (node, prec) in _INFIX_TOKEN.items()}
 _NOT_PREC = 5
 _ATOM_PREC = 6
 
@@ -521,7 +465,7 @@ def _format(formula, prop):
     """Text in one dialect, and the precedence of the top connective."""
     if isinstance(formula, Atom):
         name = formula.name
-        if IDENT_RE.fullmatch(name) and not (prop and name in _CONSTANTS):
+        if _NAME_RE.fullmatch(name) and not (prop and name in _CONSTANTS):
             return name, _ATOM_PREC
         escaped = name.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"', _ATOM_PREC

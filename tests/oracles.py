@@ -10,6 +10,7 @@ and must not move back into ``src/``.
 import csv
 import io
 import itertools
+import re
 
 from dfca import (
     FormalContext,
@@ -23,11 +24,12 @@ from dfca.errors import (
     BindingError,
     CapacityError,
     FileFormatError,
+    FormulaSyntaxError,
     ModularityError,
     StructureError,
     ValidityError,
 )
-from dfca.formula import bind, evaluate, extension
+from dfca.formula import END, IDENT, QUOTED, bind, evaluate, extension
 from dfca.limits import enumeration_cap
 from dfca.propositional import INFINITE_RANK
 from dfca.ranking import _bound_extents, _least_stratum
@@ -254,6 +256,91 @@ def parse_csv_context(text, path=None):
         return FormalContext(objects, attributes, rows)
     except StructureError as exc:
         raise FileFormatError(str(exc), path) from exc
+
+
+# --- formula text, one character at a time --------------------------------
+
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*")
+
+
+def tokenize(text):
+    """Token triples for a formula or statement, ending with an END token."""
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if ch == "#":
+            break
+        if ch in "!&()":
+            tokens.append((ch, ch, pos))
+            pos += 1
+        elif ch == "|":
+            if text.startswith("|~", pos):
+                tokens.append(("|~", "|~", pos))
+                pos += 2
+            else:
+                tokens.append((ch, ch, pos))
+                pos += 1
+        elif ch == "-":
+            if text.startswith("->", pos):
+                tokens.append(("->", "->", pos))
+                pos += 2
+            else:
+                raise FormulaSyntaxError(
+                    f"unexpected character {ch!r}", pos, expected="'->'"
+                )
+        elif ch == "<":
+            if text.startswith("<->", pos):
+                tokens.append(("<->", "<->", pos))
+                pos += 3
+            else:
+                raise FormulaSyntaxError(
+                    f"unexpected character {ch!r}", pos, expected="'<->'"
+                )
+        elif ch == '"':
+            start = pos
+            value, pos = _scan_quoted(text, start)
+            tokens.append((QUOTED, value, start))
+        else:
+            match = IDENT_RE.match(text, pos)
+            if match is None:
+                raise FormulaSyntaxError(
+                    f"unexpected character {ch!r}",
+                    pos,
+                    expected="an attribute name, operator, or parenthesis",
+                )
+            end = match.end()
+            # back off a trailing '-' so "a->b" lexes as a, ->, b
+            if end < n and text[end] == ">" and text[end - 1] == "-" and end - 1 > pos:
+                end -= 1
+            tokens.append((IDENT, text[pos:end], pos))
+            pos = end
+    tokens.append((END, "", n))
+    return tokens
+
+
+def _scan_quoted(text, start):
+    pos = start + 1
+    parts = []
+    while pos < len(text):
+        ch = text[pos]
+        if ch == '"':
+            return "".join(parts), pos + 1
+        if ch == "\\":
+            if pos + 1 >= len(text) or text[pos + 1] not in ('"', "\\"):
+                raise FormulaSyntaxError(
+                    "bad escape in quoted name", pos, expected="'\\\"' or '\\\\'"
+                )
+            parts.append(text[pos + 1])
+            pos += 2
+        else:
+            parts.append(ch)
+            pos += 1
+    raise FormulaSyntaxError("unterminated quoted name", start, expected="closing '\"'")
 
 
 # --- attribute implications -----------------------------------------------

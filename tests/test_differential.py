@@ -30,7 +30,13 @@ from dfca import (
 )
 from dfca.cli import _dump_json, _rank_table
 from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
-from dfca.fileio import format_cxt, parse_csv_context, parse_cxt
+from dfca.fileio import (
+    _locate_cxt_fault,
+    _split_cxt,
+    format_cxt,
+    parse_csv_context,
+    parse_cxt,
+)
 from dfca.formula import (
     And,
     Atom,
@@ -590,10 +596,26 @@ class TestCxtFiles:
     @example(seed=28196)  # a truncation, then a bad count past the last line
     @settings(max_examples=1000)
     def test_malformed_text_matches_line_walk(self, seed):
-        """The same context, or the same error text and line."""
+        """The same context, or the same error text and line.
+
+        The bulk checks refuse exactly the text in which the line walk
+        finds a fault, so well-formed text never reaches the walk.
+        """
         rng = random.Random(seed)
         text = mutate(rng, random_cxt_lines(rng))
-        assert parse_outcome(parse_cxt, text) == parse_outcome(oracles.parse_cxt, text)
+        outcome = parse_outcome(oracles.parse_cxt, text)
+        assert parse_outcome(parse_cxt, text) == outcome
+        # as parse_cxt hands it on: LF line ends and a final line break
+        text = text.replace("\r\n", "\n")
+        if text and text[-1] != "\n":
+            text += "\n"
+        try:
+            _locate_cxt_fault(text, "t.cxt")
+        except FileFormatError as exc:
+            assert _split_cxt(text) is None
+            assert (str(exc), exc.line) == outcome
+        else:
+            assert _split_cxt(text) is not None
 
     @pytest.mark.parametrize("n, m", [(2, 3), (0, 2), (2, 0), (0, 0)])
     def test_every_truncation_matches_line_walk(self, n, m):

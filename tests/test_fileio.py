@@ -20,7 +20,6 @@ from conftest import (
 )
 from dfca import FileFormatError, FormalContext, RankingFunction, StructureError
 from dfca.fileio import (
-    _walk_cxt,
     format_cxt,
     load_conditionals,
     load_context,
@@ -131,13 +130,10 @@ def csv_text(context):
     return out.getvalue()
 
 
-# a parsed context, from the bulk .cxt path, the .csv path or the line walk
+# a parsed context, from the .cxt path or the .csv path
 SOURCES = {
     "cxt": lambda context: parse_cxt(format_cxt(context)),
     "csv": lambda context: parse_csv_context(csv_text(context)),
-    "walk": lambda context: FormalContext._from_cells(
-        *_walk_cxt(format_cxt(context), None)
-    ),
 }
 
 

@@ -1,12 +1,15 @@
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import build_elements, build_weather
 from dfca import BindingError, FormulaSyntaxError
 from dfca import bitsets
 from dfca.context import AttributeImplication, implication_holds
-from dfca import propositional
+from dfca import formula, propositional
 from dfca.formula import (
     And,
     Atom,
@@ -24,6 +27,7 @@ from dfca.formula import (
     parse_formula,
     parse_prop_formula,
     parse_prop_statement,
+    tokenize,
 )
 
 atom_name = st.text(
@@ -98,6 +102,49 @@ class TestParsing:
     def test_stray_operator_rejected(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("a ~ b")
+
+
+# pieces of formula text at the edges of the lexer: operators and their
+# prefixes, quotes and escapes, comments, ASCII and Unicode whitespace,
+# names (with '-' and '.') and letters no bare name may hold
+LEXER_PIECES = [
+    "|~", "<->", "->", "|", "&", "!", "(", ")", "-", "<", ">", "~", "$",
+    '"', "\\", '\\"', "\\\\", "#", " ", "\t", "\n", "\r", "\x0b", "\x1c",
+    "\u00a0", "\u2003", "\u3000", "a", "b", "a-", "x.y", "_1", "9", "TOP",
+    "BOT", "é", "ß", "Ω", "北", "\U0001d49c",
+]
+lexer_text = st.lists(
+    st.one_of(st.sampled_from(LEXER_PIECES), st.characters()), max_size=12
+).map("".join)
+
+ENTRY_POINTS = [parse_formula, parse_prop_formula, parse_conditional, parse_prop_statement]
+
+
+def parse_outcome(parse, text):
+    """The parse, or the syntax error's type, message and offset."""
+    try:
+        return parse(text)
+    except FormulaSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+class TestLexerOracle:
+    @given(lexer_text)
+    @example('"a\\q"')
+    @example('"a\\')
+    @example("a.->b")
+    @example("a- ->b")
+    @example("a # b -> c")
+    @example('"TOP" |~ "\\"\\\\"')
+    @settings(max_examples=1000)
+    def test_the_table_lexer_answers_as_the_character_walk(self, text):
+        """The same tokens, and the same answer from every parser, or the same error."""
+        fast = [parse_outcome(parse, text) for parse in [tokenize, *ENTRY_POINTS]]
+        with mock.patch.object(formula, "tokenize", oracles.tokenize):
+            slow = [
+                parse_outcome(parse, text) for parse in [oracles.tokenize, *ENTRY_POINTS]
+            ]
+        assert fast == slow
 
 
 class TestConditionalParsing:
