@@ -9,7 +9,8 @@ runs every command from the repository root, and writes each argv with
 its exit code, stdout and stderr to ``tests/golden/manifest.json``.
 Commands run in-process, except the few whose argv starts with
 ``python -m dfca``, which run the package's entry point in a child
-process.
+process. An entry may also carry an ``env`` mapping of environment
+variables set for its run alone, such as a lowered ``DFCA_MAX_ATOMS``.
 
 The transcripts pin what the CLI answers. A regenerated entry that
 differs is a change in behaviour, to be listed in CHANGES.md with its
@@ -126,7 +127,41 @@ STATEMENTS = {
     # as a context KB and as a propositional base
     "lexer.kb": "a |~ b\na- |~ !b",
     "lexer_fault.kb": "a |~ b\n# a stray '<' on the next line\nb <- a |~ b",
+    # each link's premise an exception to the link before, ranked 0 to 4 from
+    # the far end, and an assertion no finite rank accepts
+    "rc_chain.kb": "\n".join([
+        "# a 5-atom exception chain and an assertion",
+        "a |~ b",
+        "b |~ !a",
+        "b |~ c",
+        "c |~ !b",
+        "c |~ d",
+        "d |~ !c",
+        "d |~ e",
+        "e |~ !d",
+        "!(a & e)",
+    ]),
+    "rc_pair.kb": "a |~ b\nb |~ !a",
+    # both statements exceptional at every finite rank
+    "rc_forever.kb": "a |~ b\na |~ !b",
 }
+
+# rcprop queries on rc_chain.kb: antecedents first possible at rank 0, 1, 2,
+# 3 and 4, ruled out at every rank (by the assertion, or impossible), and
+# atoms the base never mentions
+CHAIN_QUERIES = [
+    "e |~ !d",
+    "z |~ a",
+    "d |~ e",
+    "c & z |~ d",
+    "c |~ !a",
+    "b |~ c",
+    "a |~ b",
+    "a |~ !c",
+    "a & e |~ c",
+    "a & !a |~ b",
+    "BOT |~ z",
+]
 
 # text at the edges of the lexer, each given to extension, holds, entail and
 # rcprop: stray characters, faulty quoted names, comments, Unicode
@@ -300,6 +335,39 @@ def lexer_commands():
     return argvs
 
 
+def closure_commands():
+    """Rational closure on the chain, and at lowered valuation caps.
+
+    Each item is an argv with the environment variables set for its run
+    alone, or None. At the lowered caps the base's own atoms, the query's,
+    or both are too many, on a ranked base, on one with no finite rank and
+    on an empty one.
+    """
+    chain, pair, forever, empty = (
+        relative(INPUTS / name)
+        for name in ("rc_chain.kb", "rc_pair.kb", "rc_forever.kb", "empty.kb")
+    )
+    argvs = []
+    for flags in ([], ["--json"]):
+        argvs.append(["baserank", *flags, chain])
+        argvs += [["rcprop", *flags, chain, query] for query in CHAIN_QUERIES]
+    items = [(argv, None) for argv in argvs]
+    for cap in ("1", "2"):
+        env = {"DFCA_MAX_ATOMS": cap}
+        for flags in ([], ["--json"]):
+            items += [
+                (["baserank", *flags, chain], env),
+                (["baserank", *flags, pair], env),
+                (["rcprop", *flags, chain, "e |~ !d"], env),
+                (["rcprop", *flags, pair, "z |~ a"], env),
+                (["rcprop", *flags, pair, "b |~ a"], env),
+                (["rcprop", *flags, forever, "c |~ d"], env),
+                (["rcprop", *flags, forever, "a |~ c"], env),
+                (["rcprop", *flags, empty, "a & c |~ b"], env),
+            ]
+    return items
+
+
 def first_last(context):
     """Quoted names of the first and last attributes, or an unknown name twice."""
     if not context.attributes:
@@ -353,45 +421,44 @@ def commands():
     return argvs
 
 
-def replay(argv):
+def replay(argv, env=None):
     """Run one invocation: its exit code, stdout and stderr.
 
     An argv starting with ``python -m dfca`` runs the entry point in a
     child process with this checkout's ``src`` first on its path; any other
     runs ``dfca.cli.main`` in-process. Usage text is wrapped at 80 columns
-    either way, whatever the terminal.
+    either way, whatever the terminal. The variables in ``env`` are set for
+    this run alone, and an entry given them records them.
     """
+    recorded = {"argv": argv, "env": env} if env else {"argv": argv}
+    env = dict(env or {}, COLUMNS="80")
     if argv[:3] == MODULE:
         path = [str(ROOT / "src")] + list(filter(None, [os.environ.get("PYTHONPATH")]))
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join(path),
-            PYTHONIOENCODING="utf-8",
-            COLUMNS="80",
-        )
         done = subprocess.run(
             [sys.executable, "-m", "dfca", *argv[3:]],
             cwd=ROOT,
-            env=env,
+            env=dict(
+                os.environ,
+                PYTHONPATH=os.pathsep.join(path),
+                PYTHONIOENCODING="utf-8",
+                **env,
+            ),
             capture_output=True,
             encoding="utf-8",
         )
-        return {
-            "argv": argv,
-            "exit": done.returncode,
-            "stdout": done.stdout,
-            "stderr": done.stderr,
-        }
+        return dict(
+            recorded, exit=done.returncode, stdout=done.stdout, stderr=done.stderr
+        )
     from dfca.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with (
-        mock.patch.dict(os.environ, COLUMNS="80"),
+        mock.patch.dict(os.environ, env),
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
     ):
         code = main(argv)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return dict(recorded, exit=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 def main():
@@ -401,6 +468,7 @@ def main():
         (INPUTS / name).write_bytes(data)
     os.chdir(ROOT)
     entries = [replay(argv) for argv in commands()]
+    entries += [replay(argv, env) for argv, env in closure_commands()]
     MANIFEST.write_text(
         json.dumps(entries, ensure_ascii=False, indent=1) + "\n", encoding="utf-8"
     )
