@@ -278,6 +278,26 @@ class BaseRankResult:
         return len(self.strata)
 
 
+def _exceptionality_rounds(statements):
+    """Yield, round by round, the statements still active and their material forms.
+
+    Round k holds the statements of rank k or more, the last round those
+    exceptional forever. A statement is exceptional for a round when the
+    round's material forms entail the negation of its antecedent; the
+    exceptional ones make up the next round. Each round is worked out only
+    when the caller asks for it, so a caller that stops early pays for no
+    later round.
+    """
+    current = list(dict.fromkeys(statements))
+    while True:
+        materials = [s.material() for s in current]
+        yield current, materials
+        nxt = [s for s in current if prop_entails(materials, Not(s.antecedent))]
+        if len(nxt) == len(current):
+            return
+        current = nxt
+
+
 def base_rank(statements):
     """Stratify statements by iterated exceptionality.
 
@@ -287,41 +307,38 @@ def base_rank(statements):
     exceptional once earlier ranks are removed; statements exceptional
     forever are reported separately (classical assertions end up there).
     """
-    current = list(dict.fromkeys(statements))
+    rounds = [current for current, _ in _exceptionality_rounds(statements)]
     strata = []
-    while True:
-        materials = [s.material() for s in current]
-        nxt = [s for s in current if prop_entails(materials, Not(s.antecedent))]
-        if len(nxt) == len(current):
-            break
+    for current, nxt in zip(rounds, rounds[1:]):
         exceptional = set(nxt)
         strata.append(tuple(s for s in current if s not in exceptional))
-        current = nxt
-    return BaseRankResult(tuple(strata), tuple(current))
+    return BaseRankResult(tuple(strata), tuple(rounds[-1]))
 
 
 def rc_decision(statements, query):
     """Rational-closure verdict for a query, with the rank of its antecedent.
 
-    Removes the lowest remaining stratum while the leftover material forms
-    make the query's antecedent impossible, then checks whether they entail
-    the query's material form. The second component counts the strata
-    removed: the rank where the antecedent stops being exceptional, or None
-    when no finite rank makes it possible (the verdict is then True).
+    Walks the exceptionality rounds up to the first whose material forms
+    leave the query's antecedent possible, and checks whether they entail
+    the query's material form. The second component is that round's rank,
+    or None when even the statements exceptional forever rule the
+    antecedent out (the verdict is then True).
     """
-    ranked = base_rank(statements)
-    fixed = [s.material() for s in ranked.infinite]
-    live = [[s.material() for s in level] for level in ranked.strata]
     negated = Not(query.antecedent)
-    dropped = 0
-    while live and prop_entails(fixed + [m for level in live for m in level], negated):
-        live.pop(0)
-        dropped += 1
-    premises = fixed + [m for level in live for m in level]
-    verdict = prop_entails(premises, query.material())
-    if not live and prop_entails(fixed, negated):
-        return verdict, None
-    return verdict, dropped
+    rounds = _exceptionality_rounds(statements)
+    for rank, (_, materials) in enumerate(rounds):
+        try:
+            possible = not prop_entails(materials, negated)
+        except CapacityError:
+            # name the enumeration a full ranking of the base would refuse
+            # first: the base's own, which the next round raises, or, when
+            # no statement has a finite rank, the verdict's
+            if next(rounds, None) is None:
+                prop_entails(materials, query.material())
+            raise
+        if possible:
+            return prop_entails(materials, query.material()), rank
+    return prop_entails(materials, query.material()), None
 
 
 # --- derived contexts ---------------------------------------------------------

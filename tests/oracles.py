@@ -29,9 +29,9 @@ from dfca.errors import (
     StructureError,
     ValidityError,
 )
-from dfca.formula import END, IDENT, QUOTED, bind, evaluate, extension
+from dfca.formula import END, IDENT, QUOTED, Not, bind, evaluate, extension
 from dfca.limits import enumeration_cap
-from dfca.propositional import INFINITE_RANK
+from dfca.propositional import INFINITE_RANK, base_rank, prop_entails
 from dfca.ranking import _bound_extents, _least_stratum
 
 
@@ -697,6 +697,33 @@ def derived_parts(interpretation):
                 row |= 1 << j
         rows.append(row)
     return FormalContext(objects, interpretation.atoms, rows)
+
+
+# --- propositional rational closure ----------------------------------------
+
+
+def rc_decision(statements, query):
+    """``propositional.rc_decision`` as a full ranking, then a walk over it.
+
+    Ranks the whole base, then removes the lowest remaining stratum while
+    the leftover material forms make the query's antecedent impossible, and
+    checks whether they entail the query's material form. The rank is the
+    number of strata removed, or None when no finite rank makes the
+    antecedent possible.
+    """
+    ranked = base_rank(statements)
+    fixed = [s.material() for s in ranked.infinite]
+    live = [[s.material() for s in level] for level in ranked.strata]
+    negated = Not(query.antecedent)
+    dropped = 0
+    while live and prop_entails(fixed + [m for level in live for m in level], negated):
+        live.pop(0)
+        dropped += 1
+    premises = fixed + [m for level in live for m in level]
+    verdict = prop_entails(premises, query.material())
+    if not live and prop_entails(fixed, negated):
+        return verdict, None
+    return verdict, dropped
 
 
 # --- strict orders and rankings --------------------------------------------

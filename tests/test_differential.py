@@ -5,7 +5,9 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -58,6 +60,7 @@ from dfca.propositional import (
     RankedInterpretation,
     derive_preferential_context,
     derive_ranked_context,
+    rc_decision,
 )
 from dfca.ranking import (
     RankPartition,
@@ -1344,3 +1347,96 @@ class TestIsModular:
         else:
             order = random_order(rng, n, density=rng.choice([0.05, 0.3, 0.9]))
         assert order.is_modular() == oracles.is_modular(order)
+
+
+# --- propositional rational closure: the rounds up to the query's rank --------------
+
+
+def random_literal(rng, atoms):
+    atom = Atom(rng.choice(atoms))
+    return Not(atom) if rng.random() < 0.4 else atom
+
+
+def random_rc_base(rng):
+    """A base over 3-6 atoms, and queries over its atoms and one it never mentions.
+
+    The base mixes an exception chain (each link's premise an exception to
+    the link before), random defeasible statements, classical assertions,
+    a pair of statements exceptional forever and statements whose
+    antecedent is impossible. The queries include the chain's links, so
+    their antecedents reach the chain's upper ranks, and impossible
+    antecedents.
+    """
+    atoms = [f"p{i}" for i in range(rng.randint(3, 6))]
+    chain = [Atom(name) for name in rng.sample(atoms, rng.randint(2, len(atoms)))]
+    base = []
+    for low, high in zip(chain, chain[1:]):
+        base += [
+            PropConditional.defeasible(low, high),
+            PropConditional.defeasible(high, Not(low)),
+        ]
+    for _ in range(rng.randint(0, 3)):
+        base.append(
+            PropConditional.defeasible(
+                random_prop_formula(rng, atoms, 1), random_literal(rng, atoms)
+            )
+        )
+    if rng.random() < 0.3:
+        base.append(PropConditional.assertion(random_prop_formula(rng, atoms, 2)))
+    if rng.random() < 0.3:
+        a, b = rng.sample(atoms, 2)
+        base += [
+            PropConditional.defeasible(Atom(a), Atom(b)),
+            PropConditional.defeasible(Atom(a), Not(Atom(b))),
+        ]
+    if rng.random() < 0.2:
+        a = Atom(rng.choice(atoms))
+        never = rng.choice([And(a, Not(a)), Bot()])
+        base.append(PropConditional.defeasible(never, random_literal(rng, atoms)))
+    rng.shuffle(base)
+    mentioned = atoms + ["z"]
+    a = Atom(rng.choice(atoms))
+    queries = [
+        PropConditional.defeasible(chain[0], random_literal(rng, mentioned)),
+        PropConditional.defeasible(rng.choice(chain), random_literal(rng, mentioned)),
+        PropConditional.defeasible(
+            random_prop_formula(rng, mentioned, 2), random_prop_formula(rng, mentioned, 1)
+        ),
+        PropConditional.defeasible(Atom("z"), random_literal(rng, atoms)),
+        PropConditional.defeasible(
+            rng.choice([And(a, Not(a)), Bot()]), random_literal(rng, mentioned)
+        ),
+    ]
+    return base, queries
+
+
+class TestRationalClosure:
+    @given(seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_ranking(self, seed):
+        base, queries = random_rc_base(random.Random(seed))
+        for query in queries:
+            assert rc_decision(base, query) == oracles.rc_decision(base, query)
+
+    @given(seeds, st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_refuses_the_enumeration_a_full_ranking_refuses(self, seed, cap):
+        """Under a lowered cap the same enumeration, and so the same text, is refused."""
+        base, queries = random_rc_base(random.Random(seed))
+        with mock.patch.dict(os.environ, DFCA_MAX_ATOMS=str(cap)):
+            for query in queries:
+                assert outcome(rc_decision, base, query) == outcome(
+                    oracles.rc_decision, base, query
+                )
+
+    def test_the_bases_reach_rank_0_2_and_none(self):
+        ranks = set()
+        for seed in range(60):
+            base, queries = random_rc_base(random.Random(seed))
+            for query in queries:
+                decision = rc_decision(base, query)
+                assert decision == oracles.rc_decision(base, query)
+                ranks.add(decision[1])
+        assert 0 in ranks
+        assert None in ranks
+        assert any(rank is not None and rank >= 2 for rank in ranks)

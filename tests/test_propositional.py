@@ -470,6 +470,25 @@ class TestRationalClosure:
         monkeypatch.setenv("DFCA_MAX_ATOMS", "2")
         with pytest.raises(CapacityError):
             rc_decision(statements, query)
+        # the error names the first enumeration a full ranking refuses
+        for cap, base, query, refused in [
+            # the base's own atoms, before the query's are read
+            ("1", ["a |~ b", "b |~ !a"], "z |~ a", 2),
+            # past the base, the antecedent's check
+            ("2", ["a |~ b", "b |~ !a"], "z |~ a", 3),
+            # with no finite rank, the verdict's check, before the antecedent's
+            ("2", ["a |~ b", "a |~ !b"], "c |~ d", 4),
+            ("1", [], "a & c |~ b", 3),
+        ]:
+            monkeypatch.setenv("DFCA_MAX_ATOMS", cap)
+            with pytest.raises(CapacityError) as raised:
+                rc_decision(
+                    [parse_prop_statement(line) for line in base],
+                    parse_prop_statement(query),
+                )
+            assert str(raised.value) == (
+                f"entailment check enumerates 2**{refused} valuations, cap is 2**{cap}"
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)

@@ -67,6 +67,13 @@ column at load (0.14 s, 0.12-0.16 s). Splitting every line and checking
 the rows as a list took a median of 0.26 s (0.25-0.28 s) on the same
 machine. All are linear; the cap of 1.5 s guards against a superlinear
 parse or cut.
+
+Rational closure answers a query from the exceptionality rounds up to its
+antecedent's rank. On a 12-atom exception chain (``a_i |~ a_{i+1}`` and
+``a_{i+1} |~ !a_i``, 22 statements, 11 strata) a query at rank 0 takes
+0.02-0.04 s, against 1.2-1.4 s when every query ranked the whole base
+first, on the same machine; the cap is 0.25 s. A query at the top rank
+still pays for every round, 1.2-1.4 s either way, and is not capped.
 """
 
 import random
@@ -83,7 +90,7 @@ from dfca import (
 from dfca.fileio import format_cxt, parse_csv_context, parse_cxt
 from dfca.formula import And, Atom, Not, Or, PropConditional
 from dfca.order import order_from_ranks
-from dfca.propositional import RankedInterpretation
+from dfca.propositional import RankedInterpretation, rc_decision
 from dfca.ranking import delta_valid
 
 
@@ -294,3 +301,17 @@ def test_a_100k_state_interpretation_keeps_its_valuations():
     seconds, read = timed(lambda: [model.valuations[i] for i in picks])
     assert seconds < 1.0
     assert read == [valuations[i] for i in picks]
+
+
+def test_a_rank_0_query_on_a_12_atom_chain_reads_one_round():
+    names = [f"a{i}" for i in range(12)]
+    kb = []
+    for low, high in zip(names, names[1:]):
+        kb += [
+            PropConditional.defeasible(Atom(low), Atom(high)),
+            PropConditional.defeasible(Atom(high), Not(Atom(low))),
+        ]
+    query = PropConditional.defeasible(Atom("a11"), Not(Atom("a10")))
+    seconds, decision = timed(rc_decision, kb, query)
+    assert seconds < 0.25
+    assert decision == (True, 0)
