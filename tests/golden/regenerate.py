@@ -144,6 +144,17 @@ STATEMENTS = {
     "rc_pair.kb": "a |~ b\nb |~ !a",
     # both statements exceptional at every finite rank
     "rc_forever.kb": "a |~ b\na |~ !b",
+    # characters str.splitlines() breaks at but a file's lines do not: in a
+    # comment, and in an attribute name that a .cxt name line can hold
+    "separators.cxt": "B\n\n2\n2\n\ng\nh\nc\na\u2028b\nX.\nXX",
+    "form_feed.kb": "# note\x0c more\nc |~ c",
+    "line_separator.kb": '"a\u2028b" |~ c',
+    "separators.probes": 'c |~ "a\u2028b"\n"a\u2028b" |~ c',
+    "separators_prop.kb": "\n".join([
+        "# \x0b vt \x0c ff \x1c fs \x1d gs \x1e rs \x85 nel \u2028 ls \u2029 ps",
+        "a |~ b",
+        "b |~ !a",
+    ]),
 }
 
 # rcprop queries on rc_chain.kb: antecedents first possible at rank 0, 1, 2,
@@ -368,6 +379,34 @@ def closure_commands():
     return items
 
 
+def separator_commands():
+    """Statement files and names holding characters that end no line."""
+    context, form_feed, line_separator, probes, base, empty = (
+        relative(INPUTS / name)
+        for name in (
+            "separators.cxt",
+            "form_feed.kb",
+            "line_separator.kb",
+            "separators.probes",
+            "separators_prop.kb",
+            "empty.kb",
+        )
+    )
+    argvs = []
+    for flags in ([], ["--json"]):
+        argvs += [
+            ["extension", *flags, context, '"a\u2028b"'],
+            ["rank", *flags, context, form_feed],
+            ["rank", *flags, context, line_separator],
+            ["validate", *flags, context, line_separator],
+            ["entail", *flags, context, form_feed, '"a\u2028b" |~ c'],
+            ["diff", *flags, context, empty, line_separator, "--probe", probes],
+            ["baserank", *flags, base],
+            ["rcprop", *flags, base, "a |~ b"],
+        ]
+    return argvs
+
+
 def first_last(context):
     """Quoted names of the first and last attributes, or an unknown name twice."""
     if not context.attributes:
@@ -469,6 +508,7 @@ def main():
     os.chdir(ROOT)
     entries = [replay(argv) for argv in commands()]
     entries += [replay(argv, env) for argv, env in closure_commands()]
+    entries += [replay(argv) for argv in separator_commands()]
     MANIFEST.write_text(
         json.dumps(entries, ensure_ascii=False, indent=1) + "\n", encoding="utf-8"
     )
