@@ -30,7 +30,10 @@ every column has been cut.
 Conditional files are UTF-8 text, one statement per line; ``#`` starts a
 comment and blank lines are skipped. Order files hold ``a < b`` lines
 (a strictly below b, names trimmed of surrounding whitespace). Rank files
-hold ``<rank> <object name>`` lines and must cover every object.
+hold ``<rank> <object name>`` lines and must cover every object. In
+these three kinds of file, as in a ``.cxt``, only a line break (``\\n``,
+``\\r\\n`` or ``\\r``) ends a line: a form feed, NEL or U+2028 LINE
+SEPARATOR is part of the line it is on.
 """
 
 import csv
@@ -306,7 +309,9 @@ def _read_text(path):
 
 
 def _statement_lines(path):
-    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
+    # the read turned "\r\n" and "\r" into "\n"; str.splitlines() would
+    # also break at a form feed, NEL or U+2028
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -111,8 +111,13 @@ CLASSICAL = "classical"
 
 
 @dataclass(frozen=True)
-class Conditional:
-    """phi |~ psi (defeasible) or phi -> psi (classical), over attributes."""
+class _Statement:
+    """The body both dialects' statements share: two formulas and a kind.
+
+    Each dialect subclasses it as a dataclass of its own, so equality,
+    hashing and ``repr`` stay per class: a ``Conditional`` never equals a
+    ``PropConditional`` with the same fields.
+    """
 
     antecedent: Formula
     consequent: Formula
@@ -120,11 +125,16 @@ class Conditional:
 
     def __post_init__(self):
         if self.kind not in (DEFEASIBLE, CLASSICAL):
-            raise ValueError(f"unknown conditional kind {self.kind!r}")
+            raise ValueError(f"unknown statement kind {self.kind!r}")
 
     @classmethod
     def defeasible(cls, antecedent, consequent):
         return cls(antecedent, consequent, DEFEASIBLE)
+
+
+@dataclass(frozen=True)
+class Conditional(_Statement):
+    """phi |~ psi (defeasible) or phi -> psi (classical), over attributes."""
 
     @classmethod
     def classical(cls, antecedent, consequent):
@@ -139,20 +149,8 @@ class Conditional:
 
 
 @dataclass(frozen=True)
-class PropConditional:
+class PropConditional(_Statement):
     """A defeasible ``phi |~ psi`` or an encoded classical assertion."""
-
-    antecedent: Formula
-    consequent: Formula
-    kind: str = DEFEASIBLE
-
-    def __post_init__(self):
-        if self.kind not in (DEFEASIBLE, CLASSICAL):
-            raise ValueError(f"unknown statement kind {self.kind!r}")
-
-    @classmethod
-    def defeasible(cls, antecedent, consequent):
-        return cls(antecedent, consequent, DEFEASIBLE)
 
     @classmethod
     def assertion(cls, statement):

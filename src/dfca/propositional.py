@@ -52,64 +52,33 @@ from .ranking import _least_stratum
 # --- semantics --------------------------------------------------------------
 
 
-def prop_eval(valuation, formula):
-    """Truth value under a total valuation (a mapping atom name -> bool)."""
-    if isinstance(formula, Top):
-        return True
-    if isinstance(formula, Bot):
-        return False
-    if isinstance(formula, Atom):
-        try:
-            return bool(valuation[formula.name])
-        except KeyError:
-            raise BindingError(f"valuation has no atom {formula.name!r}") from None
-    if isinstance(formula, Not):
-        return not prop_eval(valuation, formula.operand)
-    if isinstance(formula, And):
-        return prop_eval(valuation, formula.left) and prop_eval(
-            valuation, formula.right
-        )
-    if isinstance(formula, Or):
-        return prop_eval(valuation, formula.left) or prop_eval(
-            valuation, formula.right
-        )
-    if isinstance(formula, Implies):
-        return not prop_eval(valuation, formula.left) or prop_eval(
-            valuation, formula.right
-        )
-    if isinstance(formula, Iff):
-        return prop_eval(valuation, formula.left) == prop_eval(
-            valuation, formula.right
-        )
-    raise TypeError(f"not a propositional formula: {formula!r}")
-
-
-def all_valuations(names):
-    """Yield every valuation over the given atom names, counting binary."""
-    names = list(names)
-    for mask in range(1 << len(names)):
-        yield {
-            name: bool(mask >> (len(names) - 1 - i) & 1)
-            for i, name in enumerate(names)
-        }
-
-
 def prop_entails(premises, conclusion):
-    """Classical entailment by exhausting valuations over the mentioned atoms."""
+    """Classical entailment by exhausting valuations over the mentioned atoms.
+
+    A valuation of the n atoms is an int below 2**n, the i-th name in
+    sorted order at bit n - 1 - i, and ``evaluate`` decides each formula
+    at it over one-bit columns.
+    """
     premises = list(premises)
     names = set(atom_names(conclusion))
     for p in premises:
         names |= atom_names(p)
     names = sorted(names)
+    n = len(names)
     cap = enumeration_cap()
-    if len(names) > cap:
+    if n > cap:
         raise CapacityError(
-            f"entailment check enumerates 2**{len(names)} valuations, "
-            f"cap is 2**{cap}"
+            f"entailment check enumerates 2**{n} valuations, cap is 2**{cap}"
         )
-    for valuation in all_valuations(names):
-        if all(prop_eval(valuation, p) for p in premises) and not prop_eval(
-            valuation, conclusion
+    shift = {name: n - 1 - i for i, name in enumerate(names)}
+
+    def column(name):
+        # the atom's bit in the valuation the loop below is at
+        return valuation >> shift[name] & 1
+
+    for valuation in range(1 << n):
+        if all(evaluate(p, column, 1) for p in premises) and not evaluate(
+            conclusion, column, 1
         ):
             return False
     return True

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import set_satisfies
+from oracles import all_valuations, prop_eval, set_satisfies
 from dfca import (
     FormalContext,
     PreferentialContext,
@@ -261,7 +261,7 @@ def enumerate_valuation_models(statements, atom_list):
     antecedent states under the usual order on naturals with infinity on top.
     Yields rank vectors aligned with the valuation enumeration order.
     """
-    from dfca.propositional import INFINITE_RANK, all_valuations, prop_eval
+    from dfca.propositional import INFINITE_RANK
 
     valuations = list(all_valuations(atom_list))
     n = len(valuations)

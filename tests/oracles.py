@@ -29,9 +29,25 @@ from dfca.errors import (
     StructureError,
     ValidityError,
 )
-from dfca.formula import END, IDENT, QUOTED, Not, bind, evaluate, extension
+from dfca.formula import (
+    END,
+    IDENT,
+    QUOTED,
+    And,
+    Atom,
+    Bot,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Top,
+    atom_names,
+    bind,
+    evaluate,
+    extension,
+)
 from dfca.limits import enumeration_cap
-from dfca.propositional import INFINITE_RANK, base_rank, prop_entails
+from dfca.propositional import INFINITE_RANK, base_rank
 from dfca.ranking import _bound_extents, _least_stratum
 
 
@@ -699,7 +715,74 @@ def derived_parts(interpretation):
     return FormalContext(objects, interpretation.atoms, rows)
 
 
-# --- propositional rational closure ----------------------------------------
+# --- propositional entailment and rational closure --------------------------
+
+
+def prop_eval(valuation, formula):
+    """Truth value under a total valuation (a mapping atom name -> bool)."""
+    if isinstance(formula, Top):
+        return True
+    if isinstance(formula, Bot):
+        return False
+    if isinstance(formula, Atom):
+        try:
+            return bool(valuation[formula.name])
+        except KeyError:
+            raise BindingError(f"valuation has no atom {formula.name!r}") from None
+    if isinstance(formula, Not):
+        return not prop_eval(valuation, formula.operand)
+    if isinstance(formula, And):
+        return prop_eval(valuation, formula.left) and prop_eval(
+            valuation, formula.right
+        )
+    if isinstance(formula, Or):
+        return prop_eval(valuation, formula.left) or prop_eval(
+            valuation, formula.right
+        )
+    if isinstance(formula, Implies):
+        return not prop_eval(valuation, formula.left) or prop_eval(
+            valuation, formula.right
+        )
+    if isinstance(formula, Iff):
+        return prop_eval(valuation, formula.left) == prop_eval(
+            valuation, formula.right
+        )
+    raise TypeError(f"not a propositional formula: {formula!r}")
+
+
+def all_valuations(names):
+    """Yield every valuation over the given atom names, counting binary."""
+    names = list(names)
+    for mask in range(1 << len(names)):
+        yield {
+            name: bool(mask >> (len(names) - 1 - i) & 1)
+            for i, name in enumerate(names)
+        }
+
+
+def prop_entails(premises, conclusion):
+    """Classical entailment by exhausting valuations over the mentioned atoms.
+
+    ``propositional.prop_entails`` as it was before it swept valuations as
+    ints through ``formula.evaluate``.
+    """
+    premises = list(premises)
+    names = set(atom_names(conclusion))
+    for p in premises:
+        names |= atom_names(p)
+    names = sorted(names)
+    cap = enumeration_cap()
+    if len(names) > cap:
+        raise CapacityError(
+            f"entailment check enumerates 2**{len(names)} valuations, "
+            f"cap is 2**{cap}"
+        )
+    for valuation in all_valuations(names):
+        if all(prop_eval(valuation, p) for p in premises) and not prop_eval(
+            valuation, conclusion
+        ):
+            return False
+    return True
 
 
 def rc_decision(statements, query):

@@ -275,7 +275,7 @@ def semantic_classes(atoms, valuations):
     def mask_of(formula):
         bits = 0
         for i, v in enumerate(valuations):
-            if prop.prop_eval(v, formula):
+            if oracles.prop_eval(v, formula):
                 bits |= 1 << i
         return bits
 

@@ -3,9 +3,12 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CORPUS_DIR,
@@ -18,6 +21,7 @@ from dfca import FormalContext, KnowledgeBase, load_context
 from dfca.cli import CliResult, _rank_table, main, run
 from dfca.formula import parse_conditional
 from dfca.ranking import object_rank
+from golden.regenerate import MANIFEST, ROOT
 
 FRIENDS = str(DATA_DIR / "friends.cxt")
 FRIENDS_KB = str(DATA_DIR / "friends.kb")
@@ -541,3 +545,69 @@ class TestRankTableWidths:
         result = run(["rank", str(path), str(kb)])
         assert result.exit_code == 2
         assert result.text == f"error: {path}:1: empty attribute name"
+
+
+# --- fuzzing every subcommand -------------------------------------------------
+
+# the manifest's argvs run in-process, each with its files and formula text
+# to mutate
+FUZZ_ARGVS = [
+    entry["argv"]
+    for entry in json.loads(MANIFEST.read_text(encoding="utf-8"))
+    if entry["argv"][:1] != ["python"]
+]
+# the formula syntax, quoted names, comments, .cxt and .csv cells, line ends,
+# and the characters str.splitlines() breaks at but a file's lines do not
+FUZZ_ALPHABET = [
+    *'ab"\\#!&|()<->~ .,XxTOPB01\n\r\t',
+    *"\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\u00a0é",
+]
+
+
+def mutated(rng, text):
+    """The text, often as it was, else with a few characters changed.
+
+    A change inserts, deletes or replaces one character.
+    """
+    chars = list(text)
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2, 4])):
+        i = rng.randrange(len(chars) + 1)
+        roll = rng.random()
+        if roll < 0.5 or i == len(chars):
+            chars.insert(i, rng.choice(FUZZ_ALPHABET))
+        elif roll < 0.75:
+            del chars[i]
+        else:
+            chars[i] = rng.choice(FUZZ_ALPHABET)
+    return "".join(chars)
+
+
+def fuzz_argv(rng, folder):
+    """A golden argv with mutated copies of its files and mutated or random text."""
+    argv = rng.choice(FUZZ_ARGVS)
+    fuzzed = argv[:1]
+    for arg in argv[1:]:
+        source = ROOT / arg
+        if arg.startswith("--"):
+            fuzzed.append(arg)
+        elif source.is_file():
+            # a byte that is not UTF-8 (as in not_utf8.cxt) is kept as it was
+            text = source.read_bytes().decode("utf-8", "surrogateescape")
+            path = Path(folder) / f"{len(fuzzed)}{source.suffix}"
+            path.write_bytes(mutated(rng, text).encode("utf-8", "surrogateescape"))
+            fuzzed.append(str(path))
+        elif rng.random() < 0.2:
+            fuzzed.append("".join(rng.choices(FUZZ_ALPHABET, k=rng.randint(0, 12))))
+        else:
+            fuzzed.append(mutated(rng, arg))
+    return fuzzed
+
+
+class TestFuzz:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_every_subcommand_exits_0_to_3_and_raises_nothing(self, seed):
+        rng = random.Random(seed)
+        with tempfile.TemporaryDirectory() as folder:
+            result = run(fuzz_argv(rng, folder))
+        assert result.exit_code in (0, 1, 2, 3)

@@ -1,6 +1,7 @@
 """Each fast bitset path against the slow procedure it replaced (see oracles.py)."""
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -23,6 +24,7 @@ from conftest import (
     random_ranking,
 )
 from dfca import (
+    ClosureSession,
     FormalContext,
     KnowledgeBase,
     RankedContext,
@@ -50,8 +52,11 @@ from dfca.formula import (
     Or,
     PropConditional,
     Top,
+    atom_names,
     extension,
+    format_prop_formula,
     materialise,
+    parse_conditional,
 )
 from dfca.order import order_from_ranks, ranks_from_order
 from dfca.propositional import (
@@ -60,6 +65,7 @@ from dfca.propositional import (
     RankedInterpretation,
     derive_preferential_context,
     derive_ranked_context,
+    prop_entails,
     rc_decision,
 )
 from dfca.ranking import (
@@ -1440,3 +1446,229 @@ class TestRationalClosure:
         assert 0 in ranks
         assert None in ranks
         assert any(rank is not None and rank >= 2 for rank in ranks)
+
+
+# --- classical entailment: valuations as ints, decided by formula.evaluate ----------
+
+
+def random_entailment(rng):
+    """Premises and a conclusion over 0-6 atoms and every kind of node.
+
+    The premise list may be empty, and the premises may leave out atoms
+    that the conclusion mentions.
+    """
+    atoms = [f"p{i}" for i in range(rng.randint(0, 6))]
+    shared = atoms[: rng.randint(0, len(atoms))]
+    premises = [
+        random_prop_formula(rng, shared, rng.randint(0, 3))
+        for _ in range(rng.choice([0, 0, 1, 2, 3]))
+    ]
+    conclusion = random_prop_formula(rng, atoms, rng.randint(0, 3))
+    if rng.random() < 0.3:
+        # random formulas seldom name all six atoms; this one names each
+        every = functools.reduce(rng.choice([And, Or, Iff]), map(Atom, atoms), Top())
+        conclusion = rng.choice([And, Or, Implies])(conclusion, every)
+    return premises, conclusion
+
+
+def node_kinds(formula):
+    kinds = {type(formula)}
+    for child in ("operand", "left", "right"):
+        if hasattr(formula, child):
+            kinds |= node_kinds(getattr(formula, child))
+    return kinds
+
+
+ENTAILMENT_EDGES = [
+    ([], Top()),
+    ([], Bot()),
+    ([Bot()], Atom("q")),
+    ([Atom("p")], Atom("q")),
+    ([Atom("p"), Not(Atom("p"))], Atom("q")),
+    ([Iff(Atom("p"), Atom("q")), Atom("q")], Atom("p")),
+]
+
+
+class TestPropEntails:
+    @given(seeds)
+    @settings(max_examples=400)
+    def test_matches_the_sweep_over_valuation_dicts(self, seed):
+        premises, conclusion = random_entailment(random.Random(seed))
+        assert prop_entails(premises, conclusion) == oracles.prop_entails(
+            premises, conclusion
+        )
+
+    @pytest.mark.parametrize("premises, conclusion", ENTAILMENT_EDGES)
+    def test_edges_match(self, premises, conclusion):
+        assert prop_entails(premises, conclusion) == oracles.prop_entails(
+            premises, conclusion
+        )
+
+    @given(seeds, st.integers(0, 2))
+    @settings(max_examples=200)
+    def test_refuses_with_the_same_text(self, seed, cap):
+        premises, conclusion = random_entailment(random.Random(seed))
+        with mock.patch.dict(os.environ, DFCA_MAX_ATOMS=str(cap)):
+            assert outcome(prop_entails, premises, conclusion) == outcome(
+                oracles.prop_entails, premises, conclusion
+            )
+
+    def test_the_inputs_reach_every_edge(self):
+        """Every node kind, both verdicts, 0 and 6 atoms, no premises, and
+        atoms that only the conclusion mentions."""
+        kinds, verdicts, sizes = set(), set(), set()
+        no_premises = conclusion_only = 0
+        for seed in range(300):
+            premises, conclusion = random_entailment(random.Random(seed))
+            for formula in [*premises, conclusion]:
+                kinds |= node_kinds(formula)
+            verdicts.add(prop_entails(premises, conclusion))
+            mentioned = set().union(*map(atom_names, premises))
+            sizes.add(len(mentioned | atom_names(conclusion)))
+            no_premises += not premises
+            conclusion_only += bool(atom_names(conclusion) - mentioned)
+        assert kinds == {Top, Bot, Atom, Not, And, Or, Implies, Iff}
+        assert verdicts == {True, False}
+        assert {0, 6} <= sizes
+        assert no_premises and conclusion_only
+
+
+# --- the bridge: a context of valuations answers as rational closure -----------------
+
+
+def random_bridge_base(rng):
+    """Defeasible statements over 3-6 atoms in the fragment both dialects share.
+
+    The base holds an exception chain, random statements over atoms, ``!``,
+    ``&`` and ``|``, and now and then a pair that no ranking of a context
+    with their antecedent accepts. The queries take the chain's links,
+    random formulas and an atom ``z`` the base never mentions, which is
+    also returned as the last of the atoms.
+    """
+    atoms = [f"p{i}" for i in range(rng.randint(3, 6))]
+    chain = [Atom(name) for name in rng.sample(atoms, rng.randint(2, len(atoms)))]
+    base = []
+    for low, high in zip(chain, chain[1:]):
+        base += [
+            PropConditional.defeasible(low, high),
+            PropConditional.defeasible(high, Not(low)),
+        ]
+    for _ in range(rng.randint(0, 3)):
+        antecedent = random_formula(rng, atoms, 1)
+        # a consequent over the antecedent's atoms could contradict it
+        others = [a for a in atoms if a not in atom_names(antecedent)]
+        base.append(
+            PropConditional.defeasible(antecedent, random_literal(rng, others))
+        )
+    if rng.random() < 0.15:
+        a, b = rng.sample(atoms, 2)
+        base += [
+            PropConditional.defeasible(Atom(a), Atom(b)),
+            PropConditional.defeasible(Atom(a), Not(Atom(b))),
+        ]
+    rng.shuffle(base)
+    mentioned = atoms + ["z"]
+    queries = [
+        PropConditional.defeasible(rng.choice(chain), random_literal(rng, mentioned)),
+        PropConditional.defeasible(
+            random_literal(rng, atoms), random_literal(rng, mentioned)
+        ),
+        PropConditional.defeasible(
+            random_formula(rng, mentioned, 2), random_formula(rng, mentioned, 1)
+        ),
+        PropConditional.defeasible(Atom("z"), random_literal(rng, atoms)),
+    ]
+    return mentioned, base, queries
+
+
+def as_conditional(statement):
+    """A defeasible propositional statement, read as a conditional over attributes."""
+    return parse_conditional(
+        f"{format_prop_formula(statement.antecedent)} |~ "
+        f"{format_prop_formula(statement.consequent)}"
+    )
+
+
+def valuation_context(atoms, rows):
+    """One object per valuation, atom j true where bit j of its row is set."""
+    return FormalContext([f"w{row}" for row in rows], atoms, rows)
+
+
+def rows_assertion(atoms, rows):
+    """The classical assertion that the valuation is one of the rows.
+
+    It is the disjunction of the rows' full conjunctions or, when fewer
+    valuations are left out than kept, the equivalent and shorter
+    conjunction of the left-out ones' negations.
+    """
+
+    def minterm(row):
+        literals = [
+            Atom(a) if row >> j & 1 else Not(Atom(a)) for j, a in enumerate(atoms)
+        ]
+        return functools.reduce(And, literals)
+
+    missing = sorted(set(range(1 << len(atoms))) - set(rows))
+    if len(missing) < len(rows):
+        kept = functools.reduce(And, [Not(minterm(row)) for row in missing], Top())
+    else:
+        kept = functools.reduce(Or, map(minterm, rows))
+    return PropConditional.assertion(kept)
+
+
+def context_verdicts(context, base, queries):
+    """The context engine's verdicts, or None when no ranking of it accepts the base."""
+    try:
+        session = ClosureSession(context, [as_conditional(s) for s in base])
+    except ValidityError:
+        return None
+    return [session.entails(as_conditional(q)) for q in queries]
+
+
+def random_valuation_rows(rng, atoms):
+    """A random nonempty set of valuations, each kept with the same chance."""
+    keep = rng.choice([0.2, 0.5, 0.8, 0.95])
+    rows = [row for row in range(1 << len(atoms)) if rng.random() < keep]
+    return rows or [rng.randrange(1 << len(atoms))]
+
+
+class TestRationalClosureBridge:
+    """``ClosureSession`` over contexts of valuations against ``rc_decision``."""
+
+    @given(seeds)
+    @settings(max_examples=80, deadline=None)
+    def test_the_context_of_every_valuation_answers_as_the_base(self, seed):
+        atoms, base, queries = random_bridge_base(random.Random(seed))
+        context = valuation_context(atoms, range(1 << len(atoms)))
+        verdicts = context_verdicts(context, base, queries)
+        if verdicts is not None:
+            assert verdicts == [rc_decision(base, q)[0] for q in queries]
+
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_any_context_answers_as_the_base_asserting_its_rows(self, seed):
+        rng = random.Random(seed)
+        atoms, base, queries = random_bridge_base(rng)
+        rows = random_valuation_rows(rng, atoms)
+        verdicts = context_verdicts(valuation_context(atoms, rows), base, queries)
+        if verdicts is not None:
+            asserted = [*base, rows_assertion(atoms, rows)]
+            assert verdicts == [rc_decision(asserted, q)[0] for q in queries]
+
+    def test_both_verdicts_and_a_more_contextual_answer_occur(self):
+        full, subsets, contextual = set(), set(), 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            atoms, base, queries = random_bridge_base(rng)
+            every = valuation_context(atoms, range(1 << len(atoms)))
+            full.update(context_verdicts(every, base, queries) or ())
+            rows = random_valuation_rows(rng, atoms)
+            verdicts = context_verdicts(valuation_context(atoms, rows), base, queries)
+            if verdicts is not None:
+                subsets.update(verdicts)
+                contextual += sum(
+                    verdict != rc_decision(base, q)[0]
+                    for verdict, q in zip(verdicts, queries)
+                )
+        assert full == subsets == {True, False}
+        assert contextual

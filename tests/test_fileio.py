@@ -18,7 +18,13 @@ from conftest import (
     friends_delta,
     random_context,
 )
-from dfca import FileFormatError, FormalContext, RankingFunction, StructureError
+from dfca import (
+    FileFormatError,
+    FormalContext,
+    RankingFunction,
+    StrictOrder,
+    StructureError,
+)
 from dfca.fileio import (
     format_cxt,
     load_conditionals,
@@ -207,6 +213,12 @@ class TestColumnsCutOnFirstRead:
         context.row(0)
         assert cut_columns(context) == list(range(6)) and context._cells is None
         assert context == build_friends()
+        # cutting the columns one by one drops the block at the last one
+        context = load_context(DATA_DIR / "friends.cxt")
+        for j in range(6):
+            assert context._cells is not None
+            context.column(j)
+        assert context._cells is None and context == build_friends()
 
     def test_a_shallow_copy_cut_first_leaves_the_original_whole(self):
         """A copy shares the list of cut columns; the original still reads in full."""
@@ -467,6 +479,33 @@ class TestStatementFiles:
         with pytest.raises(FileFormatError) as err:
             load_prop_statements(target)
         assert err.value.line == 4
+
+
+# every character str.splitlines() ends a line at, besides "\n" and "\r"
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=lambda char: f"U+{ord(char):04X}")
+class TestOnlyLineBreaksEndLines:
+    """A comment holding the character stays a comment, a name holding it can
+    be named, and line numbers count line breaks alone."""
+
+    def test_statement_files(self, char, tmp_path):
+        target = tmp_path / "kb.txt"
+        target.write_text(f'# note{char} more\n"a{char}b" |~ c\n', encoding="utf-8")
+        assert load_conditionals(target) == [parse_conditional(f'"a{char}b" |~ c')]
+        target.write_text(f"# note{char} more\nc |~ c\nc |~\n", encoding="utf-8")
+        with pytest.raises(FileFormatError) as err:
+            load_conditionals(target)
+        assert err.value.line == 3
+
+    def test_order_and_rank_files(self, char, tmp_path):
+        context = FormalContext(["g", f"h{char}k"], ["c"], [1, 0])
+        order, ranks = tmp_path / "o.order", tmp_path / "r.ranks"
+        order.write_text(f"# note{char} more\ng < h{char}k\n", encoding="utf-8")
+        ranks.write_text(f"# note{char} more\n0 g\n1 h{char}k\n", encoding="utf-8")
+        assert load_order(order, context) == StrictOrder(2, [(0, 1)])
+        assert load_ranks(ranks, context) == RankingFunction([0, 1])
 
 
 class TestOrderFiles:

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import pytest
@@ -16,6 +17,7 @@ from dfca.formula import (
     Conditional,
     Not,
     Or,
+    PropConditional,
     Top,
     atom_names,
     bind,
@@ -242,6 +244,27 @@ class TestDialects:
         assert propositional.Atom is Atom
         assert propositional.Not is Not
 
+    @pytest.mark.parametrize("kind", ["defeasible", "classical"])
+    def test_statements_share_a_body_but_compare_per_class(self, kind):
+        a, b = Atom("a"), Atom("b")
+        context, prop = Conditional(a, b, kind), PropConditional(a, b, kind)
+        assert context != prop and prop != context
+        assert len({context, prop}) == 2
+        for statement, cls in ((context, Conditional), (prop, PropConditional)):
+            same = cls(Atom("a"), Atom("b"), kind)
+            assert statement == same and hash(statement) == hash(same)
+            assert statement != cls(b, a, kind)
+            assert repr(statement) == (
+                f"{cls.__name__}(antecedent=Atom(name='a'), "
+                f"consequent=Atom(name='b'), kind={kind!r})"
+            )
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                statement.kind = "defeasible"
+            with pytest.raises(ValueError, match="unknown statement kind 'strict'"):
+                cls(a, b, "strict")
+        assert Conditional.defeasible(a, b) == Conditional(a, b)
+        assert PropConditional.defeasible(a, b) == PropConditional(a, b)
+
 
 class TestExtension:
     def test_weather_disjunction(self):
@@ -434,4 +457,4 @@ class TestNestingCap:
         statement = parse_prop_statement(f"{text} |~ {text}")
         assert parse_prop_statement(str(statement)) == statement
         assert propositional.prop_entails([statement.material()], Top())
-        assert propositional.prop_eval({"a": True}, formula) in (True, False)
+        assert oracles.prop_eval({"a": True}, formula) in (True, False)

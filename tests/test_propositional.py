@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_valuation_models, pointwise_minimum, random_ranking
+from oracles import all_valuations, prop_eval
 from dfca import (
     BindingError,
     CapacityError,
@@ -29,7 +30,6 @@ from dfca.propositional import (
     PropConditional,
     RankedInterpretation,
     Top,
-    all_valuations,
     atom_names,
     base_rank,
     derive_preferential_context,
@@ -38,7 +38,6 @@ from dfca.propositional import (
     parse_prop_formula,
     parse_prop_statement,
     prop_entails,
-    prop_eval,
     rc_decision,
 )
 
