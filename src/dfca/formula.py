@@ -529,9 +529,14 @@ def evaluate(formula, column, universe):
 
 
 def bind(context, formula):
-    """Check every atom names an attribute of the context; return the formula."""
-    for name in atom_names(formula):
-        context.attribute_index(name)
+    """Check every atom names an attribute of the context; return the formula.
+
+    The atoms are checked in the order the text names them, so the error
+    names the first unknown one, as ``extension`` does.
+    """
+    # evaluate visits the atoms left to right; the indices it combines are
+    # thrown away
+    evaluate(formula, context.attribute_index, 0)
     return formula
 
 

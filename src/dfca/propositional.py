@@ -57,7 +57,9 @@ def prop_entails(premises, conclusion):
 
     A valuation of the n atoms is an int below 2**n, the i-th name in
     sorted order at bit n - 1 - i, and ``evaluate`` decides each formula
-    at it over one-bit columns.
+    at it over one-bit columns. Only a valuation that falsifies the
+    conclusion can be a counter-model, so the premises are evaluated at
+    those valuations alone.
     """
     premises = list(premises)
     names = set(atom_names(conclusion))
@@ -77,8 +79,8 @@ def prop_entails(premises, conclusion):
         return valuation >> shift[name] & 1
 
     for valuation in range(1 << n):
-        if all(evaluate(p, column, 1) for p in premises) and not evaluate(
-            conclusion, column, 1
+        if not evaluate(conclusion, column, 1) and all(
+            evaluate(p, column, 1) for p in premises
         ):
             return False
     return True

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .errors import StructureError, ValidityError
-from .formula import DEFEASIBLE, bind, extension, materialise
+from .formula import DEFEASIBLE, extension, materialise
 from .order import RankedContext, RankingFunction
 
 
@@ -84,8 +84,8 @@ def _bound_extents(context, kb):
     mats = []
     ants = []
     for c in kb:
-        bind(context, c.antecedent)
-        bind(context, c.consequent)
+        # the material form names the antecedent's atoms, then the
+        # consequent's, so an unknown one is reported in text order
         mats.append(extension(context, materialise(c)))
         ants.append(extension(context, c.antecedent))
     return mats, ants

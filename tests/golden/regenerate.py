@@ -122,6 +122,8 @@ STATEMENTS = {
         "d |~ e",
     ]),
     "bad_syntax.kb": "bird |~ flies\nbird |~ (flies",
+    # several attributes weather.cxt lacks: the first in the text is named
+    "weather_unknown.kb": "Rain |~ yy & ww & qq & pp",
     # names the lexer reads bare, among them "a-" (as in "a-->b") and TOP
     "lexer.cxt": "B\n\n3\n4\n\ng\nh\nk\na\nb\na-\nTOP\nXX..\nX.X.\n.X.X",
     # as a context KB and as a propositional base
@@ -233,6 +235,8 @@ def edge_commands(empty_kb):
     friends_kb = relative(ROOT / "data" / "friends.kb")
     penguin = relative(ROOT / "data" / "penguin.kb")
     empty = relative(empty_kb)
+    weather = relative(ROOT / "data" / "weather.cxt")
+    unknown = relative(INPUTS / "weather_unknown.kb")
     edges, invalid, classical, top, top_kb, birds, contradiction, bad_syntax = (
         relative(INPUTS / name)
         for name in (
@@ -305,6 +309,8 @@ def edge_commands(empty_kb):
         ["holds", friends, '"fw. alice" |~ "fw. bob"'],
         ["entail", friends, friends_kb, '"fw. alice" -> "fw. bob"'],
         ["entail", friends, friends_kb, '"fw. alice" |~ "fw. zed"'],
+        ["rank", weather, unknown],
+        ["validate", weather, unknown],
         ["rcprop", penguin, "penguin"],
         ["rcprop", "--json", penguin, "penguin |~"],
         ["diff", friends, friends_kb, friends_kb, "--probe", classical],

@@ -491,10 +491,13 @@ class TestParserReuse:
         assert (result.exit_code, result.text + "\n") == (fresh.returncode, fresh.stdout)
 
 
-def run_module(*argv):
-    """``python -m dfca`` in a fresh interpreter that imports this checkout."""
+def run_module(*argv, **variables):
+    """``python -m dfca`` in a fresh interpreter that imports this checkout.
+
+    ``variables`` are set in its environment.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "dfca", *argv],
@@ -528,6 +531,20 @@ class TestModuleEntryPoint:
         rank = run_module("rank", WEATHER, str(invalid))
         assert rank.returncode == 3 and rank.stdout == ""
         assert rank.stderr.startswith("error: no ranking")
+
+    def test_the_unknown_attribute_named_does_not_depend_on_the_hash_seed(
+        self, tmp_path
+    ):
+        """Several unknown names: the error names the first in the text."""
+        kb = tmp_path / "unknown.kb"
+        kb.write_text("Rain |~ yy & ww & qq & pp\n", encoding="utf-8")
+        for seed in ("1", "3"):
+            rank = run_module("rank", WEATHER, str(kb), PYTHONHASHSEED=seed)
+            assert (rank.returncode, rank.stdout, rank.stderr) == (
+                2,
+                "",
+                "error: unknown attribute 'yy'\n",
+            )
 
 
 class TestRankTableWidths:

@@ -15,6 +15,7 @@ EXPECTED = {
     "updating_beliefs.py": '"fw. eva" |~ "fw. bob": True -> False  (retracted)',
     "penguin_baseline.py": "penguin |~ flies: False (after discarding 1 rank(s))",
     "files_and_cli.py": "written and read back unchanged? True",
+    "contextual_rows.py": "flies |~ bird: False -> True once the rows are asserted",
 }
 
 

@@ -53,6 +53,7 @@ from dfca.formula import (
     PropConditional,
     Top,
     atom_names,
+    evaluate,
     extension,
     format_prop_formula,
     materialise,
@@ -1531,6 +1532,71 @@ class TestPropEntails:
         assert verdicts == {True, False}
         assert {0, 6} <= sizes
         assert no_premises and conclusion_only
+
+
+def counted_evaluations(premises, conclusion):
+    """``prop_entails``'s verdict and the ``evaluate`` calls it made, in order.
+
+    Each call is (formula, valuation, value), the valuation as the bits of
+    the mentioned atoms in sorted name order.
+    """
+    names = sorted(atom_names(conclusion).union(*map(atom_names, premises)))
+    calls = []
+
+    def counted(formula, column, universe):
+        value = evaluate(formula, column, universe)
+        calls.append((formula, tuple(column(name) for name in names), value))
+        return value
+
+    with mock.patch("dfca.propositional.evaluate", counted):
+        verdict = prop_entails(premises, conclusion)
+    return verdict, calls
+
+
+class TestPropEntailsPruning:
+    """The premises are evaluated only at valuations that falsify the conclusion."""
+
+    def test_a_fixed_entailment(self):
+        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        conclusion = Or(p, r)
+        verdict, calls = counted_evaluations([p, q], conclusion)
+        assert verdict is True
+        assert [valuation for f, valuation, _ in calls if f is conclusion] == list(
+            itertools.product((0, 1), repeat=3)
+        )
+        # p | r is false at 000 and 010; p fails there, so q is never evaluated
+        assert [call for call in calls if call[0] is not conclusion] == [
+            (p, (0, 0, 0), 0),
+            (p, (0, 1, 0), 0),
+        ]
+
+    def test_a_fixed_counter_model(self):
+        p, q = Atom("p"), Atom("q")
+        verdict, calls = counted_evaluations([p], q)
+        assert verdict is False
+        assert calls == [
+            (q, (0, 0), 0),
+            (p, (0, 0), 0),
+            (q, (0, 1), 1),
+            (q, (1, 0), 0),
+            (p, (1, 0), 1),
+        ]
+
+    def test_random_entailments(self):
+        evaluated = 0
+        for seed in range(200):
+            premises, conclusion = random_entailment(random.Random(seed))
+            verdict, calls = counted_evaluations(premises, conclusion)
+            assert verdict == oracles.prop_entails(premises, conclusion)
+            falsified = set()
+            for formula, valuation, value in calls:
+                if formula is conclusion:
+                    if not value:
+                        falsified.add(valuation)
+                else:
+                    assert valuation in falsified
+                    evaluated += 1
+        assert evaluated
 
 
 # --- the bridge: a context of valuations answers as rational closure -----------------

@@ -298,6 +298,20 @@ class TestExtension:
             bind(elements, parse_formula("Gas & Plasma"))
         assert "Plasma" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, first",
+        [
+            ("Gas & yy & ww & qq & pp", "yy"),
+            ("!(pp | Gas) & (aa | !zz)", "pp"),
+            ("Gas | (Reactive & (mm | bb)) | aa", "mm"),
+        ],
+    )
+    def test_bind_names_the_first_unknown_attribute_in_the_text(
+        self, elements, text, first
+    ):
+        with pytest.raises(BindingError, match=f"unknown attribute '{first}'"):
+            bind(elements, parse_formula(text))
+
     def test_atom_names_collects_all(self):
         assert atom_names(parse_formula("a & (b | !a)")) == {"a", "b"}
 

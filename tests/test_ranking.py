@@ -13,6 +13,7 @@ from conftest import (
     random_context,
 )
 from dfca import (
+    BindingError,
     CapacityError,
     FormalContext,
     KnowledgeBase,
@@ -97,6 +98,17 @@ class TestDeltaValid:
         with pytest.raises(Exception) as err:
             delta_valid(weather, [parse_conditional("Snow |~ Sun")])
         assert "Snow" in str(err.value)
+
+    def test_the_first_unknown_attribute_in_the_text_is_named(self, weather):
+        """The antecedent's atoms come before the consequent's, left to right."""
+        for text, first in [
+            ("Rain |~ yy & ww & qq & pp", "yy"),
+            ("Rain & (ss | tt) |~ aa", "ss"),
+        ]:
+            with pytest.raises(BindingError, match=f"unknown attribute '{first}'"):
+                delta_valid(weather, [parse_conditional(text)])
+            with pytest.raises(BindingError, match=f"unknown attribute '{first}'"):
+                object_rank(weather, KnowledgeBase([parse_conditional(text)]))
 
 
 class TestObjectRank:
