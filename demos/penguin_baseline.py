@@ -42,17 +42,15 @@ def main():
 
     print("\nthe minimal model, one state per typical situation:")
     atoms = ("bird", "flies", "penguin")
-    model = RankedInterpretation(
-        atoms,
-        ("sparrow", "penguin state", "stone"),
-        (
-            {"bird": True, "flies": True, "penguin": False},
-            {"bird": True, "flies": False, "penguin": True},
-            {"bird": False, "flies": False, "penguin": False},
-        ),
-        (0, 1, 0),
+    valuations = (
+        {"bird": True, "flies": True, "penguin": False},
+        {"bird": True, "flies": False, "penguin": True},
+        {"bird": False, "flies": False, "penguin": False},
     )
-    for label, v, r in zip(model.states, model.valuations, model.ranks):
+    model = RankedInterpretation(
+        atoms, ("sparrow", "penguin state", "stone"), valuations, (0, 1, 0)
+    )
+    for label, v, r in zip(model.states, valuations, model.ranks):
         true_atoms = ", ".join(a for a in atoms if v[a]) or "(nothing)"
         print(f"  {label:14} rank {r}: {true_atoms}")
 

@@ -269,26 +269,18 @@ def _refuse_line_break(name, what, path, line_no):
         raise FileFormatError(f"line break in {what} name {name!r}", path, line_no)
 
 
-def load_context(path, fmt=None):
+def load_context(path):
     """Load a context from a .cxt or .csv file (format inferred from the suffix)."""
-    if fmt is None:
-        suffix = os.path.splitext(str(path))[1].lower()
-        if suffix == ".cxt":
-            fmt = "cxt"
-        elif suffix == ".csv":
-            fmt = "csv"
-        else:
-            raise FileFormatError(
-                f"cannot infer context format from suffix {suffix!r}; "
-                "pass fmt='cxt' or fmt='csv'",
-                path,
-            )
-    text = _read_text(path)
-    if fmt == "cxt":
-        return parse_cxt(text, path)
-    if fmt == "csv":
-        return parse_csv_context(text, path)
-    raise FileFormatError(f"unknown context format {fmt!r}", path)
+    suffix = os.path.splitext(str(path))[1].lower()
+    if suffix == ".cxt":
+        return parse_cxt(_read_text(path), path)
+    if suffix == ".csv":
+        return parse_csv_context(_read_text(path), path)
+    raise FileFormatError(
+        f"cannot infer context format from suffix {suffix!r}; "
+        "expected '.cxt' or '.csv'",
+        path,
+    )
 
 
 def save_context(context, path):

@@ -6,17 +6,19 @@ Statements are ranked by exceptionality under classical entailment, and
 queries are answered by rational closure.
 
 Interpretations hold their valuations as a formal context, the states as
-objects and the atoms as attributes, and order the states by preference
-or by rank. Every finitely-ranked interpretation turns into a ranked
-context on the same skeleton, which is what ties this module to the rest
-of the package.
+objects and the atoms as attributes, and order the states by a
+``StrictOrder`` or by a ``RankingFunction`` whose last stratum holds the
+infinite-rank states. Both answer a conditional by one rule: the most
+typical antecedent states must all satisfy the consequent. Every
+finitely-ranked interpretation turns into a ranked context on the same
+skeleton and ranking, which is what ties this module to the rest of the
+package.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from types import MappingProxyType
 
 from . import bitsets
 from .context import FormalContext
@@ -96,10 +98,11 @@ class _Interpretation:
 
     The valuations are held as a formal context: the states are its
     objects, the atoms its attributes, and a state has an atom exactly
-    when its valuation makes the atom true.
+    when its valuation makes the atom true. A subclass orders the states
+    by supplying ``_typical``, the most typical of a set of states.
     """
 
-    __slots__ = ("_context", "_valuations")
+    __slots__ = ("_context",)
 
     def __init__(self, atoms, states, valuations):
         atoms = tuple(atoms)
@@ -124,7 +127,6 @@ class _Interpretation:
             for atom in atoms
         )
         self._context = FormalContext._from_columns(states, atoms, columns)
-        self._valuations = None
 
     @property
     def atoms(self):
@@ -133,27 +135,6 @@ class _Interpretation:
     @property
     def states(self):
         return self._context.objects
-
-    @property
-    def valuations(self):
-        """A read-only ``{atom: bool}`` mapping per state, in state order.
-
-        Built on the first read and kept: one mapping per distinct row of
-        the context, shared by the states with that row. Digit j of a row,
-        read from the right, is atom j.
-        """
-        if self._valuations is None:
-            atoms = self._context.attributes
-            spec = f"0{len(atoms)}b"
-            rows = self._context._row_bits()
-            distinct = {
-                row: MappingProxyType(
-                    dict(zip(atoms, map("1".__eq__, format(row, spec)[::-1])))
-                )
-                for row in set(rows)
-            }
-            self._valuations = tuple(map(distinct.__getitem__, rows))
-        return self._valuations
 
     def state_bits(self, formula):
         """Bitset of states whose valuation satisfies the formula."""
@@ -166,6 +147,14 @@ class _Interpretation:
             return context.column(context.attribute_index(name))
         except BindingError:
             raise BindingError(f"valuation has no atom {name!r}") from None
+
+    def satisfies(self, conditional):
+        """Do the most typical antecedent states all satisfy the consequent?
+
+        True, without reading the consequent, when no state is typical.
+        """
+        typical = self._typical(self.state_bits(conditional.antecedent))
+        return not typical or typical & ~self.state_bits(conditional.consequent) == 0
 
 
 class PreferentialInterpretation(_Interpretation):
@@ -186,12 +175,8 @@ class PreferentialInterpretation(_Interpretation):
     def order(self):
         return self._order
 
-    def satisfies(self, conditional):
-        """Do the most preferred antecedent states all satisfy the consequent?"""
-        antecedent_states = self.state_bits(conditional.antecedent)
-        minimal = self._order.minimise(antecedent_states)
-        consequent_states = self.state_bits(conditional.consequent)
-        return minimal & ~consequent_states == 0
+    def _typical(self, states):
+        return self._order.minimise(states)
 
 
 class RankedInterpretation(_Interpretation):
@@ -199,39 +184,31 @@ class RankedInterpretation(_Interpretation):
 
     The finite ranks must be convex. A state is strictly preferred to
     another exactly when its rank is smaller; infinite-rank states are the
-    least preferred of all.
+    least preferred of all, held as one stratum above the finite ones.
     """
 
-    __slots__ = ("_ranks", "_strata")
+    __slots__ = ("_ranks", "_ranking")
 
     def __init__(self, atoms, states, valuations, ranks):
         super().__init__(atoms, states, valuations)
         ranks = tuple(ranks)
         if len(ranks) != len(self.states):
-            raise StructureError(
-                f"expected {len(self.states)} ranks, got {len(ranks)}"
-            )
+            raise StructureError(f"expected {len(self.states)} ranks, got {len(ranks)}")
         # the finite strata in rank order, then the infinite-rank states
-        layers = _rank_layers(
-            (i, r) for i, r in enumerate(ranks) if r != INFINITE_RANK
-        )
+        layers = _rank_layers((i, r) for i, r in enumerate(ranks) if r != INFINITE_RANK)
         infinite = [i for i, r in enumerate(ranks) if r == INFINITE_RANK]
         if infinite:
             layers.append(infinite)
+        strata = [bitsets.from_indices(layer, len(ranks)) for layer in layers]
         self._ranks = ranks
-        self._strata = tuple(
-            bitsets.from_indices(layer, len(ranks)) for layer in layers
-        )
+        self._ranking = RankingFunction._from_strata(strata, len(ranks))
 
     @property
     def ranks(self):
         return self._ranks
 
-    def satisfies(self, conditional):
-        """Do the least-ranked antecedent states all satisfy the consequent?"""
-        antecedent_states = self.state_bits(conditional.antecedent)
-        _, least = _least_stratum(self._strata, antecedent_states)
-        return not least or least & ~self.state_bits(conditional.consequent) == 0
+    def _typical(self, states):
+        return _least_stratum(self._ranking.strata(), states)[1]
 
 
 # --- base rank and rational closure ------------------------------------------
@@ -339,6 +316,5 @@ def derive_ranked_context(interpretation):
                 "ranked context"
             )
     context = _derived_parts(interpretation)
-    # with no infinite rank, the interpretation's strata are the ranking's
-    ranking = RankingFunction._from_strata(interpretation._strata, context.n_objects)
-    return RankedContext(context, ranking)
+    # with no infinite rank, the interpretation's ranking is the context's
+    return RankedContext(context, interpretation._ranking)

@@ -343,9 +343,9 @@ def random_states(rng, atoms):
     return states, valuations
 
 
-def assert_bridge_faithful(model, derived, rng):
+def assert_bridge_faithful(model, valuations, derived, rng):
     # every distinct behaviour reachable by depth 3, through both engines
-    reps = semantic_classes(model.atoms, model.valuations)
+    reps = semantic_classes(model.atoms, valuations)
     for mask, formula in reps.items():
         assert model.state_bits(formula) == mask
         assert extension(derived.context, to_compound(formula)) == mask
@@ -392,7 +392,9 @@ def test_interpretations_match_their_derived_contexts():
         states, valuations = random_states(rng, atoms)
         ranks = random_ranking(rng, len(states)).ranks
         model = prop.RankedInterpretation(atoms, states, valuations, ranks)
-        assert_bridge_faithful(model, prop.derive_ranked_context(model), rng)
+        assert_bridge_faithful(
+            model, valuations, prop.derive_ranked_context(model), rng
+        )
     for seed in range(100):
         rng = random.Random(30_000 + seed)
         atoms = ATOM_POOL[: rng.randint(1, 4)]
@@ -406,7 +408,9 @@ def test_interpretations_match_their_derived_contexts():
         model = prop.PreferentialInterpretation(
             atoms, states, valuations, StrictOrder(len(states), pairs)
         )
-        assert_bridge_faithful(model, prop.derive_preferential_context(model), rng)
+        assert_bridge_faithful(
+            model, valuations, prop.derive_preferential_context(model), rng
+        )
 
     # two handmade worst cases: eight pairwise distinct valuations
     rng = random.Random(60_000)
@@ -415,11 +419,11 @@ def test_interpretations_match_their_derived_contexts():
     ranked = prop.RankedInterpretation(
         ATOM_POOL, states, dense, (0, 0, 1, 1, 2, 2, 3, 3)
     )
-    assert_bridge_faithful(ranked, prop.derive_ranked_context(ranked), rng)
+    assert_bridge_faithful(ranked, dense, prop.derive_ranked_context(ranked), rng)
     tangle = StrictOrder(8, [(0, 2), (0, 3), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7)])
     preferential = prop.PreferentialInterpretation(ATOM_POOL, states, dense, tangle)
     assert_bridge_faithful(
-        preferential, prop.derive_preferential_context(preferential), rng
+        preferential, dense, prop.derive_preferential_context(preferential), rng
     )
     assert time.perf_counter() - started < 60.0
 

@@ -33,7 +33,13 @@ from dfca import (
     bitsets,
 )
 from dfca.cli import _dump_json, _rank_table
-from dfca.errors import FileFormatError, ModularityError, StructureError, ValidityError
+from dfca.errors import (
+    BindingError,
+    FileFormatError,
+    ModularityError,
+    StructureError,
+    ValidityError,
+)
 from dfca.fileio import (
     _locate_cxt_fault,
     _split_cxt,
@@ -1164,13 +1170,10 @@ MALFORMED_VALUATIONS = ({"p": True}, {"p": False})
 class TestInterpretationContext:
     @given(seeds)
     @settings(max_examples=500)
-    def test_state_bits_and_valuations_match_column_sum(self, seed):
+    def test_state_bits_match_column_sum(self, seed):
         rng = random.Random(seed)
         model, oracle = ranked_pair(rng)
         assert (model.atoms, model.states) == (oracle.atoms, oracle.states)
-        assert model.valuations == tuple(
-            {atom: bool(value) for atom, value in v.items()} for v in oracle.valuations
-        )
         for _ in range(5):
             formula = random_prop_formula(rng, model.atoms, 3)
             assert model.state_bits(formula) == oracle.state_bits(formula)
@@ -1188,7 +1191,7 @@ class TestInterpretationContext:
         infinite rank; it holds no member, so it is trimmed before comparing."""
         rng = random.Random(seed)
         model, oracle = ranked_pair(rng)
-        assert trimmed(model._strata) == trimmed(oracle._strata)
+        assert trimmed(model._ranking.strata()) == trimmed(oracle._strata)
         for _ in range(6):
             query = PropConditional.defeasible(
                 random_prop_formula(rng, model.atoms, 2),
@@ -1262,6 +1265,66 @@ class TestInterpretationContext:
 
 
 # --- the CLI's rank table -----------------------------------------------------------
+
+
+class TestInterpretationClasses:
+    """A ranked interpretation and a preferential one over the order its
+    ranks induce, the infinite-rank states one rank above the finite ones,
+    answer alike."""
+
+    @staticmethod
+    def twins(rng):
+        atoms, labels, valuations = random_interpretation_parts(rng)
+        ranks = random_rank_vector(rng, len(labels))
+        top = max((r for r in ranks if r != INFINITE_RANK), default=-1)
+        finite = [top + 1 if r == INFINITE_RANK else r for r in ranks]
+        order = order_from_ranks(RankingFunction(finite))
+        return (
+            RankedInterpretation(atoms, labels, valuations, ranks),
+            PreferentialInterpretation(atoms, labels, valuations, order),
+        )
+
+    @given(seeds)
+    @settings(max_examples=500)
+    def test_both_satisfy_the_same_conditionals(self, seed):
+        rng = random.Random(seed)
+        ranked, preferential = self.twins(rng)
+        for _ in range(8):
+            query = PropConditional.defeasible(
+                random_prop_formula(rng, ranked.atoms, 2),
+                random_prop_formula(rng, ranked.atoms, 2),
+            )
+            assert ranked.satisfies(query) == preferential.satisfies(query)
+
+    @given(seeds)
+    @settings(max_examples=200)
+    def test_both_refuse_an_unknown_antecedent_atom(self, seed):
+        rng = random.Random(seed)
+        ranked, preferential = self.twins(rng)
+        bare = PropConditional.defeasible(Atom("zz"), Top())
+        for model in (ranked, preferential):
+            with pytest.raises(BindingError, match="valuation has no atom 'zz'"):
+                model.satisfies(bare)
+        query = PropConditional.defeasible(
+            Or(random_prop_formula(rng, ranked.atoms, 2), Atom("zz")),
+            random_prop_formula(rng, ranked.atoms, 2),
+        )
+        assert outcome(ranked.satisfies, query) == outcome(
+            preferential.satisfies, query
+        )
+
+    @given(seeds)
+    @settings(max_examples=200)
+    def test_an_empty_antecedent_reads_no_consequent(self, seed):
+        """No state is typical, so the unknown consequent atom goes unread."""
+        rng = random.Random(seed)
+        ranked, preferential = self.twins(rng)
+        formula = random_prop_formula(rng, ranked.atoms, 2)
+        for antecedent in (Bot(), And(formula, Not(formula))):
+            query = PropConditional.defeasible(antecedent, Atom("zzz"))
+            assert ranked.satisfies(query) is True
+            assert preferential.satisfies(query) is True
+
 
 
 class TestRankTable:

@@ -232,15 +232,17 @@ class TestPropConditional:
             PropConditional(Atom("p"), Atom("q"), "chaotic")
 
 
+PENGUIN_VALUATIONS = (
+    {"bird": True, "flies": True, "penguin": False},
+    {"bird": True, "flies": False, "penguin": True},
+    {"bird": False, "flies": False, "penguin": True},
+)
+
+
 def penguin_interpretation(third_rank=2):
     atoms = ("bird", "flies", "penguin")
     states = ("s0", "s1", "s2")
-    valuations = (
-        {"bird": True, "flies": True, "penguin": False},
-        {"bird": True, "flies": False, "penguin": True},
-        {"bird": False, "flies": False, "penguin": True},
-    )
-    return RankedInterpretation(atoms, states, valuations, (0, 1, third_rank))
+    return RankedInterpretation(atoms, states, PENGUIN_VALUATIONS, (0, 1, third_rank))
 
 
 class TestInterpretations:
@@ -256,6 +258,8 @@ class TestInterpretations:
         # the only non-bird state sits at infinity yet still answers queries
         assert model.satisfies(parse_prop_statement("!bird |~ penguin"))
         assert not model.satisfies(parse_prop_statement("!bird |~ flies"))
+        # a penguin state of rank 1 outranks the one at infinity
+        assert model.satisfies(parse_prop_statement("penguin |~ bird"))
         assert model.ranks == (0, 1, INFINITE_RANK)
 
     def test_preferential_satisfaction(self):
@@ -263,7 +267,7 @@ class TestInterpretations:
         pref = PreferentialInterpretation(
             model.atoms,
             model.states,
-            model.valuations,
+            PENGUIN_VALUATIONS,
             StrictOrder(3, [(0, 1), (1, 2)]),
         )
         assert pref.satisfies(parse_prop_statement("bird |~ flies"))
@@ -278,7 +282,7 @@ class TestInterpretations:
     def test_state_bits_rejects_unknown_atoms(self):
         model = penguin_interpretation()
         pref = PreferentialInterpretation(
-            model.atoms, model.states, model.valuations, StrictOrder(3)
+            model.atoms, model.states, PENGUIN_VALUATIONS, StrictOrder(3)
         )
         for interpretation in (model, pref):
             with pytest.raises(BindingError):
@@ -299,17 +303,14 @@ class TestInterpretations:
         )
         assert model.state_bits(formula) == expected
 
-    def test_valuations_are_read_only_bool_maps(self):
-        """A returned valuation refuses writes; mutating the caller's changes nothing."""
-        given = ({"p": True}, {"p": 0})
+    def test_valuations_are_copied_as_truth_values(self):
+        """Changing the caller's valuation afterwards changes nothing; 0 and 1
+        are read as truth values."""
+        given = ({"p": 1}, {"p": 0})
         model = RankedInterpretation(("p",), ("a", "b"), given, (0, 1))
-        with pytest.raises(TypeError):
-            model.valuations[1]["p"] = True
         given[1]["p"] = 1
         assert model.state_bits(Atom("p")) == 0b01
-        assert model.valuations == ({"p": True}, {"p": False})
-        assert type(model.valuations[1]["p"]) is bool
-        assert model.valuations is model.valuations
+        assert model.state_bits(Not(Atom("p"))) == 0b10
 
     def test_state_bits_binds_without_states(self):
         """An undeclared atom is refused even when no state could be read."""
@@ -573,7 +574,10 @@ class TestDerivedContexts:
     def test_preferential_derivation_golden(self):
         model = penguin_interpretation()
         pref = PreferentialInterpretation(
-            model.atoms, model.states, model.valuations, StrictOrder(3, [(0, 1), (1, 2)])
+            model.atoms,
+            model.states,
+            PENGUIN_VALUATIONS,
+            StrictOrder(3, [(0, 1), (1, 2)]),
         )
         derived = derive_preferential_context(pref)
         assert derived.order == pref.order

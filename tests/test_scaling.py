@@ -38,11 +38,6 @@ of 2 s for all of it. Summing ``1 << i`` over every state for each atom
 read, it built in 0.15 s but took 0.22 s per ``state_bits`` and 0.50 s per
 ``satisfies``, 6.1 s in all, on the same machine.
 
-Such an interpretation keeps its valuations once built: 20 reads of
-``valuations``, each indexed once, take 0.076-0.078 s, the first read
-building one read-only mapping per distinct row. Rebuilding every dict on
-each read took 6.2-6.9 s on the same machine, against a cap of 1 s.
-
 A strict order minimises by walking its height layers. On the
 2000-element order of 200 layers, 200 calls (all members, then random
 members, in turn) take 0.0013-0.0023 s, the layers' first build included,
@@ -290,17 +285,6 @@ def test_a_100k_state_interpretation_reads_its_columns():
     # p0 & !p9 holds at a state exactly when its valuation says so
     assert bits[0] >> 17 & 1 == (valuations[17]["p0"] and not valuations[17]["p9"])
     assert verdicts == [False] * 10
-
-
-def test_a_100k_state_interpretation_keeps_its_valuations():
-    rng = random.Random(9)
-    n, atoms = 100_000, [f"p{j}" for j in range(10)]
-    valuations = [{a: rng.random() < 0.5 for a in atoms} for _ in range(n)]
-    model = RankedInterpretation(atoms, range(n), valuations, [0] * n)
-    picks = [rng.randrange(n) for _ in range(20)]
-    seconds, read = timed(lambda: [model.valuations[i] for i in picks])
-    assert seconds < 1.0
-    assert read == [valuations[i] for i in picks]
 
 
 def test_a_rank_0_query_on_a_12_atom_chain_reads_one_round():
