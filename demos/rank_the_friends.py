@@ -39,9 +39,9 @@ def main():
         print(f"  {c}")
     print("\nevery subset plausibly answerable?", delta_valid(context, kb))
 
-    ranked, partition = object_rank(context, kb)
+    ranked, ranking = object_rank(context, kb)
     print("\nranks, least exceptional first:")
-    for level, stratum in enumerate(partition.strata):
+    for level, stratum in enumerate(ranking.strata):
         print(f"  rank {level}: {', '.join(context.object_names(stratum))}")
 
     print("\nrival rankings:")

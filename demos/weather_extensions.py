@@ -13,7 +13,6 @@ from dfca import (
     extension,
     format_formula,
     implication_holds,
-    materialise,
     parse_formula,
 )
 
@@ -72,7 +71,7 @@ def main():
 
     banner("a compound implication, checked by materialising it")
     claim = Conditional.classical(rainy_or_windy, parse_formula("Cold"))
-    everywhere = extension(context, materialise(claim)) == context.object_universe
+    everywhere = extension(context, claim.material()) == context.object_universe
     print(f"{claim} holds on every object?", everywhere)
 
 

@@ -45,7 +45,6 @@ from .formula import (
     bind,
     extension,
     format_formula,
-    materialise,
     parse_conditional,
     parse_formula,
 )
@@ -60,7 +59,6 @@ from .order import (
 from .ranking import (
     KnowledgeBase,
     PreferenceComparison,
-    RankPartition,
     context_preference,
     delta_valid,
     object_rank,
@@ -86,7 +84,6 @@ __all__ = [
     "Or",
     "PreferenceComparison",
     "PreferentialContext",
-    "RankPartition",
     "RankedContext",
     "RankingFunction",
     "StrictOrder",
@@ -107,7 +104,6 @@ __all__ = [
     "load_order",
     "load_prop_statements",
     "load_ranks",
-    "materialise",
     "object_rank",
     "order_from_ranks",
     "parse_conditional",

@@ -33,7 +33,7 @@ from .formula import (
 )
 from .fileio import load_conditionals, load_context, load_prop_statements
 from .propositional import base_rank, parse_prop_statement, rc_decision
-from .ranking import KnowledgeBase, _least_stratum, object_rank
+from .ranking import KnowledgeBase, object_rank
 
 
 @dataclass
@@ -187,17 +187,17 @@ def _cell_tables(widths):
     return tables
 
 
-def _rank_table(context, partition):
+def _rank_table(context, strata):
     objects, rows = context.objects, context._row_bits()
-    strata = [
+    ranked = [
         [(objects[i], rows[i]) for i in bitsets.iter_indices(stratum)]
-        for stratum in partition.strata
+        for stratum in strata
     ]
-    shown = [entry for members in strata for entry in members]
+    shown = [entry for members in ranked for entry in members]
     incident = 0
     for _, row in shown:
         incident |= row
-    labels = [str(level) for level, members in enumerate(strata) if members]
+    labels = [str(level) for level, members in enumerate(ranked) if members]
     header = ["rank", "object"] + list(context.attributes)
     # each column is as wide as its widest cell: the header, or a mark
     widths = [
@@ -206,7 +206,7 @@ def _rank_table(context, partition):
     ] + [max(len(name), incident >> j & 1) for j, name in enumerate(header[2:])]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip()]
     tables = _cell_tables(widths[2:])
-    for level, members in enumerate(strata):
+    for level, members in enumerate(ranked):
         label = str(level).ljust(widths[0])
         for name, row in members:
             cells = "".join([table[row >> start & 255] for start, table in tables])
@@ -219,16 +219,16 @@ def _rank_table(context, partition):
 def _cmd_rank(args):
     context = load_context(args.context)
     kb = KnowledgeBase(load_conditionals(args.kb))
-    _, partition = object_rank(context, kb)
+    _, ranking = object_rank(context, kb)
     data = {
         "command": "rank",
         "strata": [
             {"rank": level, "objects": list(context.object_names(stratum))}
-            for level, stratum in enumerate(partition.strata)
+            for level, stratum in enumerate(ranking.strata)
         ],
     }
     # ``run`` prints the data instead of the text under --json
-    text = "" if args.json else _rank_table(context, partition)
+    text = "" if args.json else _rank_table(context, ranking.strata)
     return CliResult(0, text, data)
 
 
@@ -241,9 +241,8 @@ def _cmd_entail(args):
             "entail answers defeasible queries written 'phi |~ psi'; "
             "use holds for classical implications"
         )
-    _, partition = object_rank(context, kb)
-    antecedent = extension(context, query.antecedent)
-    first, least = _least_stratum(partition.strata, antecedent)
+    _, ranking = object_rank(context, kb)
+    first, least = ranking.least(extension(context, query.antecedent))
     verdict = least & ~extension(context, query.consequent) == 0
     if first is None:
         phrase = "antecedent never satisfied"
@@ -298,12 +297,12 @@ def _cmd_baserank(args):
         lines.append(f"{level}: " + "; ".join(str(s) for s in stratum))
     if result.infinite:
         lines.append("infinite: " + "; ".join(str(s) for s in result.infinite))
-    lines.append(f"height: {result.height}")
+    lines.append(f"height: {len(result.strata)}")
     data = {
         "command": "baserank",
         "strata": [[str(s) for s in stratum] for stratum in result.strata],
         "infinite": [str(s) for s in result.infinite],
-        "height": result.height,
+        "height": len(result.strata),
     }
     return CliResult(0, "\n".join(lines), data)
 

@@ -367,6 +367,10 @@ def load_ranks(path, context):
             raise FileFormatError(
                 f"expected an integer rank, got {raw_rank!r}", path, line_no
             ) from None
+        if rank < 0:
+            raise FileFormatError(
+                f"expected a non-negative rank, got {raw_rank!r}", path, line_no
+            )
         try:
             index = context.object_index(name)
         except BindingError as exc:

@@ -131,6 +131,10 @@ class _Statement:
     def defeasible(cls, antecedent, consequent):
         return cls(antecedent, consequent, DEFEASIBLE)
 
+    def material(self):
+        """The material implication: antecedent -> consequent."""
+        return Implies(self.antecedent, self.consequent)
+
 
 @dataclass(frozen=True)
 class Conditional(_Statement):
@@ -156,10 +160,6 @@ class PropConditional(_Statement):
     def assertion(cls, statement):
         """Encode a classical assertion of ``statement``."""
         return cls(Not(statement), Bot(), CLASSICAL)
-
-    def material(self):
-        """The material implication: antecedent -> consequent."""
-        return Implies(self.antecedent, self.consequent)
 
     def asserted(self):
         """The plain formula behind a classical assertion."""
@@ -547,8 +547,3 @@ def extension(context, formula):
         lambda name: context.column(context.attribute_index(name)),
         context.object_universe,
     )
-
-
-def materialise(conditional):
-    """The material form: not antecedent, or consequent."""
-    return Or(Not(conditional.antecedent), conditional.consequent)

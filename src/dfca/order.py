@@ -204,9 +204,9 @@ def _first_on_cycle(above, waiting):
 class RankingFunction:
     """A convex rank per index: rank 0 occupied (when nonempty), no gaps.
 
-    The ranking is held as its strata, one bitset per rank from 0 up. The
-    rank tuple is built from them on the first read of ``ranks``,
-    ``rank_of`` or ``repr`` and kept.
+    The ranking is held as its strata, one bitset per rank from 0 up, and
+    read through ``strata`` and ``least``. The rank tuple is built from
+    them on the first read of ``ranks``, ``rank_of`` or ``repr`` and kept.
     """
 
     __slots__ = ("_size", "_strata", "_ranks")
@@ -258,19 +258,26 @@ class RankingFunction:
         return self._size
 
     @property
-    def max_rank(self):
-        if not self._strata:
-            raise StructureError("empty ranking has no ranks")
-        return len(self._strata) - 1
+    def strata(self):
+        """Bitsets per rank, ascending."""
+        return self._strata
 
     def rank_of(self, i):
         if not 0 <= i < self._size:
             raise StructureError(f"index {i} out of range")
         return self.ranks[i]
 
-    def strata(self):
-        """Bitsets per rank, ascending."""
-        return self._strata
+    def least(self, members):
+        """(k, members & S_k) for the first stratum S_k that meets the members.
+
+        These are the members of least rank, the ones a ranked context
+        checks a conditional against; (None, 0) when no stratum meets them.
+        """
+        for level, stratum in enumerate(self._strata):
+            least = members & stratum
+            if least:
+                return level, least
+        return None, 0
 
     def __eq__(self, other):
         if not isinstance(other, RankingFunction):
@@ -332,7 +339,7 @@ def order_from_ranks(ranking):
     predecessors the strata below, so the rows are closed by construction
     and the strata are the height layers.
     """
-    strata = ranking.strata()
+    strata = ranking.strata
     above = [0] * len(strata)
     below = [0] * len(strata)
     for k in range(1, len(strata)):
@@ -405,12 +412,13 @@ class PreferentialContext:
 class RankedContext:
     """A formal context with a convex object ranking.
 
-    The induced order (smaller rank strictly preferred) is modular by
-    construction. Satisfaction minimises by rank: the antecedent objects
-    of least rank must all satisfy the consequent.
+    The induced order (smaller rank strictly preferred), which
+    ``order_from_ranks`` builds, is modular by construction. Satisfaction
+    minimises by rank: the antecedent objects of least rank must all
+    satisfy the consequent.
     """
 
-    __slots__ = ("_context", "_ranking", "_order")
+    __slots__ = ("_context", "_ranking")
 
     def __init__(self, context, ranking):
         if ranking.size != context.n_objects:
@@ -420,7 +428,6 @@ class RankedContext:
             )
         self._context = context
         self._ranking = ranking
-        self._order = None
 
     @property
     def context(self):
@@ -429,12 +436,6 @@ class RankedContext:
     @property
     def ranking(self):
         return self._ranking
-
-    @property
-    def order(self):
-        if self._order is None:
-            self._order = order_from_ranks(self._ranking)
-        return self._order
 
     def minimise_objects(self, members):
         """The members of least rank.

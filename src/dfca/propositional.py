@@ -48,7 +48,6 @@ from .formula import (
 )
 from .limits import enumeration_cap
 from .order import PreferentialContext, RankedContext, RankingFunction, _rank_layers
-from .ranking import _least_stratum
 
 
 # --- semantics --------------------------------------------------------------
@@ -208,7 +207,7 @@ class RankedInterpretation(_Interpretation):
         return self._ranks
 
     def _typical(self, states):
-        return _least_stratum(self._ranking.strata(), states)[1]
+        return self._ranking.least(states)[1]
 
 
 # --- base rank and rational closure ------------------------------------------
@@ -220,10 +219,6 @@ class BaseRankResult:
 
     strata: tuple
     infinite: tuple
-
-    @property
-    def height(self):
-        return len(self.strata)
 
 
 def _exceptionality_rounds(statements):

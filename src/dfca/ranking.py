@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .errors import StructureError, ValidityError
-from .formula import DEFEASIBLE, extension, materialise
+from .formula import DEFEASIBLE, extension
 from .order import RankedContext, RankingFunction
 
 
@@ -66,13 +66,6 @@ class KnowledgeBase:
 
 
 @dataclass(frozen=True)
-class RankPartition:
-    """Ascending strata of object bitsets produced by ranking."""
-
-    strata: tuple
-
-
-@dataclass(frozen=True)
 class PreferenceComparison:
     """Pointwise comparison of two rankings of the same context."""
 
@@ -86,7 +79,7 @@ def _bound_extents(context, kb):
     for c in kb:
         # the material form names the antecedent's atoms, then the
         # consequent's, so an unknown one is reported in text order
-        mats.append(extension(context, materialise(c)))
+        mats.append(extension(context, c.material()))
         ants.append(extension(context, c.antecedent))
     return mats, ants
 
@@ -148,7 +141,7 @@ def _stratify(universe, mats, ants):
 def object_rank(context, kb):
     """Stratify the context's objects against the conditional set.
 
-    Returns the resulting ranked context together with its partition.
+    Returns the resulting ranked context together with its ranking.
     Iteration i settles the objects violating no remaining material form
     and then discards every conditional some settled object answers
     non-vacuously; the remaining objects move up one rank. The conditional
@@ -171,26 +164,12 @@ def object_rank(context, kb):
         )
     ranking = RankingFunction._from_strata(strata, context.n_objects)
     for c, mat, ant in zip(kb, mats, ants):
-        _, least = _least_stratum(strata, ant)
-        if least & ~mat:
+        if ranking.least(ant)[1] & ~mat:
             raise ValidityError(
                 "no ranking of this context satisfies the conditional set: "
                 f"the result violates '{c}'"
             )
-    return RankedContext(context, ranking), RankPartition(ranking.strata())
-
-
-def _least_stratum(strata, members):
-    """(k, members & S_k) for the first stratum S_k that meets the members.
-
-    These are the members of least rank, the ones a ranked context checks
-    a conditional against; (None, 0) when no stratum meets the members.
-    """
-    for level, stratum in enumerate(strata):
-        least = members & stratum
-        if least:
-            return level, least
-    return None, 0
+    return RankedContext(context, ranking), ranking
 
 
 def context_preference(first, second):
@@ -205,7 +184,7 @@ def context_preference(first, second):
         raise StructureError("cannot compare rankings of different contexts")
     le = ge = True
     a = b = 0
-    pairs = zip_longest(first.ranking.strata(), second.ranking.strata(), fillvalue=0)
+    pairs = zip_longest(first.ranking.strata, second.ranking.strata, fillvalue=0)
     for x, y in pairs:
         a |= x
         b |= y

@@ -358,7 +358,8 @@ def closure_commands():
     Each item is an argv with the environment variables set for its run
     alone, or None. At the lowered caps the base's own atoms, the query's,
     or both are too many, on a ranked base, on one with no finite rank and
-    on an empty one.
+    on an empty one. A cap that is no integer, or negative, is refused by
+    the propositional commands; a context command never reads it.
     """
     chain, pair, forever, empty = (
         relative(INPUTS / name)
@@ -382,6 +383,13 @@ def closure_commands():
                 (["rcprop", *flags, forever, "a |~ c"], env),
                 (["rcprop", *flags, empty, "a & c |~ b"], env),
             ]
+    for cap in ("abc", "-1", ""):
+        env = {"DFCA_MAX_ATOMS": cap}
+        items += [
+            (["rcprop", "data/penguin.kb", "penguin |~ bird"], env),
+            (["baserank", "data/penguin.kb"], env),
+        ]
+    items.append((["extension", "data/weather.cxt", "Rain"], {"DFCA_MAX_ATOMS": "abc"}))
     return items
 
 

@@ -48,7 +48,7 @@ from dfca.formula import (
 )
 from dfca.limits import enumeration_cap
 from dfca.propositional import INFINITE_RANK, base_rank
-from dfca.ranking import _bound_extents, _least_stratum
+from dfca.ranking import _bound_extents
 
 
 # --- bitsets ---------------------------------------------------------------
@@ -454,11 +454,11 @@ def closing_check(ranked, kb):
             )
 
 
-def rank_table(context, partition):
+def rank_table(context, strata):
     """The CLI's rank table, padding one cell at a time."""
     header = ["rank", "object"] + list(context.attributes)
     table = [header]
-    for level, stratum in enumerate(partition.strata):
+    for level, stratum in enumerate(strata):
         label = str(level)
         for i in bitsets.iter_indices(stratum):
             row = context.row(i)
@@ -696,7 +696,7 @@ class RankedInterpretation(Interpretation):
     def satisfies(self, conditional):
         """Do the least-ranked antecedent states all satisfy the consequent?"""
         antecedent_states = self.state_bits(conditional.antecedent)
-        _, least = _least_stratum(self._strata, antecedent_states)
+        least = next((antecedent_states & s for s in self._strata if antecedent_states & s), 0)
         return not least or least & ~self.state_bits(conditional.consequent) == 0
 
 

@@ -42,8 +42,8 @@ from dfca import (
     extension,
     format_cxt,
     implication_holds,
-    materialise,
     object_rank,
+    order_from_ranks,
     parse_cxt,
 )
 from dfca import propositional as prop
@@ -90,7 +90,7 @@ def test_rainy_or_windy_days_are_cold():
     assert implied
     assert elapsed < 0.001
     implication = Conditional.classical(rain_or_wind, cold)
-    assert extension(context, materialise(implication)) == context.object_universe
+    assert extension(context, implication.material()) == context.object_universe
 
 
 # --- typicality rescues what classical implication rejects --------------------
@@ -133,14 +133,14 @@ def test_friendship_ranking_and_its_two_verdicts():
 
     object_rank(context, kb)
     started = time.perf_counter()
-    ranked, partition = object_rank(context, kb)
+    ranked, ranking = object_rank(context, kb)
     verdicts = (ranked.satisfies(david_charlie), ranked.satisfies(david_and_eva))
     elapsed = time.perf_counter() - started
 
-    assert partition.strata == (0b000011, 0b001100, 0b110000)
-    assert context.object_names(partition.strata[0]) == ("bob", "eva")
-    assert context.object_names(partition.strata[1]) == ("charlie", "frank")
-    assert context.object_names(partition.strata[2]) == ("alice", "david")
+    assert ranking.strata == (0b000011, 0b001100, 0b110000)
+    assert context.object_names(ranking.strata[0]) == ("bob", "eva")
+    assert context.object_names(ranking.strata[1]) == ("charlie", "frank")
+    assert context.object_names(ranking.strata[2]) == ("alice", "david")
     assert verdicts == (True, False)
     assert elapsed < 0.010
 
@@ -166,7 +166,7 @@ def test_new_conditional_moves_eva_and_flips_two_verdicts():
     assert moved == ["eva"]
     eva = context.object_index("eva")
     assert after.ranked.ranking.rank_of(eva) == 3
-    assert after.ranked.ranking.max_rank == 3
+    assert len(after.ranked.ranking.strata) == 4
 
     eva_bob = parse_conditional('"fw. eva" |~ "fw. bob"')
     eva_alice = parse_conditional('"fw. eva" |~ "fw. alice"')
@@ -234,7 +234,7 @@ def test_preferential_postulates_and_rational_monotonicity():
             gamma = random_formula(rng, names, 3)
             assert not rm_violated(rc, phi, psi, gamma)
             assert preferential_postulate_violations(
-                PreferentialContext(rc.context, rc.order), phi, psi, gamma
+                PreferentialContext(rc.context, order_from_ranks(rc.ranking)), phi, psi, gamma
             ) == []
     assert time.perf_counter() - started < 120.0
 

@@ -551,8 +551,8 @@ class TestRankTableWidths:
     def test_an_empty_column_with_an_empty_name_has_no_width(self):
         """No file format admits an empty name, so the table is drawn directly."""
         context = FormalContext(["g1"], ["", "b"], [0b10])
-        _, partition = object_rank(context, KnowledgeBase([]))
-        assert _rank_table(context, partition) == "rank  object    b\n0     g1        ×"
+        _, ranking = object_rank(context, KnowledgeBase([]))
+        assert _rank_table(context, ranking.strata) == "rank  object    b\n0     g1        ×"
 
     def test_a_csv_file_with_an_empty_name_is_refused(self, tmp_path):
         path = tmp_path / "empty_column.csv"

@@ -14,6 +14,7 @@ from conftest import (
 from dfca import BindingError, PreferentialContext, StructureError, ValidityError
 from dfca.closure import ClosureSession, entailment_diff
 from dfca.formula import parse_conditional
+from dfca.order import order_from_ranks
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -135,7 +136,7 @@ class TestEntailmentLaws:
             session = ClosureSession(context, delta)
         except ValidityError:
             return
-        pc = PreferentialContext(context, session.ranked.order)
+        pc = PreferentialContext(context, order_from_ranks(session.ranked.ranking))
         names = context.attributes
         phi = random_formula(rng, names, 2)
         psi = random_formula(rng, names, 2)

@@ -96,6 +96,15 @@ class TestDerivation:
             weather.intent(1 << weather.n_objects)
         with pytest.raises(StructureError):
             weather.extent(1 << weather.n_attributes)
+        for i in (-1, weather.n_objects):
+            with pytest.raises(StructureError, match=f"object index {i} out of range"):
+                weather.row(i)
+        for j in (-1, weather.n_attributes):
+            with pytest.raises(StructureError, match=f"attribute index {j} out of range"):
+                weather.column(j)
+        for premise, conclusion in ((-1, 0), (0, -2)):
+            with pytest.raises(StructureError, match="non-negative bitsets"):
+                AttributeImplication(premise, conclusion)
 
     def test_unknown_names_rejected(self):
         weather = build_weather()

@@ -62,7 +62,6 @@ from dfca.formula import (
     evaluate,
     extension,
     format_prop_formula,
-    materialise,
     parse_conditional,
 )
 from dfca.order import order_from_ranks, ranks_from_order
@@ -76,8 +75,6 @@ from dfca.propositional import (
     rc_decision,
 )
 from dfca.ranking import (
-    RankPartition,
-    _least_stratum,
     context_preference,
     delta_valid,
     object_rank,
@@ -393,22 +390,19 @@ class TestRankings:
     @given(seeds, st.integers(0, 40))
     def test_strata_match_bit_by_bit_builder(self, seed, n):
         ranking = random_ranking(random.Random(seed), n)
-        assert ranking.strata() == tuple(
-            oracles.stratum(ranking.ranks, k) for k in range(len(ranking.strata()))
+        assert ranking.strata == tuple(
+            oracles.stratum(ranking.ranks, k) for k in range(len(ranking.strata))
         )
-        assert sum(ranking.strata()) == bitsets.universe(n)
+        assert sum(ranking.strata) == bitsets.universe(n)
 
     @given(seeds, st.integers(0, 40))
     @example(0, 0)
     def test_strata_built_ranking_matches_ranks_built(self, seed, n):
         by_ranks = random_ranking(random.Random(seed), n)
-        by_strata = RankingFunction._from_strata(by_ranks.strata(), n)
+        by_strata = RankingFunction._from_strata(by_ranks.strata, n)
         assert by_strata.ranks == by_ranks.ranks
-        assert by_strata.strata() == by_ranks.strata()
+        assert by_strata.strata == by_ranks.strata
         assert by_strata.size == n
-        assert outcome(lambda r: r.max_rank, by_strata) == outcome(
-            lambda r: r.max_rank, by_ranks
-        )
         for i in range(-1, n + 1):
             assert outcome(by_strata.rank_of, i) == outcome(by_ranks.rank_of, i)
         assert by_strata == by_ranks
@@ -420,7 +414,7 @@ class TestRankings:
         """An empty stratum, two strata sharing a member, a member missing
         or one past the size."""
         rng = random.Random(seed)
-        strata = list(random_ranking(rng, n).strata())
+        strata = list(random_ranking(rng, n).strata)
         k = rng.randrange(len(strata))
         roll = rng.random()
         if roll < 0.25:
@@ -450,10 +444,10 @@ class TestRankings:
         if expected[0] != "ok":
             assert result == expected
             return
-        ranked, partition = result[1]
+        ranked, ranking = result[1]
         assert ranked.ranking.ranks == tuple(expected[1])
         assert ranked.ranking == RankingFunction(expected[1])
-        assert partition.strata is ranked.ranking.strata()
+        assert ranking is ranked.ranking
 
     @given(seeds, st.integers(0, 30))
     def test_context_preference_matches_pointwise_walk(self, seed, n):
@@ -927,14 +921,13 @@ class TestLeastStratum:
         ranked = random_ranked_context(rng, max_objects=8)
         context = ranked.context
         names = list(context.attributes)
-        strata = ranked.ranking.strata()
         for _ in range(4):
             c = random_conditional(rng, names)
             ant = extension(context, c.antecedent)
-            level, least = _least_stratum(strata, ant)
+            level, least = ranked.ranking.least(ant)
             assert level == oracles.antecedent_rank(ranked, ant)
             assert least == ranked.minimise_objects(ant)
-            mat = extension(context, materialise(c))
+            mat = extension(context, c.material())
             assert (least & ~mat == 0) == ranked.satisfies(c)
 
     @given(seeds, st.integers(0, 3000))
@@ -963,10 +956,10 @@ class TestLeastStratum:
             for _ in range(rng.randint(0, 4))
         ]
         try:
-            ranked, partition = object_rank(context, kb)
+            ranked, ranking = object_rank(context, kb)
         except ValidityError:
             return
-        assert partition.strata is ranked.ranking.strata()
+        assert ranking is ranked.ranking
         oracles.closing_check(ranked, KnowledgeBase(kb))
 
 
@@ -1191,7 +1184,7 @@ class TestInterpretationContext:
         infinite rank; it holds no member, so it is trimmed before comparing."""
         rng = random.Random(seed)
         model, oracle = ranked_pair(rng)
-        assert trimmed(model._ranking.strata()) == trimmed(oracle._strata)
+        assert trimmed(model._ranking.strata) == trimmed(oracle._strata)
         for _ in range(6):
             query = PropConditional.defeasible(
                 random_prop_formula(rng, model.atoms, 2),
@@ -1347,13 +1340,12 @@ class TestRankTable:
         ]
         context = FormalContext(objects, attributes, rows)
         ranking = random_ranking(rng, n)
-        strata = list(ranking.strata())
+        strata = list(ranking.strata)
         if rng.random() < 0.3:
             strata.insert(rng.randint(0, len(strata)), 0)  # an empty stratum
         if n and rng.random() < 0.3:
             strata[-1] &= ~1  # an object left out of the table
-        partition = RankPartition(tuple(strata))
-        assert _rank_table(context, partition) == oracles.rank_table(context, partition)
+        assert _rank_table(context, strata) == oracles.rank_table(context, strata)
 
 
 # --- the CLI's JSON writer ----------------------------------------------------------

@@ -577,6 +577,27 @@ class TestRankFiles:
             load_ranks(target, elements)
         assert err.value.line == 1
 
+    def test_negative_rank_located(self, elements, tmp_path):
+        target = tmp_path / "r.ranks"
+        target.write_text("0 Helium\n-1 Hydrogen\n0 Carbon\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match="non-negative rank, got '-1'") as err:
+            load_ranks(target, elements)
+        assert err.value.line == 2
+
+    def test_line_without_a_name_located(self, elements, tmp_path):
+        target = tmp_path / "r.ranks"
+        target.write_text("0 Helium\n1\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match="expected '<rank> <object name>'") as err:
+            load_ranks(target, elements)
+        assert err.value.line == 2
+
+    def test_unknown_object_located(self, elements, tmp_path):
+        target = tmp_path / "r.ranks"
+        target.write_text("0 Helium\n0 Hydrogen\n1 Neon\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match="Neon") as err:
+            load_ranks(target, elements)
+        assert err.value.line == 3
+
     def test_gap_rejected(self, elements, tmp_path):
         target = tmp_path / "r.ranks"
         target.write_text("0 Helium\n0 Hydrogen\n2 Carbon\n", encoding="utf-8")

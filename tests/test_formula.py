@@ -15,6 +15,7 @@ from dfca.formula import (
     And,
     Atom,
     Conditional,
+    Implies,
     Not,
     Or,
     PropConditional,
@@ -24,7 +25,6 @@ from dfca.formula import (
     extension,
     format_formula,
     format_prop_formula,
-    materialise,
     parse_conditional,
     parse_formula,
     parse_prop_formula,
@@ -379,19 +379,17 @@ class TestSemanticLaws:
 class TestMaterialisation:
     def test_shape(self):
         conditional = parse_conditional('"fw. alice" |~ "fw. bob"')
-        assert materialise(conditional) == Or(
-            Not(Atom("fw. alice")), Atom("fw. bob")
-        )
+        assert conditional.material() == Implies(Atom("fw. alice"), Atom("fw. bob"))
 
     def test_reflexive_material_form_is_everything(self, weather):
         conditional = parse_conditional("Rain |~ Rain")
-        assert extension(weather, materialise(conditional)) == (
+        assert extension(weather, conditional.material()) == (
             weather.object_universe
         )
 
     def test_elements_material_extension(self, elements):
         conditional = parse_conditional("Non-metal |~ Gas")
-        bits = extension(elements, materialise(conditional))
+        bits = extension(elements, conditional.material())
         assert elements.object_names(bits) == ("Helium", "Hydrogen")
 
 
@@ -458,7 +456,7 @@ class TestNestingCap:
         assert repr(formula).startswith(type(formula).__name__)
         assert atom_names(formula) == {"Rain"}
         conditional = parse_conditional(f"{text} |~ {text}")
-        assert extension(weather, materialise(conditional)) == bitsets.universe(4)
+        assert extension(weather, conditional.material()) == bitsets.universe(4)
         assert extension(weather, formula) in (0, weather.column(1))
 
     @pytest.mark.parametrize("shape", PROP_SHAPES)

@@ -153,7 +153,7 @@ class TestModularity:
 
 class TestRankingFunction:
     def test_accepts_convex_ranks(self):
-        assert RankingFunction([0, 0, 1]).max_rank == 1
+        assert len(RankingFunction([0, 0, 1]).strata) == 2
         assert RankingFunction([2, 0, 1]).ranks == (2, 0, 1)
         assert RankingFunction(()).size == 0
 
@@ -173,15 +173,19 @@ class TestRankingFunction:
 
     def test_strata(self):
         ranking = RankingFunction([0, 1, 0, 2])
-        assert ranking.strata() == (0b0101, 0b0010, 0b1000)
-        # built once: later calls and the induced order share the tuple
-        assert ranking.strata() is ranking.strata()
-        assert order_from_ranks(ranking)._height_layers() is ranking.strata()
-        assert RankingFunction(()).strata() == ()
+        assert ranking.strata == (0b0101, 0b0010, 0b1000)
+        # built once: later reads and the induced order share the tuple
+        assert ranking.strata is ranking.strata
+        assert order_from_ranks(ranking)._height_layers() is ranking.strata
+        assert RankingFunction(()).strata == ()
 
-    def test_empty_ranking_has_no_max(self):
-        with pytest.raises(StructureError):
-            RankingFunction(()).max_rank
+    def test_least_reads_the_first_stratum_met(self):
+        ranking = RankingFunction([0, 1, 0, 2])
+        assert ranking.least(0b1110) == (0, 0b0100)
+        assert ranking.least(0b1010) == (1, 0b0010)
+        assert ranking.least(0b1000) == (2, 0b1000)
+        assert ranking.least(0) == (None, 0)
+        assert RankingFunction(()).least(0b1) == (None, 0)
 
     @given(seeds)
     def test_strata_partition_the_objects(self, seed):
@@ -190,7 +194,7 @@ class TestRankingFunction:
         n = rng.randint(1, 7)
         ranking = random_ranking(rng, n)
         combined = 0
-        for stratum in ranking.strata():
+        for stratum in ranking.strata:
             assert combined & stratum == 0
             combined |= stratum
         assert combined == (1 << n) - 1
@@ -323,9 +327,10 @@ class TestRankedContext:
 
     def test_induced_order_is_modular(self):
         rc = self.build_friends_ranked()
-        assert rc.order.is_modular()
-        assert rc.order.precedes(0, 2)
-        assert not rc.order.precedes(2, 3)
+        order = order_from_ranks(rc.ranking)
+        assert order.is_modular()
+        assert order.precedes(0, 2)
+        assert not order.precedes(2, 3)
 
     @given(seeds)
     def test_agrees_with_preferential_reading(self, seed):
@@ -334,7 +339,7 @@ class TestRankedContext:
         rc = random_ranked_context(rng)
         if rc.context.n_objects == 0:
             return
-        pc = PreferentialContext(rc.context, rc.order)
+        pc = PreferentialContext(rc.context, order_from_ranks(rc.ranking))
         for _ in range(5):
             conditional = random_conditional(rng, rc.context.attributes)
             assert rc.satisfies(conditional) == pc.satisfies(conditional)
@@ -357,7 +362,7 @@ class TestRankedContext:
         """Rankings satisfy the preferential postulates through their induced order."""
         rng = random.Random(seed)
         rc = random_ranked_context(rng)
-        pc = PreferentialContext(rc.context, rc.order)
+        pc = PreferentialContext(rc.context, order_from_ranks(rc.ranking))
         names = rc.context.attributes
         phi = random_formula(rng, names, 2)
         psi = random_formula(rng, names, 2)

@@ -361,11 +361,10 @@ class TestBaseRank:
             (statements[1], statements[2]),
         )
         assert result.infinite == ()
-        assert result.height == 2
+        assert len(result.strata) == 2
 
     def test_empty_input(self):
         assert base_rank([]) == BaseRankResult((), ())
-        assert base_rank([]).height == 0
 
     def test_single_statement(self):
         statement = parse_prop_statement("p |~ q")

@@ -113,9 +113,9 @@ class TestDeltaValid:
 
 class TestObjectRank:
     def test_friendship_strata(self, friends):
-        ranked, partition = object_rank(friends, friends_delta())
+        ranked, ranking = object_rank(friends, friends_delta())
         # bob, eva first; charlie, frank above them; alice, david on top
-        assert partition.strata == (0b000011, 0b001100, 0b110000)
+        assert ranking.strata == (0b000011, 0b001100, 0b110000)
         assert ranked.ranking.ranks == (0, 0, 1, 1, 2, 2)
 
     def test_friendship_verdicts(self, friends):
@@ -126,20 +126,20 @@ class TestObjectRank:
         )
 
     def test_friendship_update_moves_only_eva(self, friends):
-        ranked, partition = object_rank(friends, extended_delta())
+        ranked, ranking = object_rank(friends, extended_delta())
         assert ranked.ranking.ranks == (0, 3, 1, 1, 2, 2)
-        assert partition.strata == (0b000001, 0b001100, 0b110000, 0b000010)
+        assert ranking.strata == (0b000001, 0b001100, 0b110000, 0b000010)
 
     def test_elements_strata(self, elements):
-        ranked, partition = object_rank(
+        ranked, ranking = object_rank(
             elements, [parse_conditional("Non-metal |~ Gas")]
         )
-        assert partition.strata == (0b011, 0b100)
+        assert ranking.strata == (0b011, 0b100)
         assert ranked.ranking.ranks == (0, 0, 1)
 
     def test_empty_delta_flattens(self, weather):
-        ranked, partition = object_rank(weather, [])
-        assert partition.strata == (0b1111,)
+        ranked, ranking = object_rank(weather, [])
+        assert ranking.strata == (0b1111,)
         assert ranked.ranking.ranks == (0, 0, 0, 0)
 
     def test_blocked_delta_raises(self):
@@ -165,18 +165,16 @@ class TestObjectRank:
             random_conditional(rng, context.attributes) for _ in range(rng.randint(0, 3))
         ]
         try:
-            ranked, partition = object_rank(context, delta)
+            ranked, ranking = object_rank(context, delta)
         except ValidityError:
             return
         combined = 0
-        for stratum in partition.strata:
+        for stratum in ranking.strata:
             assert stratum != 0
             assert combined & stratum == 0
             combined |= stratum
         assert combined == context.object_universe
-        assert partition.strata == ranked.ranking.strata() or (
-            context.n_objects == 0 and partition.strata == ()
-        )
+        assert ranking is ranked.ranking
         for conditional in delta:
             assert ranked.satisfies(conditional)
 

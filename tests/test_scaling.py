@@ -259,7 +259,7 @@ def test_a_200k_object_session_builds_from_the_loop_strata():
     ]
     seconds, session = timed(ClosureSession, context, kb)
     assert seconds < 0.05
-    assert len(session.ranked.ranking.strata()) == 11
+    assert len(session.ranked.ranking.strata) == 11
 
 
 def test_a_100k_state_interpretation_reads_its_columns():
