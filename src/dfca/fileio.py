@@ -7,19 +7,19 @@ Context formats:
   line, one attribute name per line, and one row of ``X``/``.`` cells per
   object. Names are taken verbatim (UTF-8, spaces allowed, no trimming);
   the loader tolerates CRLF, the writer emits LF with a final newline.
-  The loader splits lines only in the header and the name block and
-  keeps the rows as one block, which a fixed number of C-level passes
-  check (ASCII, its length, nothing but ``n`` line breaks besides the
-  ``X``/``.`` cells, a line break after every ``m`` cells). Only when a
-  check fails is the text walked line by line, to report the first fault
-  and its line number.
+  The loader checks the header, the counts and the names as it splits
+  them off, and reports each fault at its line. It keeps the rows as one
+  block, which a fixed number of C-level passes check (ASCII, its length,
+  nothing but ``n`` line breaks besides the ``X``/``.`` cells, a line
+  break after every ``m`` cells). Only when a check fails are the rows
+  walked one by one, to report the first fault and its line number.
 * ``.csv``: first row is the attribute names (the leading cell is
   ignored), the first column the object names, cells ``1``/``x``/``X``
   for incident and ``0``/empty for not, surrounding whitespace ignored.
   Empty records are skipped. Names are taken verbatim and, as in
   ``.cxt``, may not be empty or hold a line break. The loader checks the
-  records in bulk and walks them only to report the first fault and its
-  line number.
+  attribute names first, then the records in bulk, and walks the records
+  only to report the first fault and its line number.
 
 Every check is made at load. The checked cells are then handed to the
 context as one block, and each column is cut out of it (one reversed
@@ -56,77 +56,26 @@ _CSV_DIGITS = {"1": b"1", "x": b"1", "X": b"1", "0": b"0", "": b"0"}
 
 
 def parse_cxt(text, path=None):
-    """Parse Burmeister context text."""
+    """Parse Burmeister context text, raising each fault at its line."""
     if "\r" in text:
         text = text.replace("\r\n", "\n")
     if text and text[-1] != "\n":
         text += "\n"
-    parts = _split_cxt(text)
-    if parts is None:
-        _locate_cxt_fault(text, path)
-    try:
-        return FormalContext._from_cells(*parts)
-    except StructureError as exc:
-        raise FileFormatError(str(exc), path) from exc
+    # the text is empty or ends in a line break, so ``rest`` is too
+    *head, rest = text.split("\n", 5)
 
+    def header(k, what):
+        if k >= len(head):
+            raise FileFormatError(f"file ends before {what}", path, k + 1)
+        return head[k]
 
-def _split_cxt(text):
-    """Names, cell block and row stride of well-formed ``.cxt`` text, or None.
-
-    The text ends in a line break. Lines are split only up to the end of
-    the names; the rows stay one block, checked in bulk: ASCII,
-    ``n * (m + 1)`` characters, nothing but ``n`` line breaks left when
-    the cells are deleted, and every ``(m + 1)``-th character from ``m`` on
-    a line break. None means the text has a fault.
-    """
-    head = text.split("\n", 5)
-    if len(head) < 6 or head[0] != "B" or head[1] != "" or head[4] != "":
-        return None
-    try:
-        n, m = int(head[2]), int(head[3])
-    except ValueError:
-        return None
-    # each name takes at least one line break, so larger counts cannot fit
-    if n < 0 or m < 0 or n + m > len(head[5]):
-        return None
-    *names, block = head[5].split("\n", n + m)
-    if (
-        len(names) != n + m
-        or "" in names
-        or not block.isascii()
-        or len(block) != n * (m + 1)
-    ):
-        return None
-    cells = block.encode("ascii")
-    breaks = b"\n" * n
-    if cells.translate(None, b"X.") != breaks or cells[m::m + 1] != breaks:
-        return None
-    return tuple(names[:n]), tuple(names[n:]), cells, m + 1
-
-
-def _cxt_line(lines, index, description, path):
-    if index >= len(lines):
-        raise FileFormatError(f"file ends before {description}", path, len(lines) + 1)
-    return lines[index]
-
-
-def _locate_cxt_fault(text, path):
-    """Raise for the first fault of ``.cxt`` text, read one line at a time.
-
-    ``parse_cxt`` calls this only when a bulk check failed, so a fault is
-    there. Along the lines, it is a bad header or count, an early end of
-    the file, an empty name, a row of the wrong length or with an illegal
-    cell, or content after the rows.
-    """
-    # the text is empty or ends in a line break
-    lines = text.split("\n")[:-1]
-    if _cxt_line(lines, 0, "the format header", path) != "B":
+    if header(0, "the format header") != "B":
         raise FileFormatError("expected header 'B'", path, 1)
-    if _cxt_line(lines, 1, "the blank line after the header", path) != "":
+    if header(1, "the blank line after the header") != "":
         raise FileFormatError("expected a blank line after the header", path, 2)
     counts = []
     for offset, what in ((2, "object count"), (3, "attribute count")):
-        raw = _cxt_line(lines, offset, f"the {what}", path)
+        raw = header(offset, f"the {what}")
         try:
             value = int(raw)
         except ValueError:
@@ -137,32 +86,59 @@ def _locate_cxt_fault(text, path):
             raise FileFormatError(f"negative {what}", path, offset + 1)
         counts.append(value)
     n, m = counts
-    if _cxt_line(lines, 4, "the blank line after the counts", path) != "":
+    if header(4, "the blank line after the counts") != "":
         raise FileFormatError("expected a blank line after the counts", path, 5)
 
-    for start, count, what in ((5, n, "object"), (5 + n, m, "attribute")):
-        for k in range(count):
-            name = _cxt_line(lines, start + k, f"{what} name {k + 1} of {count}", path)
-            if name == "":
-                raise FileFormatError(f"empty {what} name", path, start + k + 1)
-    row_start = 5 + n + m
-    for k in range(n):
-        line = _cxt_line(lines, row_start + k, f"incidence row {k + 1} of {n}", path)
-        if len(line) != m:
-            raise FileFormatError(
-                f"row has {len(line)} cells, expected {m}", path, row_start + k + 1
-            )
-        illegal = line.translate(_DROP_CELLS)
-        if illegal:
-            raise FileFormatError(
-                f"illegal cell {illegal[0]!r}, expected 'X' or '.'",
-                path,
-                row_start + k + 1,
-            )
-    if len(lines) > row_start + n:
+    # each name takes at least one line break, so no more than len(rest)
+    # cuts are ever needed, and a count past sys.maxsize never reaches split
+    *names, block = rest.split("\n", min(n + m, len(rest)))
+    if "" in names:
+        k = names.index("")
         raise FileFormatError(
-            "unexpected content after the incidence rows", path, row_start + n + 1
+            f"empty {'object' if k < n else 'attribute'} name", path, 6 + k
         )
+    if len(names) < n + m:
+        k = len(names)
+        what, count, index = ("object", n, k) if k < n else ("attribute", m, k - n)
+        raise FileFormatError(
+            f"file ends before {what} name {index + 1} of {count}", path, 6 + k
+        )
+
+    # the rows stay one block, checked in bulk; a non-ASCII character
+    # encodes as "?", which the cell check refuses
+    cells = block.encode("ascii", "replace")
+    breaks = b"\n" * n
+    if (
+        len(cells) != n * (m + 1)
+        or cells.translate(None, b"X.") != breaks
+        or cells[m::m + 1] != breaks
+    ):
+        # a check failed: walk the rows to the first fault
+        rows = block.split("\n")[:-1]
+        for k in range(n):
+            line_no = 6 + n + m + k
+            if k == len(rows):
+                raise FileFormatError(
+                    f"file ends before incidence row {k + 1} of {n}", path, line_no
+                )
+            if len(rows[k]) != m:
+                raise FileFormatError(
+                    f"row has {len(rows[k])} cells, expected {m}", path, line_no
+                )
+            illegal = rows[k].translate(_DROP_CELLS)
+            if illegal:
+                raise FileFormatError(
+                    f"illegal cell {illegal[0]!r}, expected 'X' or '.'", path, line_no
+                )
+        raise FileFormatError(
+            "unexpected content after the incidence rows", path, 6 + n + m + n
+        )
+    try:
+        return FormalContext._from_cells(
+            tuple(names[:n]), tuple(names[n:]), cells, m + 1
+        )
+    except StructureError as exc:
+        raise FileFormatError(str(exc), path) from exc
 
 
 def format_cxt(context):
@@ -187,13 +163,15 @@ def format_cxt(context):
 def parse_csv_context(text, path=None):
     """Parse CSV context text.
 
-    The records are read with the ``csv`` module and checked in bulk: row
-    lengths, empty names, line breaks in names, and one lookup of each
-    distinct cell text. The cells become one block of binary digits, cut
-    into columns on first read as ``parse_cxt``'s are. Only when a check
-    fails does ``_locate_csv_fault`` walk the records to report the first
-    fault. Text the reader refuses (a field over its size limit, or a line
-    break inside an unquoted field) is a fault on the line where the reader
+    The records are read with the ``csv`` module. The attribute names are
+    checked first, on line 1: none empty, none holding a line break. The
+    records are then checked in bulk: row lengths, empty object names,
+    line breaks in object names, and one lookup of each distinct cell
+    text. The cells become one block of binary digits, cut into columns on
+    first read as ``parse_cxt``'s are. Only when a bulk check fails does
+    ``_locate_csv_fault`` walk the records to report the first fault. Text
+    the reader refuses (a field over its size limit, or a line break
+    inside an unquoted field) is a fault on the line where the reader
     stopped.
     """
     reader = csv.reader(io.StringIO(text))
@@ -204,10 +182,14 @@ def parse_csv_context(text, path=None):
     if not table:
         raise FileFormatError("empty file", path, 1)
     attributes = tuple(table[0][1:])
+    if "" in attributes:
+        raise FileFormatError("empty attribute name", path, 1)
+    for name in attributes:
+        _refuse_line_break(name, "attribute", path, 1)
     width = len(attributes) + 1
     records = list(filter(None, table[1:]))
-    if "" in attributes or not set(map(len, records)) <= {width}:
-        _locate_csv_fault(table, path)
+    if not set(map(len, records)) <= {width}:
+        _locate_csv_fault(table, width, path)
     # row-major fields: every width-th one from 0 on is an object name,
     # the rest are the cells
     fields = list(itertools.chain.from_iterable(records))
@@ -216,9 +198,9 @@ def parse_csv_context(text, path=None):
     # a file spells its cells a few ways; an illegal one reads "?"
     digit = {cell: _CSV_DIGITS.get(cell.strip(), b"?") for cell in set(fields)}
     # .cxt holds a name on one line, so neither format takes a line break
-    names = "".join(attributes) + "".join(objects)
+    names = "".join(objects)
     if "" in objects or b"?" in digit.values() or "\n" in names or "\r" in names:
-        _locate_csv_fault(table, path)
+        _locate_csv_fault(table, width, path)
     # digits run row by row, m to a row
     digits = b"".join(map(digit.__getitem__, fields))
     try:
@@ -227,27 +209,21 @@ def parse_csv_context(text, path=None):
         raise FileFormatError(str(exc), path) from exc
 
 
-def _locate_csv_fault(table, path):
-    """Raise for the first faulty record of a CSV table.
+def _locate_csv_fault(table, width, path):
+    """Raise for the first faulty record of a CSV table, header excepted.
 
-    ``parse_csv_context`` calls this only when a bulk check failed, so a
-    fault is there. Line numbers count CSV records, the header being line
-    1; empty records are skipped. Along the records, and within one in
-    this order, the faults are: an empty attribute name, a line break in
-    an attribute name, a record of the wrong length, an empty object name,
-    a line break in an object name, an illegal cell.
+    ``parse_csv_context`` calls this only when a bulk check of the records
+    failed, so a fault is there. Line numbers count CSV records, the
+    header being line 1; empty records are skipped. Within a record, in
+    this order, the faults are: the wrong length, an empty object name, a
+    line break in the object name, an illegal cell.
     """
-    attributes = table[0][1:]
-    if "" in attributes:
-        raise FileFormatError("empty attribute name", path, 1)
-    for name in attributes:
-        _refuse_line_break(name, "attribute", path, 1)
     for line_no, record in enumerate(table[1:], start=2):
         if not record:
             continue
-        if len(record) - 1 != len(attributes):
+        if len(record) != width:
             raise FileFormatError(
-                f"row has {len(record) - 1} cells, expected {len(attributes)}",
+                f"row has {len(record) - 1} cells, expected {width - 1}",
                 path,
                 line_no,
             )

@@ -27,7 +27,7 @@ class StrictOrder:
     the ranking's strata.
     """
 
-    __slots__ = ("_size", "_succ", "_pred", "_members", "_layers")
+    __slots__ = ("_size", "_succ", "_pred", "_layers")
 
     def __init__(self, size, pairs=()):
         if size < 0:
@@ -45,14 +45,16 @@ class StrictOrder:
         # Kahn's algorithm, one layer at a time: an element's predecessor row
         # is closed once the rows of all its direct predecessors are, and is
         # then their union plus those predecessors. The elements whose last
-        # direct predecessor closes in layer k form layer k + 1.
+        # direct predecessor closes in layer k form layer k + 1. A sum of
+        # distinct powers of two is their union, so each layer's bitset
+        # costs O(size) bits per shift at most, as one union of rows does.
         waiting = [len(direct) for direct in below]
         layer = [i for i in range(size) if not waiting[i]]
         pred = [0] * size
-        members = []
+        layers = []
         placed = 0
         while layer:
-            members.append(layer)
+            layers.append(sum(map((1).__lshift__, layer)))
             placed += len(layer)
             next_layer = []
             for j in layer:
@@ -73,11 +75,7 @@ class StrictOrder:
         self._size = size
         self._pred = tuple(pred)
         self._succ = bitsets._transpose(pred, size)
-        # the layers as index lists; ``_height_layers`` turns them into
-        # bitsets on first use, so an order that is never minimised does
-        # not pay for them
-        self._members = members
-        self._layers = None
+        self._layers = tuple(layers)
 
     @classmethod
     def _closed(cls, size, succ, pred, layers):
@@ -86,22 +84,8 @@ class StrictOrder:
         order._size = size
         order._succ = succ
         order._pred = pred
-        order._members = None
         order._layers = layers
         return order
-
-    def _height_layers(self):
-        """Bitsets of the height layers, lowest first, built once.
-
-        A sum of distinct powers of two is their union; each shift costs
-        O(size) bits at most, as one union of rows does.
-        """
-        if self._layers is None:
-            self._layers = tuple(
-                sum(map((1).__lshift__, layer)) for layer in self._members
-            )
-            self._members = None
-        return self._layers
 
     @property
     def size(self):
@@ -142,7 +126,7 @@ class StrictOrder:
         if members < 0 or members & ~bitsets.universe(self._size):
             raise StructureError("member set out of range for this order")
         minimal = 0
-        for layer in self._height_layers():
+        for layer in self._layers:
             if not members:
                 break
             found = members & layer
@@ -272,7 +256,11 @@ class RankingFunction:
 
         These are the members of least rank, the ones a ranked context
         checks a conditional against; (None, 0) when no stratum meets them.
+        A member set that is negative or holds an index past the ranking's
+        size raises StructureError.
         """
+        if members < 0 or members >> self._size:
+            raise StructureError("member set out of range for this ranking")
         for level, stratum in enumerate(self._strata):
             least = members & stratum
             if least:
@@ -322,7 +310,7 @@ def ranks_from_order(order):
     are exactly the layers below its own; checking that for every element
     rejects every non-modular input.
     """
-    layers = order._height_layers()
+    layers = order._layers
     below = 0
     for layer in layers:
         for i in bitsets.iter_indices(layer):

@@ -103,6 +103,8 @@ STATEMENTS = {
     # a classical statement, which neither a ranking nor a probe accepts
     "friends_classical.kb": '"fw. alice" |~ "fw. bob"\n"fw. charlie" -> !!"fw. charlie"',
     "top.cxt": "B\n\n3\n2\n\ng\nh\nk\nTOP\nBOT\nX.\nXX\n..",
+    # an object count past sys.maxsize, which no split limit may take
+    "count_past_maxsize.cxt": "B\n\n99999999999999999999\n1\n\ng",
     "top.kb": '"TOP" |~ BOT\nTOP & !BOT |~ !!TOP',
     "birds.kb": "\n".join([
         "# a doubled negation, an atom named TOP, assertions",
@@ -305,6 +307,7 @@ def edge_commands(empty_kb):
         ["extension", friends, '"fw. zed"'],
         ["extension", "--json", friends, '"fw. alice" &'],
         ["extension", "data/missing.cxt", "a"],
+        ["extension", relative(INPUTS / "count_past_maxsize.cxt"), "a"],
         ["extension", friends_kb, "a"],
         ["holds", friends, '"fw. alice" |~ "fw. bob"'],
         ["entail", friends, friends_kb, '"fw. alice" -> "fw. bob"'],

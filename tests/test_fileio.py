@@ -362,6 +362,7 @@ class TestCsv:
         [
             ('name,a\n"g\nh",1\nk,0\n', "line break in object name 'g\\nh'", 2),
             ('name,a\nk,0\n"g\r\nh",1\n', "line break in object name 'g\\r\\nh'", 3),
+            ('name,a\n"g\rh",1\n', "line break in object name 'g\\rh'", 2),
             ('name,"a\rb"\ng,1\n', "line break in attribute name 'a\\rb'", 1),
             # the header comes first, then the records in order, and within
             # a record the length, the name, the cells

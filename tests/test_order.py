@@ -176,7 +176,7 @@ class TestRankingFunction:
         assert ranking.strata == (0b0101, 0b0010, 0b1000)
         # built once: later reads and the induced order share the tuple
         assert ranking.strata is ranking.strata
-        assert order_from_ranks(ranking)._height_layers() is ranking.strata
+        assert order_from_ranks(ranking)._layers is ranking.strata
         assert RankingFunction(()).strata == ()
 
     def test_least_reads_the_first_stratum_met(self):
@@ -185,7 +185,9 @@ class TestRankingFunction:
         assert ranking.least(0b1010) == (1, 0b0010)
         assert ranking.least(0b1000) == (2, 0b1000)
         assert ranking.least(0) == (None, 0)
-        assert RankingFunction(()).least(0b1) == (None, 0)
+        for ranks, members in [((), 0b1), ((0, 1), -1), ((0, 1), 0b110)]:
+            with pytest.raises(StructureError, match="out of range for this ranking"):
+                RankingFunction(ranks).least(members)
 
     @given(seeds)
     def test_strata_partition_the_objects(self, seed):
