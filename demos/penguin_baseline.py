@@ -3,18 +3,23 @@
 Birds fly, penguins are birds, penguins do not fly. Base ranking sorts the
 statements by how exceptional their antecedents are; the closure procedure
 then answers queries by discarding ranks until the query's antecedent is
-no longer exceptional. At the end, the same statements cross the bridge
-into a context whose objects are the three most typical states.
+no longer exceptional. The same statements then cross the bridge into a
+context whose objects are the three most typical states. Last comes the
+preferential side: the states under a strict order that no ranking
+induces, read as an interpretation and as a preferential context.
 """
 
 from dfca.propositional import (
     base_rank,
+    derive_preferential_context,
     derive_ranked_context,
+    parse_prop_formula,
     parse_prop_statement,
     rc_decision,
+    PreferentialInterpretation,
     RankedInterpretation,
 )
-from dfca import Conditional
+from dfca import Conditional, StrictOrder
 from dfca.formula import Atom, Not
 
 
@@ -62,6 +67,27 @@ def main():
     mirrored = model.satisfies(parse_prop_statement("penguin |~ !flies"))
     print("  agreeing with the propositional verdict?",
           derived.satisfies(probe) == mirrored)
+
+    # the sparrow is more typical than the penguin state, and the stone is
+    # comparable to neither: no ranking induces that
+    order = StrictOrder(3, [(0, 1)])
+    preferential = PreferentialInterpretation(atoms, model.states, valuations, order)
+    print("\nthe same states under a strict preference order:")
+    print("  atoms:", ", ".join(preferential.atoms))
+    print("  pairs (lower, upper):", order.pairs())
+    print("  sparrow below the penguin state?", order.precedes(0, 1))
+    print("  stone below the sparrow?", order.precedes(2, 0))
+    print("  modular?", order.is_modular())
+    for text in ("bird |~ flies", "penguin |~ !flies", "!flies |~ penguin"):
+        verdict = preferential.satisfies(parse_prop_statement(text))
+        print(f"  {text}: {verdict}")
+
+    bridged = derive_preferential_context(preferential)
+    flightless = preferential.state_bits(parse_prop_formula("bird & !flies"))
+    print("\nas a preferential context with states for objects:")
+    print("  bird & !flies holds of:", ", ".join(bridged.context.object_names(flightless)))
+    print("  the order carried over unchanged?", bridged.order == order)
+    print(f"  {probe}: {bridged.satisfies(probe)}")
 
 
 if __name__ == "__main__":

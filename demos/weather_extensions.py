@@ -51,13 +51,13 @@ def main():
         print(f"{g:8}{cells}")
 
     banner("derivation")
-    cold = 1 << context.attribute_index("Cold")
+    cold = context.attribute_set(["Cold"])
     print("objects with Cold:", names(context, context.extent(cold)))
-    day2 = 1 << context.object_index("Day 2")
+    day2 = context.object_set(["Day 2"])
     print("attributes of Day 2:", names(context, context.intent(day2), "attributes"))
 
     banner("a classical implication")
-    rain = 1 << context.attribute_index("Rain")
+    rain = context.attribute_set(["Rain"])
     implication = AttributeImplication(rain, cold)
     print("Rain -> Cold holds?", implication_holds(context, implication))
 

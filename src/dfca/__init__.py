@@ -30,7 +30,6 @@ from .fileio import (
     load_context,
     load_order,
     load_prop_statements,
-    load_ranks,
     parse_csv_context,
     parse_cxt,
     save_context,
@@ -103,7 +102,6 @@ __all__ = [
     "load_context",
     "load_order",
     "load_prop_statements",
-    "load_ranks",
     "object_rank",
     "order_from_ranks",
     "parse_conditional",

@@ -23,7 +23,7 @@ class FormulaSyntaxError(DfcaError):
 
 
 class FileFormatError(DfcaError):
-    """A context, conditional, order, or rank file that violates its format."""
+    """A context, conditional, or order file that violates its format."""
 
     def __init__(self, message, path=None, line=None):
         location = ""

@@ -1,4 +1,4 @@
-"""Reading and writing contexts, conditional sets, orders, and rankings.
+"""Reading and writing contexts, conditional sets, and orders.
 
 Context formats:
 
@@ -29,9 +29,8 @@ every column has been cut.
 
 Conditional files are UTF-8 text, one statement per line; ``#`` starts a
 comment and blank lines are skipped. Order files hold ``a < b`` lines
-(a strictly below b, names trimmed of surrounding whitespace). Rank files
-hold ``<rank> <object name>`` lines and must cover every object. In
-these three kinds of file, as in a ``.cxt``, only a line break (``\\n``,
+(a strictly below b, names trimmed of surrounding whitespace). In both
+kinds of file, as in a ``.cxt``, only a line break (``\\n``,
 ``\\r\\n`` or ``\\r``) ends a line: a form feed, NEL or U+2028 LINE
 SEPARATOR is part of the line it is on.
 """
@@ -44,7 +43,7 @@ import os
 from .context import FormalContext
 from .errors import BindingError, FileFormatError, FormulaSyntaxError, StructureError
 from .formula import parse_conditional, parse_prop_statement
-from .order import RankingFunction, StrictOrder
+from .order import StrictOrder
 
 
 # .cxt incidence cells: deleting the legal ones leaves the illegal ones in
@@ -326,37 +325,3 @@ def load_order(path, context):
             raise FileFormatError(str(exc), path, line_no) from exc
     return StrictOrder(context.n_objects, pairs)
 
-
-def load_ranks(path, context):
-    """Load ``<rank> <object name>`` lines into a ranking of the context's objects."""
-    assigned = {}
-    for line_no, line in _statement_lines(path):
-        parts = line.strip().split(None, 1)
-        if len(parts) != 2:
-            raise FileFormatError(
-                "expected '<rank> <object name>'", path, line_no
-            )
-        raw_rank, name = parts
-        try:
-            rank = int(raw_rank)
-        except ValueError:
-            raise FileFormatError(
-                f"expected an integer rank, got {raw_rank!r}", path, line_no
-            ) from None
-        if rank < 0:
-            raise FileFormatError(
-                f"expected a non-negative rank, got {raw_rank!r}", path, line_no
-            )
-        try:
-            index = context.object_index(name)
-        except BindingError as exc:
-            raise FileFormatError(str(exc), path, line_no) from exc
-        if index in assigned:
-            raise FileFormatError(f"object {name!r} ranked twice", path, line_no)
-        assigned[index] = rank
-    missing = [
-        context.objects[i] for i in range(context.n_objects) if i not in assigned
-    ]
-    if missing:
-        raise FileFormatError(f"objects never ranked: {missing!r}", path)
-    return RankingFunction(tuple(assigned[i] for i in range(context.n_objects)))

@@ -100,10 +100,6 @@ class StrictOrder:
         self._check(i)
         return self._succ[i]
 
-    def predecessors(self, i):
-        self._check(i)
-        return self._pred[i]
-
     def pairs(self):
         """All (lower, upper) pairs of the closed relation, sorted."""
         return [
@@ -190,7 +186,7 @@ class RankingFunction:
 
     The ranking is held as its strata, one bitset per rank from 0 up, and
     read through ``strata`` and ``least``. The rank tuple is built from
-    them on the first read of ``ranks``, ``rank_of`` or ``repr`` and kept.
+    them on the first read of ``ranks`` or ``repr`` and kept.
     """
 
     __slots__ = ("_size", "_strata", "_ranks")
@@ -245,11 +241,6 @@ class RankingFunction:
     def strata(self):
         """Bitsets per rank, ascending."""
         return self._strata
-
-    def rank_of(self, i):
-        if not 0 <= i < self._size:
-            raise StructureError(f"index {i} out of range")
-        return self.ranks[i]
 
     def least(self, members):
         """(k, members & S_k) for the first stratum S_k that meets the members.

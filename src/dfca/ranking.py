@@ -34,10 +34,6 @@ class KnowledgeBase:
                 items.append(c)
         self._conditionals = tuple(items)
 
-    @property
-    def conditionals(self):
-        return self._conditionals
-
     def with_conditional(self, conditional):
         """A new knowledge base extended by one conditional (no-op on duplicates)."""
         if conditional in self._conditionals:

@@ -441,7 +441,7 @@ def antecedent_rank(ranked, antecedent):
     """Least rank among the antecedent objects, one member at a time."""
     if not antecedent:
         return None
-    return min(ranked.ranking.rank_of(i) for i in bitsets.iter_indices(antecedent))
+    return min(ranked.ranking.ranks[i] for i in bitsets.iter_indices(antecedent))
 
 
 def closing_check(ranked, kb):
@@ -812,15 +812,28 @@ def rc_decision(statements, query):
 # --- strict orders and rankings --------------------------------------------
 
 
+def predecessor_rows(order):
+    """Each element's predecessor row, transposed from the successor rows.
+
+    The oracles below judge an order by these rows, not by the rows the
+    order keeps for itself.
+    """
+    pred = [0] * order.size
+    for i in range(order.size):
+        for j in iter_indices(order.successors(i)):
+            pred[j] |= 1 << i
+    return pred
+
+
 def is_modular(order):
     """True when incomparable elements have the same predecessors, pair by pair."""
+    pred = predecessor_rows(order)
     for i in range(order.size):
         for j in range(i + 1, order.size):
             comparable = (order.successors(i) >> j | order.successors(j) >> i) & 1
-            if not comparable and order.predecessors(i) != order.predecessors(j):
+            if not comparable and pred[i] != pred[j]:
                 return False
     return True
-
 
 
 def closure(size, pairs=()):
@@ -858,9 +871,10 @@ def closure(size, pairs=()):
 
 def minimise(order, members):
     """Members with no strictly smaller member, built one bit at a time."""
+    pred = predecessor_rows(order)
     result = 0
     for i in iter_indices(members):
-        if order.predecessors(i) & members == 0:
+        if pred[i] & members == 0:
             result |= 1 << i
     return result
 
@@ -887,12 +901,9 @@ def member_minimise(order, members):
     """``StrictOrder.minimise`` testing the predecessor row of every member."""
     if members < 0 or members & ~bitsets.universe(order.size):
         raise StructureError("member set out of range for this order")
+    pred = predecessor_rows(order)
     return bitsets.from_indices(
-        (
-            i
-            for i in bitsets.iter_indices(members)
-            if order.predecessors(i) & members == 0
-        ),
+        (i for i in bitsets.iter_indices(members) if pred[i] & members == 0),
         order.size,
     )
 
@@ -939,9 +950,6 @@ def ranks_from_order(order):
             (i for i in range(order.size) if ranks[i] == current), order.size
         )
         below |= stratum_bits
-    for i in range(order.size):
-        if order.predecessors(i) != expected_pred[i]:
-            raise ModularityError(
-                "order is not modular: no ranking induces it"
-            )
+    if predecessor_rows(order) != expected_pred:
+        raise ModularityError("order is not modular: no ranking induces it")
     return RankingFunction(ranks)

@@ -165,7 +165,7 @@ def test_new_conditional_moves_eva_and_flips_two_verdicts():
     ]
     assert moved == ["eva"]
     eva = context.object_index("eva")
-    assert after.ranked.ranking.rank_of(eva) == 3
+    assert after.ranked.ranking.ranks[eva] == 3
     assert len(after.ranked.ranking.strata) == 4
 
     eva_bob = parse_conditional('"fw. eva" |~ "fw. bob"')

@@ -259,7 +259,7 @@ class TestCxtRows:
 def order_rows(order):
     return (
         tuple(order.successors(i) for i in range(order.size)),
-        tuple(order.predecessors(i) for i in range(order.size)),
+        order._pred,
     )
 
 
@@ -397,8 +397,6 @@ class TestRankings:
         assert by_strata.ranks == by_ranks.ranks
         assert by_strata.strata == by_ranks.strata
         assert by_strata.size == n
-        for i in range(-1, n + 1):
-            assert outcome(by_strata.rank_of, i) == outcome(by_ranks.rank_of, i)
         assert by_strata == by_ranks
         assert hash(by_strata) == hash(by_ranks)
         assert repr(by_strata) == repr(by_ranks)

@@ -21,7 +21,6 @@ from conftest import (
 from dfca import (
     FileFormatError,
     FormalContext,
-    RankingFunction,
     StrictOrder,
     StructureError,
 )
@@ -31,7 +30,6 @@ from dfca.fileio import (
     load_context,
     load_order,
     load_prop_statements,
-    load_ranks,
     parse_csv_context,
     parse_cxt,
     save_context,
@@ -501,13 +499,11 @@ class TestOnlyLineBreaksEndLines:
             load_conditionals(target)
         assert err.value.line == 3
 
-    def test_order_and_rank_files(self, char, tmp_path):
+    def test_order_files(self, char, tmp_path):
         context = FormalContext(["g", f"h{char}k"], ["c"], [1, 0])
-        order, ranks = tmp_path / "o.order", tmp_path / "r.ranks"
+        order = tmp_path / "o.order"
         order.write_text(f"# note{char} more\ng < h{char}k\n", encoding="utf-8")
-        ranks.write_text(f"# note{char} more\n0 g\n1 h{char}k\n", encoding="utf-8")
         assert load_order(order, context) == StrictOrder(2, [(0, 1)])
-        assert load_ranks(ranks, context) == RankingFunction([0, 1])
 
 
 class TestOrderFiles:
@@ -542,65 +538,3 @@ class TestOrderFiles:
         target.write_text("Helium < Carbon\nCarbon < Helium\n", encoding="utf-8")
         with pytest.raises(StructureError):
             load_order(target, elements)
-
-
-class TestRankFiles:
-    def test_basic(self, elements, tmp_path):
-        target = tmp_path / "r.ranks"
-        target.write_text("0 Helium\n0 Hydrogen\n1 Carbon\n", encoding="utf-8")
-        assert load_ranks(target, elements) == RankingFunction([0, 0, 1])
-
-    def test_names_may_contain_spaces(self, weather, tmp_path):
-        target = tmp_path / "r.ranks"
-        target.write_text(
-            "0 Day 1\n0 Day 2\n1 Day 3\n1 Day 4\n", encoding="utf-8"
-        )
-        assert load_ranks(target, weather) == RankingFunction([0, 0, 1, 1])
-
-    def test_duplicate_assignment_located(self, elements, tmp_path):
-        target = tmp_path / "r.ranks"
-        target.write_text("0 Helium\n1 Helium\n", encoding="utf-8")
-        with pytest.raises(FileFormatError) as err:
-            load_ranks(target, elements)
-        assert err.value.line == 2
-
-    def test_missing_objects_reported(self, elements, tmp_path):
-        target = tmp_path / "r.ranks"
-        target.write_text("0 Helium\n", encoding="utf-8")
-        with pytest.raises(FileFormatError) as err:
-            load_ranks(target, elements)
-        assert "Hydrogen" in str(err.value)
-
-    def test_non_integer_rank_located(self, elements, tmp_path):
-        target = tmp_path / "r.ranks"
-        target.write_text("first Helium\n", encoding="utf-8")
-        with pytest.raises(FileFormatError) as err:
-            load_ranks(target, elements)
-        assert err.value.line == 1
-
-    def test_negative_rank_located(self, elements, tmp_path):
-        target = tmp_path / "r.ranks"
-        target.write_text("0 Helium\n-1 Hydrogen\n0 Carbon\n", encoding="utf-8")
-        with pytest.raises(FileFormatError, match="non-negative rank, got '-1'") as err:
-            load_ranks(target, elements)
-        assert err.value.line == 2
-
-    def test_line_without_a_name_located(self, elements, tmp_path):
-        target = tmp_path / "r.ranks"
-        target.write_text("0 Helium\n1\n", encoding="utf-8")
-        with pytest.raises(FileFormatError, match="expected '<rank> <object name>'") as err:
-            load_ranks(target, elements)
-        assert err.value.line == 2
-
-    def test_unknown_object_located(self, elements, tmp_path):
-        target = tmp_path / "r.ranks"
-        target.write_text("0 Helium\n0 Hydrogen\n1 Neon\n", encoding="utf-8")
-        with pytest.raises(FileFormatError, match="Neon") as err:
-            load_ranks(target, elements)
-        assert err.value.line == 3
-
-    def test_gap_rejected(self, elements, tmp_path):
-        target = tmp_path / "r.ranks"
-        target.write_text("0 Helium\n0 Hydrogen\n2 Carbon\n", encoding="utf-8")
-        with pytest.raises(StructureError):
-            load_ranks(target, elements)

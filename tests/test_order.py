@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import (
     PREFERENTIAL_POSTULATES,
     all_strict_orders,
@@ -20,6 +21,7 @@ from conftest import (
     rm_violated,
 )
 from dfca import (
+    FormalContext,
     ModularityError,
     PreferentialContext,
     RankedContext,
@@ -58,17 +60,29 @@ class TestStrictOrder:
         with pytest.raises(StructureError):
             StrictOrder(2, [(-1, 0)])
 
+    def test_index_at_the_size_is_out_of_range(self):
+        out_of_range = "index 2 out of range for size 2"
+        for pairs in ([(2, 0)], [(0, 2)]):
+            with pytest.raises(StructureError, match=out_of_range):
+                StrictOrder(2, pairs)
+        order = StrictOrder(2, [(0, 1)])
+        with pytest.raises(StructureError, match=out_of_range):
+            order.successors(2)
+        with pytest.raises(StructureError, match=out_of_range):
+            order.precedes(0, 2)
+
     def test_neighbourhoods_are_bitsets(self):
         order = StrictOrder(4, [(0, 1), (1, 2)])
         assert order.successors(0) == 0b0110
-        assert order.predecessors(2) == 0b0011
-        assert order.predecessors(3) == 0
+        assert order._pred[2] == 0b0011
+        assert order._pred[3] == 0
 
     def test_equality_ignores_pair_presentation(self):
         assert StrictOrder(3, [(0, 1), (1, 2)]) == StrictOrder(
             3, [(1, 2), (0, 1), (0, 2)]
         )
         assert StrictOrder(3) != StrictOrder(2)
+        assert StrictOrder(2) != StrictOrder(2, [(0, 1)])
 
     def test_empty_order(self):
         order = StrictOrder(0)
@@ -140,8 +154,9 @@ class TestModularity:
 
     def test_modular_iff_incomparables_share_predecessors(self):
         for order in all_strict_orders(4):
+            pred = oracles.predecessor_rows(order)
             expected = all(
-                order.predecessors(i) == order.predecessors(j)
+                pred[i] == pred[j]
                 for i in range(4)
                 for j in range(4)
                 if i != j
@@ -170,6 +185,10 @@ class TestRankingFunction:
             RankingFunction([-1, 0])
         with pytest.raises(StructureError):
             RankingFunction([0.5])
+
+    def test_strata_must_cover_every_index(self):
+        with pytest.raises(StructureError, match=r"ranking strata do not cover 0\.\.1"):
+            RankingFunction._from_strata((0b01,), 2)
 
     def test_strata(self):
         ranking = RankingFunction([0, 1, 0, 2])
@@ -242,6 +261,17 @@ class TestPreferentialContext:
         with pytest.raises(StructureError):
             PreferentialContext(elements, StrictOrder(2))
 
+    def test_equality_reads_the_context_and_the_order(self, elements):
+        pc = PreferentialContext(elements, elements_order())
+        twin = PreferentialContext(build_elements(), StrictOrder(3, [(0, 2)]))
+        assert twin is not pc
+        assert twin == pc
+        assert hash(twin) == hash(pc)
+        assert pc != PreferentialContext(elements, StrictOrder(3))
+        rows = list(map(elements.row, range(3)))
+        renamed = FormalContext(["He", "H", "C"], elements.attributes, rows)
+        assert pc != PreferentialContext(renamed, elements_order())
+
     def test_satisfaction_goldens(self, elements):
         pc = PreferentialContext(elements, elements_order())
         assert pc.minimise_objects(extension(elements, Atom("Non-metal"))) == 0b011
@@ -307,8 +337,19 @@ class TestRankedContext:
 
     def test_rank_lookup(self):
         rc = self.build_friends_ranked()
-        assert rc.ranking.rank_of(0) == 0
-        assert rc.ranking.rank_of(5) == 2
+        assert rc.ranking.ranks[0] == 0
+        assert rc.ranking.ranks[5] == 2
+
+    def test_equality_reads_the_context_and_the_ranking(self, friends):
+        rc = self.build_friends_ranked()
+        assert rc == self.build_friends_ranked()
+        assert rc != RankedContext(friends, RankingFunction([0] * 6))
+        renamed = FormalContext(
+            [f"friend {i}" for i in range(6)],
+            friends.attributes,
+            list(map(friends.row, range(6))),
+        )
+        assert rc != RankedContext(renamed, rc.ranking)
 
     def test_minimise_keeps_lowest_rank(self):
         rc = self.build_friends_ranked()

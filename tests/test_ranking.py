@@ -47,7 +47,7 @@ class TestKnowledgeBase:
         c1 = parse_conditional("a |~ b")
         c2 = parse_conditional("b |~ a")
         kb = KnowledgeBase([c1, c2, c1])
-        assert kb.conditionals == (c1, c2)
+        assert tuple(kb) == (c1, c2)
         assert len(kb) == 2
         assert c2 in kb
 
@@ -61,9 +61,9 @@ class TestKnowledgeBase:
         c2 = parse_conditional("b |~ a")
         kb = KnowledgeBase([c1])
         grown = kb.with_conditional(c2)
-        assert kb.conditionals == (c1,)
-        assert grown.conditionals == (c1, c2)
-        assert grown.with_conditional(c1).conditionals == (c1, c2)
+        assert tuple(kb) == (c1,)
+        assert tuple(grown) == (c1, c2)
+        assert tuple(grown.with_conditional(c1)) == (c1, c2)
 
     def test_equality_is_order_insensitive(self):
         c1 = parse_conditional("a |~ b")
