@@ -159,6 +159,20 @@ STATEMENTS = {
         "a |~ b",
         "b |~ !a",
     ]),
+    # object and attribute names holding each character str.splitlines()
+    # breaks at, short of "\n" and "\r", which a .cxt name line cannot hold
+    "separator_names.cxt": "\n".join([
+        "B", "", "4", "3", "",
+        "g\u2029h", "k\x85l", "m\x1cn", "p",
+        "a\u2028b", "c\x0bd\x0ce", "f\x1d\x1e",
+        "X.X", "XX.", ".X.", "...",
+    ]),
+    "separator_names.kb": '"a\u2028b" |~ "f\x1d\x1e"',
+    "separator_names.probes": "\n".join([
+        '"a\u2028b" |~ "f\x1d\x1e"',
+        '"c\x0bd\x0ce" |~ !"a\u2028b"',
+    ]),
+    "separator_atoms.kb": '"p\u2029q" |~ b\nb |~ !"p\u2029q"',
 }
 
 # rcprop queries on rc_chain.kb: antecedents first possible at rank 0, 1, 2,
@@ -409,6 +423,15 @@ def separator_commands():
             "empty.kb",
         )
     )
+    names, names_kb, names_probes, atoms = (
+        relative(INPUTS / name)
+        for name in (
+            "separator_names.cxt",
+            "separator_names.kb",
+            "separator_names.probes",
+            "separator_atoms.kb",
+        )
+    )
     argvs = []
     for flags in ([], ["--json"]):
         argvs += [
@@ -420,6 +443,12 @@ def separator_commands():
             ["diff", *flags, context, empty, line_separator, "--probe", probes],
             ["baserank", *flags, base],
             ["rcprop", *flags, base, "a |~ b"],
+            # names printed in lists, in a table and inside statements
+            ["extension", *flags, names, '"c\x0bd\x0ce" | "a\u2028b"'],
+            ["holds", *flags, names, '"a\u2028b" -> "c\x0bd\x0ce"'],
+            ["rank", *flags, names, names_kb],
+            ["diff", *flags, names, empty, names_kb, "--probe", names_probes],
+            ["baserank", *flags, atoms],
         ]
     return argvs
 
