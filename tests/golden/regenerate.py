@@ -336,6 +336,14 @@ def edge_commands(empty_kb):
         ["baserank", bad_syntax],
         ["baserank", "data/missing.kb"],
     ]
+    # one level past each nesting cap: negations, a chain of '&', a chain of
+    # '->' (refused where its fold passes the cap) and parentheses
+    argvs += [
+        ["extension", weather, "!" * 101 + "Rain"],
+        ["holds", weather, " & ".join(["Rain"] * 102) + " -> Rain"],
+        ["rcprop", penguin, " -> ".join(["penguin"] * 102) + " |~ bird"],
+        ["entail", weather, empty, "(" * 101 + "Rain" + ")" * 101 + " |~ Rain"],
+    ]
     # the entry point, in a child process
     argvs += [
         [*MODULE, "extension", friends, '"fw. alice"'],
