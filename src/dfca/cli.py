@@ -8,9 +8,8 @@ exposes; the CLI only parses arguments and formats results. Exit codes:
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import bitsets
 from .closure import ClosureSession, entailment_diff
@@ -34,13 +33,44 @@ from .formula import (
 from .fileio import load_conditionals, load_context, load_prop_statements
 from .propositional import base_rank, parse_prop_statement, rc_decision
 from .ranking import KnowledgeBase, object_rank
+from .record import Record
 
 
-@dataclass
-class CliResult:
-    exit_code: int
-    text: str
-    data: Optional[dict] = None
+class CliResult(Record):
+    """A command's exit code, its text output, and the data ``--json`` prints."""
+
+    __slots__ = ("exit_code", "text", "data")
+
+    def __init__(self, exit_code, text, data=None):
+        _set_exit_code(self, exit_code)
+        _set_text(self, text)
+        _set_data(self, data)
+
+
+_set_exit_code = CliResult.exit_code.__set__
+_set_text = CliResult.text.__set__
+_set_data = CliResult.data.__set__
+
+
+# the characters at which str.splitlines() ends a line
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _shown(names):
+    """Names (or other cells) as text output prints them, each on one line.
+
+    Each character at which ``str.splitlines()`` ends a line is written as
+    a ``\\uXXXX`` escape, so a reader that splits lines there still sees
+    one row per line. Names holding none, the usual case, cost one scan of
+    their join at C level and come back as they are. ``--json`` prints
+    names unescaped; a JSON reader takes them whole.
+    """
+    if _LINE_BREAK.search("".join(names)) is None:
+        return names
+    return [
+        _LINE_BREAK.sub(lambda match: f"\\u{ord(match[0]):04x}", name)
+        for name in names
+    ]
 
 
 def build_parser():
@@ -116,7 +146,7 @@ def _cmd_extension(args):
         "objects": list(names),
         "count": len(names),
     }
-    return CliResult(0, "\n".join(names), data)
+    return CliResult(0, "\n".join(_shown(names)), data)
 
 
 def _cmd_holds(args):
@@ -134,7 +164,7 @@ def _cmd_holds(args):
     if verdict:
         text = "holds"
     else:
-        text = "does not hold; counterexamples: " + ", ".join(counterexamples)
+        text = "does not hold; counterexamples: " + ", ".join(_shown(counterexamples))
     data = {
         "command": "holds",
         "implication": str(implication),
@@ -188,7 +218,7 @@ def _cell_tables(widths):
 
 
 def _rank_table(context, strata):
-    objects, rows = context.objects, context._row_bits()
+    objects, rows = _shown(context.objects), context._row_bits()
     ranked = [
         [(objects[i], rows[i]) for i in bitsets.iter_indices(stratum)]
         for stratum in strata
@@ -198,7 +228,7 @@ def _rank_table(context, strata):
     for _, row in shown:
         incident |= row
     labels = [str(level) for level, members in enumerate(ranked) if members]
-    header = ["rank", "object"] + list(context.attributes)
+    header = ["rank", "object", *_shown(context.attributes)]
     # each column is as wide as its widest cell: the header, or a mark
     widths = [
         max(map(len, ["rank"] + labels)),
@@ -271,12 +301,13 @@ def _cmd_diff(args):
     triples = entailment_diff(before, after, probes)
     table = [["query", "before", "after", "change"]]
     entries = []
-    for probe, was, now in triples:
+    shown = _shown([str(probe) for probe in probes])
+    for query, (probe, was, now) in zip(shown, triples):
         if was == now:
             change = ""
         else:
             change = "gained" if now else "retracted"
-        table.append([str(probe), "yes" if was else "no", "yes" if now else "no", change])
+        table.append([query, "yes" if was else "no", "yes" if now else "no", change])
         entries.append(
             {"query": str(probe), "before": was, "after": now, "change": change or None}
         )
@@ -298,6 +329,7 @@ def _cmd_baserank(args):
     if result.infinite:
         lines.append("infinite: " + "; ".join(str(s) for s in result.infinite))
     lines.append(f"height: {len(result.strata)}")
+    lines = _shown(lines)
     data = {
         "command": "baserank",
         "strata": [[str(s) for s in stratum] for stratum in result.strata],

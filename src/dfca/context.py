@@ -6,10 +6,10 @@ attribute. Object and attribute sets are bitsets (ints) over the index
 universes fixed by declaration order; all outputs list indices ascending.
 """
 
-from dataclasses import dataclass
 
 from . import bitsets
 from .errors import BindingError, StructureError
+from .record import Record
 
 # incidence cells to binary digits: .cxt's X and . become 1 and 0, and
 # .csv's digits stay as they are
@@ -292,16 +292,20 @@ def _check_names(names, what):
         seen.add(name)
 
 
-@dataclass(frozen=True)
-class AttributeImplication:
+class AttributeImplication(Record):
     """A -> B over one context's attribute universe, both sides bitsets."""
 
-    premise: int
-    conclusion: int
+    __slots__ = ("premise", "conclusion")
 
-    def __post_init__(self):
-        if self.premise < 0 or self.conclusion < 0:
+    def __init__(self, premise, conclusion):
+        if premise < 0 or conclusion < 0:
             raise StructureError("implication sides must be non-negative bitsets")
+        _set_premise(self, premise)
+        _set_conclusion(self, conclusion)
+
+
+_set_premise = AttributeImplication.premise.__set__
+_set_conclusion = AttributeImplication.conclusion.__set__
 
 
 def implication_holds(context, implication):

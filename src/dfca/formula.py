@@ -45,64 +45,89 @@ of a statement prints its own dialect.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Union
 
 from .errors import FormulaSyntaxError, StructureError
+from .record import Record
 
 
-class _Node:
-    __slots__ = ()
+class Formula(Record):
+    """The base of every formula node.
+
+    A node keeps its hash once worked out: a knowledge base hashes whole
+    trees each time a set or dict takes its statements.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._values(self))
+            _set_hash(self, value)
+            return value
 
     def __str__(self):
         return format_formula(self)
 
 
-@dataclass(frozen=True)
-class Top(_Node):
+class Top(Formula):
     """The constant true."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Bot(_Node):
+
+class Bot(Formula):
     """The constant false."""
 
-
-@dataclass(frozen=True)
-class Atom(_Node):
-    name: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not(_Node):
-    operand: "Formula"
+class Atom(Formula):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set_name(self, name)
 
 
-@dataclass(frozen=True)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
+class Not(Formula):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        _set_operand(self, operand)
 
 
-@dataclass(frozen=True)
-class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+class _Binary(Formula):
+    """The layout of the binary connectives; each compares as its own class."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set_left(self, left)
+        _set_right(self, right)
 
 
-@dataclass(frozen=True)
-class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(_Node):
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-Formula = Union[Top, Bot, Atom, Not, And, Or, Implies, Iff]
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
+
+
+_set_hash = Formula._hash.__set__
+_set_name = Atom.name.__set__
+_set_operand = Not.operand.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
 _BINARY = (And, Or, Implies, Iff)
 
@@ -110,22 +135,22 @@ DEFEASIBLE = "defeasible"
 CLASSICAL = "classical"
 
 
-@dataclass(frozen=True)
-class _Statement:
+class _Statement(Record):
     """The body both dialects' statements share: two formulas and a kind.
 
-    Each dialect subclasses it as a dataclass of its own, so equality,
-    hashing and ``repr`` stay per class: a ``Conditional`` never equals a
-    ``PropConditional`` with the same fields.
+    Each dialect subclasses it, so equality, hashing and ``repr`` stay per
+    class: a ``Conditional`` never equals a ``PropConditional`` with the
+    same fields.
     """
 
-    antecedent: Formula
-    consequent: Formula
-    kind: str = DEFEASIBLE
+    __slots__ = ("antecedent", "consequent", "kind")
 
-    def __post_init__(self):
-        if self.kind not in (DEFEASIBLE, CLASSICAL):
-            raise ValueError(f"unknown statement kind {self.kind!r}")
+    def __init__(self, antecedent, consequent, kind=DEFEASIBLE):
+        if kind not in (DEFEASIBLE, CLASSICAL):
+            raise ValueError(f"unknown statement kind {kind!r}")
+        _set_antecedent(self, antecedent)
+        _set_consequent(self, consequent)
+        _set_kind(self, kind)
 
     @classmethod
     def defeasible(cls, antecedent, consequent):
@@ -136,9 +161,15 @@ class _Statement:
         return Implies(self.antecedent, self.consequent)
 
 
-@dataclass(frozen=True)
+_set_antecedent = _Statement.antecedent.__set__
+_set_consequent = _Statement.consequent.__set__
+_set_kind = _Statement.kind.__set__
+
+
 class Conditional(_Statement):
     """phi |~ psi (defeasible) or phi -> psi (classical), over attributes."""
+
+    __slots__ = ()
 
     @classmethod
     def classical(cls, antecedent, consequent):
@@ -152,9 +183,10 @@ class Conditional(_Statement):
         )
 
 
-@dataclass(frozen=True)
 class PropConditional(_Statement):
     """A defeasible ``phi |~ psi`` or an encoded classical assertion."""
+
+    __slots__ = ()
 
     @classmethod
     def assertion(cls, statement):
@@ -197,19 +229,19 @@ _LABEL = {END: "end of input"}
 # the longest operator first, so "|~" is not read as "|"
 _OPERATOR = "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True)))
 # a name runs on through '-' unless '->' follows, so "a->b" reads a, ->, b
-_NAME = r"[A-Za-z_](?:[A-Za-z0-9_.]|-(?!>))*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*(?:-(?!>)[A-Za-z0-9_.]*)*"
 # the inside of a quoted name, with \" and \\ escapes
 _QUOTED_BODY = r'(?:[^"\\]|\\["\\])*'
 _NAME_RE = re.compile(_NAME)
 _QUOTED_BODY_RE = re.compile(_QUOTED_BODY)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
-# one token after any whitespace: a comment running to the end of the
-# input, an operator, a quoted name, a name, one stray character, or the
-# end; a group is named after the kind of token it reads
+# any whitespace, then one token: a comment running to the end of the
+# input, a name, an operator, a quoted name, one stray character, or the
+# end; a match is (whitespace, name, operator, quoted name, stray), with
+# the empty string for each part it did not read
 _TOKEN_RE = re.compile(
-    rf"\s*(?:#.*|(?P<op>{_OPERATOR})|(?P<QUOTED>\"{_QUOTED_BODY}\")"
-    rf"|(?P<IDENT>{_NAME})|(?P<stray>.)|\Z)",
+    rf"(\s*)(?:#.*|({_NAME})|({_OPERATOR})|(\"{_QUOTED_BODY}\")|(.)|\Z)",
     re.DOTALL,
 )
 
@@ -217,19 +249,21 @@ _TOKEN_RE = re.compile(
 def tokenize(text):
     """Token list for a formula or statement, ending with an END token."""
     tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind is None:  # a comment, or the end
-            continue
-        value = match[kind]
-        offset = match.start(kind)
-        if kind == "stray":
+    offset = 0
+    for space, name, op, quoted, stray in _TOKEN_RE.findall(text):
+        offset += len(space)
+        if name:
+            tokens.append((IDENT, name, offset))
+            offset += len(name)
+        elif op:
+            tokens.append((op, op, offset))
+            offset += len(op)
+        elif quoted:
+            tokens.append((QUOTED, _ESCAPE_RE.sub(r"\1", quoted[1:-1]), offset))
+            offset += len(quoted)
+        elif stray:
             raise _stray(text, offset)
-        if kind == QUOTED:
-            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
-        elif kind == "op":
-            kind = value
-        tokens.append((kind, value, offset))
+        # a comment, or the end, reads no token
     tokens.append((END, "", len(text)))
     return tokens
 
@@ -253,142 +287,116 @@ def _stray(text, pos):
     return FormulaSyntaxError(f"unexpected character {char!r}", pos, expected=expected)
 
 
-class TokenStream:
-    """Cursor over a token list with error-reporting helpers."""
-
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._pos = 0
-        self.parens = 0  # parentheses open at the cursor
-
-    def peek(self):
-        return self._tokens[self._pos]
-
-    def advance(self):
-        token = self._tokens[self._pos]
-        if token[0] != END:
-            self._pos += 1
-        return token
-
-    def expect(self, kind):
-        token = self.peek()
-        if token[0] != kind:
-            raise self.error(token, _LABEL.get(kind, repr(kind)))
-        return self.advance()
-
-    @staticmethod
-    def error(token, expected):
-        kind, value, offset = token
-        found = _LABEL.get(kind, repr(value))
-        return FormulaSyntaxError(f"unexpected {found}", offset, expected=expected)
-
-
 # --- parsing --------------------------------------------------------------
 #
 # ``prop`` selects the dialect: True for propositional formulas, False for
-# compound attributes. The parser recurses only into parentheses and into
-# the right operand of a tighter connective; negations and '->' chains are
-# read in loops. Each step returns the formula and its height, the most
-# connectives on a path from its root down to an atom.
+# compound attributes. The parser passes an index into the token list; it
+# recurses only into parentheses and into the right operand of a tighter
+# connective, and reads negations and '->' chains in loops. Each step
+# returns the formula, its height (the most connectives on a path from its
+# root down to an atom) and the index of the first token it did not read.
 
 _MAX_DEPTH = 100
 
 _CONSTANTS = {"TOP": Top(), "BOT": Bot()}
 
-_COMPOUND_INFIX = ("|", "&")
+# the infix operators of each dialect: compound text has no '->' or '<->'
+_DIALECT_INFIX = {
+    True: _INFIX_TOKEN,
+    False: {op: _INFIX_TOKEN[op] for op in ("|", "&")},
+}
 
 
-def _parse_formula(stream, prop):
-    return _parse_infix(stream, prop, 1)[0]
+def _unexpected(token, expected):
+    kind, value, offset = token
+    found = _LABEL.get(kind, repr(value))
+    return FormulaSyntaxError(f"unexpected {found}", offset, expected=expected)
 
 
-def _parse_infix(stream, prop, floor):
-    """A formula whose infix connectives all bind at least as tightly as ``floor``."""
-    left, height = _parse_neg(stream, prop)
-    while True:
-        token = stream.peek()
-        if token[0] not in (_INFIX_TOKEN if prop else _COMPOUND_INFIX):
-            return left, height
-        node, prec = _INFIX_TOKEN[token[0]]
-        if prec < floor:
-            return left, height
-        if node is Implies:
-            left, height = _parse_implications(stream, left, height)
-            continue
-        stream.advance()
-        # '<->', '|' and '&' associate to the left
-        right, right_height = _parse_infix(stream, prop, prec + 1)
-        left = node(left, right)
-        height = _checked_height(max(height, right_height) + 1, token)
-
-
-def _parse_implications(stream, first, first_height):
-    """Fold ``first -> b -> c ...`` to the right: first -> (b -> (c ...))."""
-    operands = [(first, first_height)]
-    arrows = []
-    while stream.peek()[0] == "->":
-        arrows.append(stream.advance())
-        # an operand holds only connectives binding tighter than '->'
-        operands.append(_parse_infix(stream, True, _INFIX_TOKEN["->"][1] + 1))
-    result, height = operands.pop()
-    for arrow, (left, left_height) in zip(reversed(arrows), reversed(operands)):
-        result = Implies(left, result)
-        height = _checked_height(max(left_height, height) + 1, arrow)
-    return result, height
-
-
-def _parse_neg(stream, prop):
-    bangs = []
-    while stream.peek()[0] == "!":
-        bangs.append(stream.advance())
-    result, height = _parse_atom(stream, prop)
-    for bang in reversed(bangs):
-        result = Not(result)
-        height = _checked_height(height + 1, bang)
-    return result, height
-
-
-def _parse_atom(stream, prop):
-    token = kind, value, offset = stream.peek()
-    if kind in (IDENT, QUOTED):
-        stream.advance()
-        if prop and kind == IDENT and value in _CONSTANTS:
-            return _CONSTANTS[value], 0
-        return Atom(value), 0
-    if kind == "(":
-        if stream.parens == _MAX_DEPTH:
-            raise FormulaSyntaxError(
-                f"parentheses nest deeper than {_MAX_DEPTH} levels", offset
-            )
-        stream.advance()
-        stream.parens += 1
-        inner = _parse_infix(stream, prop, 1)
-        stream.expect(")")
-        stream.parens -= 1
-        return inner
-    if prop:
-        raise stream.error(token, "an atom, constant, '!', or '('")
-    raise stream.error(token, "an attribute name, '!', or '('")
-
-
-def _checked_height(height, token):
+def _too_deep(token):
     """Refuse a connective that lifts a formula above _MAX_DEPTH.
 
     The printer, the evaluators and the nodes' own equality and hashing
     recurse once or a few times per level, so the cap keeps every formula
     the parser accepts well inside Python's recursion limit.
     """
-    if height > _MAX_DEPTH:
-        raise FormulaSyntaxError(
-            f"formula nests more than {_MAX_DEPTH} connectives deep", token[2]
-        )
-    return height
+    return FormulaSyntaxError(
+        f"formula nests more than {_MAX_DEPTH} connectives deep", token[2]
+    )
+
+
+def _parse(tokens, i, prop, floor, parens):
+    """The formula from ``tokens[i]`` whose infix connectives bind at least
+    as tightly as ``floor``, inside ``parens`` open parentheses."""
+    first = i
+    while tokens[i][0] == "!":
+        i += 1
+    # tokens[first:last] are the negations
+    last = i
+    kind, value, offset = tokens[i]
+    if kind == IDENT or kind == QUOTED:
+        if prop and kind == IDENT and value in _CONSTANTS:
+            left = _CONSTANTS[value]
+        else:
+            left = Atom(value)
+        height = 0
+        i += 1
+    elif kind == "(":
+        if parens == _MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"parentheses nest deeper than {_MAX_DEPTH} levels", offset
+            )
+        left, height, i = _parse(tokens, i + 1, prop, 1, parens + 1)
+        if tokens[i][0] != ")":
+            raise _unexpected(tokens[i], "')'")
+        i += 1
+    elif prop:
+        raise _unexpected(tokens[i], "an atom, constant, '!', or '('")
+    else:
+        raise _unexpected(tokens[i], "an attribute name, '!', or '('")
+    # the negations apply innermost first
+    while last > first:
+        last -= 1
+        left = Not(left)
+        height += 1
+        if height > _MAX_DEPTH:
+            raise _too_deep(tokens[last])
+    infix = _DIALECT_INFIX[prop]
+    while True:
+        token = tokens[i]
+        entry = infix.get(token[0])
+        if entry is None or entry[1] < floor:
+            return left, height, i
+        node, prec = entry
+        if node is not Implies:
+            # '<->', '|' and '&' associate to the left
+            right, right_height, i = _parse(tokens, i + 1, prop, prec + 1, parens)
+            left = node(left, right)
+            height = max(height, right_height) + 1
+            if height > _MAX_DEPTH:
+                raise _too_deep(token)
+            continue
+        # '->' associates to the right: read the chain, then fold it from
+        # its end; an operand holds only connectives binding tighter
+        operands = [(left, height)]
+        arrows = []
+        while tokens[i][0] == "->":
+            arrows.append(tokens[i])
+            right, right_height, i = _parse(tokens, i + 1, prop, prec + 1, parens)
+            operands.append((right, right_height))
+        left, height = operands.pop()
+        for arrow, (first, first_height) in zip(reversed(arrows), reversed(operands)):
+            left = Implies(first, left)
+            height = max(first_height, height) + 1
+            if height > _MAX_DEPTH:
+                raise _too_deep(arrow)
 
 
 def _parse_whole(text, prop):
-    stream = TokenStream(tokenize(text))
-    result = _parse_formula(stream, prop)
-    stream.expect(END)
+    tokens = tokenize(text)
+    result, _, i = _parse(tokens, 0, prop, 1, 0)
+    if tokens[i][0] != END:
+        raise _unexpected(tokens[i], "end of input")
     return result
 
 
@@ -404,34 +412,33 @@ def parse_prop_formula(text):
 
 def parse_conditional(text):
     """Parse ``phi |~ psi`` or ``phi -> psi`` over compound attributes."""
-    stream = TokenStream(tokenize(text))
-    antecedent = _parse_formula(stream, False)
-    token = stream.peek()
-    if token[0] == "|~":
+    tokens = tokenize(text)
+    antecedent, _, i = _parse(tokens, 0, False, 1, 0)
+    arrow = tokens[i][0]
+    if arrow == "|~":
         kind = DEFEASIBLE
-    elif token[0] == "->":
+    elif arrow == "->":
         kind = CLASSICAL
     else:
-        raise stream.error(token, "'|~' or '->'")
-    stream.advance()
-    consequent = _parse_formula(stream, False)
-    stream.expect(END)
+        raise _unexpected(tokens[i], "'|~' or '->'")
+    consequent, _, i = _parse(tokens, i + 1, False, 1, 0)
+    if tokens[i][0] != END:
+        raise _unexpected(tokens[i], "end of input")
     return Conditional(antecedent, consequent, kind)
 
 
 def parse_prop_statement(text):
     """Parse ``phi |~ psi`` or a bare formula (a classical assertion)."""
-    stream = TokenStream(tokenize(text))
-    first = _parse_formula(stream, True)
-    token = stream.peek()
-    if token[0] == "|~":
-        stream.advance()
-        second = _parse_formula(stream, True)
-        stream.expect(END)
+    tokens = tokenize(text)
+    first, _, i = _parse(tokens, 0, True, 1, 0)
+    if tokens[i][0] == "|~":
+        second, _, i = _parse(tokens, i + 1, True, 1, 0)
+        if tokens[i][0] != END:
+            raise _unexpected(tokens[i], "end of input")
         return PropConditional.defeasible(first, second)
-    if token[0] == END:
+    if tokens[i][0] == END:
         return PropConditional.assertion(first)
-    raise stream.error(token, "'|~' or end of statement")
+    raise _unexpected(tokens[i], "'|~' or end of statement")
 
 
 # --- printing -------------------------------------------------------------

@@ -16,7 +16,6 @@ package.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
@@ -48,6 +47,7 @@ from .formula import (
 )
 from .limits import enumeration_cap
 from .order import PreferentialContext, RankedContext, RankingFunction, _rank_layers
+from .record import Record
 
 
 # --- semantics --------------------------------------------------------------
@@ -213,12 +213,18 @@ class RankedInterpretation(_Interpretation):
 # --- base rank and rational closure ------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaseRankResult:
+class BaseRankResult(Record):
     """Statements stratified by exceptionality, plus the never-recovering ones."""
 
-    strata: tuple
-    infinite: tuple
+    __slots__ = ("strata", "infinite")
+
+    def __init__(self, strata, infinite):
+        _set_strata(self, strata)
+        _set_infinite(self, infinite)
+
+
+_set_strata = BaseRankResult.strata.__set__
+_set_infinite = BaseRankResult.infinite.__set__
 
 
 def _exceptionality_rounds(statements):

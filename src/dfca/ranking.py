@@ -7,12 +7,12 @@ conditionals answered on earlier ranks were set aside. The result is the
 least ranked context satisfying the whole set, when any exists.
 """
 
-from dataclasses import dataclass
 from itertools import zip_longest
 
 from .errors import StructureError, ValidityError
 from .formula import DEFEASIBLE, extension
 from .order import RankedContext, RankingFunction
+from .record import Record
 
 
 class KnowledgeBase:
@@ -61,12 +61,18 @@ class KnowledgeBase:
         return f"KnowledgeBase({list(map(str, self._conditionals))!r})"
 
 
-@dataclass(frozen=True)
-class PreferenceComparison:
+class PreferenceComparison(Record):
     """Pointwise comparison of two rankings of the same context."""
 
-    le: bool
-    ge: bool
+    __slots__ = ("le", "ge")
+
+    def __init__(self, le, ge):
+        _set_le(self, le)
+        _set_ge(self, ge)
+
+
+_set_le = PreferenceComparison.le.__set__
+_set_ge = PreferenceComparison.ge.__set__
 
 
 def _bound_extents(context, kb):

@@ -30,16 +30,20 @@ from dfca.errors import (
     ValidityError,
 )
 from dfca.formula import (
+    CLASSICAL,
+    DEFEASIBLE,
     END,
     IDENT,
     QUOTED,
     And,
     Atom,
     Bot,
+    Conditional,
     Iff,
     Implies,
     Not,
     Or,
+    PropConditional,
     Top,
     atom_names,
     bind,
@@ -357,6 +361,176 @@ def _scan_quoted(text, start):
             parts.append(ch)
             pos += 1
     raise FormulaSyntaxError("unterminated quoted name", start, expected="closing '\"'")
+
+
+# --- formula text, parsed through a token cursor ----------------------------
+#
+# ``prop`` selects the dialect: True for propositional formulas, False for
+# compound attributes. Each step returns the formula and its height, the
+# most connectives on a path from its root down to an atom; a formula nests
+# at most 100 connectives and 100 parentheses deep.
+
+_MAX_DEPTH = 100
+_INFIX_TOKEN = {"<->": (Iff, 1), "->": (Implies, 2), "|": (Or, 3), "&": (And, 4)}
+_COMPOUND_INFIX = ("|", "&")
+_CONSTANTS = {"TOP": Top(), "BOT": Bot()}
+_LABEL = {END: "end of input"}
+
+
+class TokenStream:
+    """Cursor over a token list with error-reporting helpers."""
+
+    def __init__(self, tokens):
+        self._tokens = tokens
+        self._pos = 0
+        self.parens = 0  # parentheses open at the cursor
+
+    def peek(self):
+        return self._tokens[self._pos]
+
+    def advance(self):
+        token = self._tokens[self._pos]
+        if token[0] != END:
+            self._pos += 1
+        return token
+
+    def expect(self, kind):
+        token = self.peek()
+        if token[0] != kind:
+            raise self.error(token, _LABEL.get(kind, repr(kind)))
+        return self.advance()
+
+    @staticmethod
+    def error(token, expected):
+        kind, value, offset = token
+        found = _LABEL.get(kind, repr(value))
+        return FormulaSyntaxError(f"unexpected {found}", offset, expected=expected)
+
+
+def _parse_formula(stream, prop):
+    return _parse_infix(stream, prop, 1)[0]
+
+
+def _parse_infix(stream, prop, floor):
+    """A formula whose infix connectives all bind at least as tightly as ``floor``."""
+    left, height = _parse_neg(stream, prop)
+    while True:
+        token = stream.peek()
+        if token[0] not in (_INFIX_TOKEN if prop else _COMPOUND_INFIX):
+            return left, height
+        node, prec = _INFIX_TOKEN[token[0]]
+        if prec < floor:
+            return left, height
+        if node is Implies:
+            left, height = _parse_implications(stream, left, height)
+            continue
+        stream.advance()
+        # '<->', '|' and '&' associate to the left
+        right, right_height = _parse_infix(stream, prop, prec + 1)
+        left = node(left, right)
+        height = _checked_height(max(height, right_height) + 1, token)
+
+
+def _parse_implications(stream, first, first_height):
+    """Fold ``first -> b -> c ...`` to the right: first -> (b -> (c ...))."""
+    operands = [(first, first_height)]
+    arrows = []
+    while stream.peek()[0] == "->":
+        arrows.append(stream.advance())
+        # an operand holds only connectives binding tighter than '->'
+        operands.append(_parse_infix(stream, True, _INFIX_TOKEN["->"][1] + 1))
+    result, height = operands.pop()
+    for arrow, (left, left_height) in zip(reversed(arrows), reversed(operands)):
+        result = Implies(left, result)
+        height = _checked_height(max(left_height, height) + 1, arrow)
+    return result, height
+
+
+def _parse_neg(stream, prop):
+    bangs = []
+    while stream.peek()[0] == "!":
+        bangs.append(stream.advance())
+    result, height = _parse_atom(stream, prop)
+    for bang in reversed(bangs):
+        result = Not(result)
+        height = _checked_height(height + 1, bang)
+    return result, height
+
+
+def _parse_atom(stream, prop):
+    token = kind, value, offset = stream.peek()
+    if kind in (IDENT, QUOTED):
+        stream.advance()
+        if prop and kind == IDENT and value in _CONSTANTS:
+            return _CONSTANTS[value], 0
+        return Atom(value), 0
+    if kind == "(":
+        if stream.parens == _MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"parentheses nest deeper than {_MAX_DEPTH} levels", offset
+            )
+        stream.advance()
+        stream.parens += 1
+        inner = _parse_infix(stream, prop, 1)
+        stream.expect(")")
+        stream.parens -= 1
+        return inner
+    if prop:
+        raise stream.error(token, "an atom, constant, '!', or '('")
+    raise stream.error(token, "an attribute name, '!', or '('")
+
+
+def _checked_height(height, token):
+    if height > _MAX_DEPTH:
+        raise FormulaSyntaxError(
+            f"formula nests more than {_MAX_DEPTH} connectives deep", token[2]
+        )
+    return height
+
+
+def _parse_whole(text, prop):
+    stream = TokenStream(tokenize(text))
+    result = _parse_formula(stream, prop)
+    stream.expect(END)
+    return result
+
+
+def parse_formula(text):
+    return _parse_whole(text, False)
+
+
+def parse_prop_formula(text):
+    return _parse_whole(text, True)
+
+
+def parse_conditional(text):
+    stream = TokenStream(tokenize(text))
+    antecedent = _parse_formula(stream, False)
+    token = stream.peek()
+    if token[0] == "|~":
+        kind = DEFEASIBLE
+    elif token[0] == "->":
+        kind = CLASSICAL
+    else:
+        raise stream.error(token, "'|~' or '->'")
+    stream.advance()
+    consequent = _parse_formula(stream, False)
+    stream.expect(END)
+    return Conditional(antecedent, consequent, kind)
+
+
+def parse_prop_statement(text):
+    stream = TokenStream(tokenize(text))
+    first = _parse_formula(stream, True)
+    token = stream.peek()
+    if token[0] == "|~":
+        stream.advance()
+        second = _parse_formula(stream, True)
+        stream.expect(END)
+        return PropConditional.defeasible(first, second)
+    if token[0] == END:
+        return PropConditional.assertion(first)
+    raise stream.error(token, "'|~' or end of statement")
 
 
 # --- attribute implications -----------------------------------------------

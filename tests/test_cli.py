@@ -18,7 +18,7 @@ from conftest import (
     random_conditional,
 )
 from dfca import FormalContext, KnowledgeBase, load_context
-from dfca.cli import CliResult, _rank_table, main, run
+from dfca.cli import _LINE_BREAK, CliResult, _rank_table, _shown, main, run
 from dfca.formula import parse_conditional
 from dfca.ranking import object_rank
 from golden.regenerate import MANIFEST, ROOT
@@ -564,6 +564,42 @@ class TestRankTableWidths:
         assert result.text == f"error: {path}:1: empty attribute name"
 
 
+class TestNamesOnOneLine:
+    """Text output escapes each character at which str.splitlines() ends a line."""
+
+    def test_the_escaped_characters_are_those_splitlines_ends_a_line_at(self):
+        every = "".join(map(chr, range(0x110000)))
+        # no two of them stand side by side as "\r\n", so each line ends in one
+        ends = {line[-1] for line in every.splitlines(keepends=True)[:-1]}
+        assert set(_LINE_BREAK.findall(every)) == ends
+        assert "\u2028" in ends and "\x85" in ends and "\x0b" in ends
+
+    def test_names_holding_none_come_back_as_they_are(self, weather):
+        names = weather.objects
+        assert _shown(names) is names
+        assert _shown([]) == []
+
+    def test_each_one_is_written_as_a_u_escape(self):
+        names = ["a\u2028b", "c", "\x0b\r\n"]
+        assert _shown(names) == ["a\\u2028b", "c", "\\u000b\\u000d\\u000a"]
+
+    def test_rows_stay_one_line_each_and_json_keeps_the_names(self, tmp_path):
+        path = tmp_path / "names.cxt"
+        path.write_text("B\n\n2\n1\n\ng\u2029h\nk\nm\x85n\nX\n.\n", encoding="utf-8")
+        kb = tmp_path / "empty.kb"
+        kb.write_text("", encoding="utf-8")
+        text = run(["rank", str(path), str(kb)]).text
+        assert text.splitlines() == text.split("\n") == [
+            "rank  object    m\\u0085n",
+            "0     g\\u2029h  ×",
+            "      k",
+        ]
+        listed = run(["extension", str(path), '"m\x85n"']).text
+        assert listed == "g\\u2029h"
+        data = json.loads(run(["extension", "--json", str(path), '"m\x85n"']).text)
+        assert data["objects"] == ["g\u2029h"]
+
+
 # --- fuzzing every subcommand -------------------------------------------------
 
 # the manifest's argvs run in-process, each with its files and formula text
@@ -607,7 +643,9 @@ def fuzz_argv(rng, folder):
         source = ROOT / arg
         if arg.startswith("--"):
             fuzzed.append(arg)
-        elif source.is_file():
+        # formula text can be longer than a file name may be, which
+        # is_file() reports as an OSError
+        elif len(arg) < 256 and source.is_file():
             # a byte that is not UTF-8 (as in not_utf8.cxt) is kept as it was
             text = source.read_bytes().decode("utf-8", "surrogateescape")
             path = Path(folder) / f"{len(fuzzed)}{source.suffix}"

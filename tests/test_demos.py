@@ -1,12 +1,14 @@
 """Every demo script runs to completion and says what it came to say."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
 
 EXPECTED = {
     "weather_extensions.py": "extension of Rain | Wind: Day 2, Day 3",
@@ -25,8 +27,11 @@ def test_every_demo_is_listed():
 
 @pytest.mark.parametrize("script", sorted(EXPECTED))
 def test_demo_runs_and_prints(script):
+    # the child finds dfca in this checkout's src, whatever the caller's path
+    path = [str(ROOT / "src")] + list(filter(None, [os.environ.get("PYTHONPATH")]))
     completed = subprocess.run(
         [sys.executable, str(DEMO_DIR / script)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True,
         text=True,
         timeout=120,

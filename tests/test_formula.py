@@ -1,4 +1,3 @@
-import dataclasses
 from unittest import mock
 
 import pytest
@@ -15,6 +14,7 @@ from dfca.formula import (
     And,
     Atom,
     Conditional,
+    Iff,
     Implies,
     Not,
     Or,
@@ -75,6 +75,15 @@ class TestParsing:
 
     def test_double_negation(self):
         assert parse_formula("!!a") == Not(Not(Atom("a")))
+
+    def test_implication_folds_to_the_right_and_iff_to_the_left(self):
+        a, b, c = Atom("a"), Atom("b"), Atom("c")
+        assert parse_prop_formula("a -> b -> c") == Implies(a, Implies(b, c))
+        assert parse_prop_formula("a | b -> c & a") == Implies(Or(a, b), And(c, a))
+        assert parse_prop_formula("a <-> b <-> c") == Iff(Iff(a, b), c)
+        assert parse_prop_formula("a -> b <-> c -> a") == Iff(
+            Implies(a, b), Implies(c, a)
+        )
 
     def test_identifier_characters(self):
         assert parse_formula("fw.alice-2_x") == Atom("fw.alice-2_x")
@@ -243,6 +252,8 @@ class TestDialects:
     def test_one_set_of_node_classes(self):
         assert propositional.Atom is Atom
         assert propositional.Not is Not
+        nodes = (formula.Top, formula.Bot, Atom, Not, And, Or, Implies, Iff)
+        assert all(issubclass(node, formula.Formula) for node in nodes)
 
     @pytest.mark.parametrize("kind", ["defeasible", "classical"])
     def test_statements_share_a_body_but_compare_per_class(self, kind):
@@ -258,7 +269,7 @@ class TestDialects:
                 f"{cls.__name__}(antecedent=Atom(name='a'), "
                 f"consequent=Atom(name='b'), kind={kind!r})"
             )
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError, match="cannot assign to field 'kind'"):
                 statement.kind = "defeasible"
             with pytest.raises(ValueError, match="unknown statement kind 'strict'"):
                 cls(a, b, "strict")
@@ -470,3 +481,40 @@ class TestNestingCap:
         assert parse_prop_statement(str(statement)) == statement
         assert propositional.prop_entails([statement.material()], Top())
         assert oracles.prop_eval({"a": True}, formula) in (True, False)
+
+
+# formula text for the parser: runs of tokens of every kind, and each
+# nesting shape one or two levels either side of the cap, wrapped in
+# negations or an open parenthesis and followed by more text
+parser_pieces = st.sampled_from(
+    ["a", "b", "TOP", "BOT", '"x y"', "!", "(", ")", "&", "|", "->", "<->", "|~", " "]
+)
+parser_text = st.one_of(
+    st.lists(parser_pieces, max_size=16).map("".join),
+    st.builds(
+        lambda before, shape, depth, after: before + nested(shape, depth) + after,
+        st.sampled_from(["", "!", "!!", "(", "a | ", "a -> "]),
+        st.sampled_from(PROP_SHAPES),
+        st.integers(LIMIT - 2, LIMIT + 2),
+        st.sampled_from(["", ")", " a", " |~ a", " & a", " -> a", " <-> !a"]),
+    ),
+)
+ORACLE_ENTRY_POINTS = [
+    oracles.parse_formula,
+    oracles.parse_prop_formula,
+    oracles.parse_conditional,
+    oracles.parse_prop_statement,
+]
+
+
+class TestParserOracle:
+    @given(parser_text)
+    @example("a -> b -> c |~ a")
+    @example("!" * (LIMIT + 1) + "a")
+    @example(" -> ".join(["a"] * (LIMIT + 2)) + " )")
+    @settings(max_examples=500)
+    def test_the_index_parser_answers_as_the_token_cursor(self, text):
+        """The same formula from every entry point, or the same error and offset."""
+        fast = [parse_outcome(parse, text) for parse in ENTRY_POINTS]
+        slow = [parse_outcome(parse, text) for parse in ORACLE_ENTRY_POINTS]
+        assert fast == slow

@@ -1,10 +1,13 @@
 """The package's public surface and its promise of no runtime dependencies.
 
-``dfca.__all__`` lists exactly what the package binds, and the package
-imports nothing beyond the standard library and itself.
+``dfca.__all__`` lists exactly what the package binds, the package
+imports nothing beyond the standard library and itself, and a one-shot
+command loads none of the standard library's heavier modules.
 """
 
 import ast
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -61,3 +64,23 @@ def test_the_project_declares_no_dependencies():
     with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as handle:
         project = tomllib.load(handle)["project"]
     assert project["dependencies"] == []
+
+
+def test_the_cli_leaves_the_heavy_standard_modules_unloaded():
+    """``dataclasses`` pulls in ``inspect``, ``dis`` and ``ast``: tens of
+    milliseconds on every one-shot ``dfca`` call. ``-S`` keeps the host's
+    ``site`` from loading any of them first."""
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, dfca.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
