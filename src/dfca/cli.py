@@ -8,7 +8,6 @@ exposes; the CLI only parses arguments and formats results. Exit codes:
 
 import argparse
 import json
-import re
 import sys
 
 from . import bitsets
@@ -52,8 +51,11 @@ _set_text = CliResult.text.__set__
 _set_data = CliResult.data.__set__
 
 
-# the characters at which str.splitlines() ends a line
-_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+# each character at which str.splitlines() ends a line, and its escape
+_LINE_ESCAPES = {
+    ord(char): f"\\u{ord(char):04x}"
+    for char in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+}
 
 
 def _shown(names):
@@ -61,16 +63,14 @@ def _shown(names):
 
     Each character at which ``str.splitlines()`` ends a line is written as
     a ``\\uXXXX`` escape, so a reader that splits lines there still sees
-    one row per line. Names holding none, the usual case, cost one scan of
-    their join at C level and come back as they are. ``--json`` prints
-    names unescaped; a JSON reader takes them whole.
+    one row per line. Names holding none, the usual case, cost one join
+    and one ``splitlines`` at C level and come back as they are.
+    ``--json`` prints names unescaped; a JSON reader takes them whole.
     """
-    if _LINE_BREAK.search("".join(names)) is None:
+    joined = "".join(names)
+    if joined.splitlines() == [joined]:
         return names
-    return [
-        _LINE_BREAK.sub(lambda match: f"\\u{ord(match[0]):04x}", name)
-        for name in names
-    ]
+    return [name.translate(_LINE_ESCAPES) for name in names]
 
 
 def build_parser():
@@ -146,7 +146,9 @@ def _cmd_extension(args):
         "objects": list(names),
         "count": len(names),
     }
-    return CliResult(0, "\n".join(_shown(names)), data)
+    # ``run`` prints the data instead of the text under --json
+    text = "" if args.json else "\n".join(_shown(names))
+    return CliResult(0, text, data)
 
 
 def _cmd_holds(args):

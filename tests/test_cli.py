@@ -18,7 +18,7 @@ from conftest import (
     random_conditional,
 )
 from dfca import FormalContext, KnowledgeBase, load_context
-from dfca.cli import _LINE_BREAK, CliResult, _rank_table, _shown, main, run
+from dfca.cli import CliResult, _rank_table, _shown, main, run
 from dfca.formula import parse_conditional
 from dfca.ranking import object_rank
 from golden.regenerate import MANIFEST, ROOT
@@ -570,9 +570,14 @@ class TestNamesOnOneLine:
     def test_the_escaped_characters_are_those_splitlines_ends_a_line_at(self):
         every = "".join(map(chr, range(0x110000)))
         # no two of them stand side by side as "\r\n", so each line ends in one
-        ends = {line[-1] for line in every.splitlines(keepends=True)[:-1]}
-        assert set(_LINE_BREAK.findall(every)) == ends
+        ends = sorted({line[-1] for line in every.splitlines(keepends=True)[:-1]})
         assert "\u2028" in ends and "\x85" in ends and "\x0b" in ends
+        assert _shown(ends) == [f"\\u{ord(char):04x}" for char in ends]
+        # each of them grows by five characters, and nothing else changes
+        (shown,) = _shown([every])
+        assert shown.splitlines() == [shown]
+        assert len(shown) == len(every) + 5 * len(ends)
+        assert shown.startswith(every[:10]) and shown.endswith(every[-10:])
 
     def test_names_holding_none_come_back_as_they_are(self, weather):
         names = weather.objects
