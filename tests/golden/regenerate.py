@@ -154,6 +154,8 @@ STATEMENTS = {
     "form_feed.kb": "# note\x0c more\nc |~ c",
     "line_separator.kb": '"a\u2028b" |~ c',
     "separators.probes": 'c |~ "a\u2028b"\n"a\u2028b" |~ c',
+    # a classical statement, which error texts quote whole
+    "separators_classical.kb": '"a\u2028b" -> c',
     "separators_prop.kb": "\n".join([
         "# \x0b vt \x0c ff \x1c fs \x1d gs \x1e rs \x85 nel \u2028 ls \u2029 ps",
         "a |~ b",
@@ -420,7 +422,7 @@ def closure_commands():
 
 def separator_commands():
     """Statement files and names holding characters that end no line."""
-    context, form_feed, line_separator, probes, base, empty = (
+    context, form_feed, line_separator, probes, base, empty, classical = (
         relative(INPUTS / name)
         for name in (
             "separators.cxt",
@@ -429,6 +431,7 @@ def separator_commands():
             "separators.probes",
             "separators_prop.kb",
             "empty.kb",
+            "separators_classical.kb",
         )
     )
     names, names_kb, names_probes, atoms = (
@@ -451,6 +454,9 @@ def separator_commands():
             ["diff", *flags, context, empty, line_separator, "--probe", probes],
             ["baserank", *flags, base],
             ["rcprop", *flags, base, "a |~ b"],
+            # a statement quoted in an error text
+            ["rank", *flags, context, classical],
+            ["diff", *flags, context, empty, empty, "--probe", classical],
             # names printed in lists, in a table and inside statements
             ["extension", *flags, names, '"c\x0bd\x0ce" | "a\u2028b"'],
             ["holds", *flags, names, '"a\u2028b" -> "c\x0bd\x0ce"'],
