@@ -398,9 +398,9 @@ def run(argv):
         StructureError,
         UnsupportedStateError,
     ) as exc:
-        return CliResult(2, f"error: {exc}")
+        return CliResult(2, "error: " + str(exc).translate(_LINE_ESCAPES))
     except (ValidityError, CapacityError) as exc:
-        return CliResult(3, f"error: {exc}")
+        return CliResult(3, "error: " + str(exc).translate(_LINE_ESCAPES))
     if args.json:
         return CliResult(result.exit_code, _dump_json(result.data), result.data)
     return result
