@@ -20,7 +20,7 @@ from dfca.propositional import (
     RankedInterpretation,
 )
 from dfca import Conditional, StrictOrder
-from dfca.formula import Atom, Not
+from dfca.formula import Atom, Not, extension
 
 
 def main():
@@ -55,7 +55,7 @@ def main():
     model = RankedInterpretation(
         atoms, ("sparrow", "penguin state", "stone"), valuations, (0, 1, 0)
     )
-    for label, v, r in zip(model.states, valuations, model.ranks):
+    for label, v, r in zip(model.context.objects, valuations, model.ranks):
         true_atoms = ", ".join(a for a in atoms if v[a]) or "(nothing)"
         print(f"  {label:14} rank {r}: {true_atoms}")
 
@@ -71,9 +71,11 @@ def main():
     # the sparrow is more typical than the penguin state, and the stone is
     # comparable to neither: no ranking induces that
     order = StrictOrder(3, [(0, 1)])
-    preferential = PreferentialInterpretation(atoms, model.states, valuations, order)
+    preferential = PreferentialInterpretation(
+        atoms, model.context.objects, valuations, order
+    )
     print("\nthe same states under a strict preference order:")
-    print("  atoms:", ", ".join(preferential.atoms))
+    print("  atoms:", ", ".join(preferential.context.attributes))
     print("  pairs (lower, upper):", order.pairs())
     print("  sparrow below the penguin state?", order.precedes(0, 1))
     print("  stone below the sparrow?", order.precedes(2, 0))
@@ -83,7 +85,7 @@ def main():
         print(f"  {text}: {verdict}")
 
     bridged = derive_preferential_context(preferential)
-    flightless = preferential.state_bits(parse_prop_formula("bird & !flies"))
+    flightless = extension(preferential.context, parse_prop_formula("bird & !flies"))
     print("\nas a preferential context with states for objects:")
     print("  bird & !flies holds of:", ", ".join(bridged.context.object_names(flightless)))
     print("  the order carried over unchanged?", bridged.order == order)

@@ -5,14 +5,15 @@ formula language (see ``dfca.formula``); the names below re-export them.
 Statements are ranked by exceptionality under classical entailment, and
 queries are answered by rational closure.
 
-Interpretations hold their valuations as a formal context, the states as
-objects and the atoms as attributes, and order the states by a
-``StrictOrder`` or by a ``RankingFunction`` whose last stratum holds the
-infinite-rank states. Both answer a conditional by one rule: the most
-typical antecedent states must all satisfy the consequent. Every
-finitely-ranked interpretation turns into a ranked context on the same
-skeleton and ranking, which is what ties this module to the rest of the
-package.
+Interpretations are the context classes of ``dfca.order`` built over
+their valuations: the states are the objects, the atoms the attributes.
+A preferential interpretation orders the states by a ``StrictOrder``, a
+ranked one by a ``RankingFunction`` whose last stratum holds the
+infinite-rank states. Both answer a conditional by the contexts' one
+rule: the most typical antecedent states must all satisfy the consequent.
+Every finitely-ranked interpretation turns into a ranked context on the
+same skeleton and ranking, which is what ties this module to the rest of
+the package.
 """
 
 import math
@@ -22,7 +23,6 @@ from operator import itemgetter
 from . import bitsets
 from .context import FormalContext
 from .errors import (
-    BindingError,
     CapacityError,
     StructureError,
     UnsupportedStateError,
@@ -46,7 +46,7 @@ from .formula import (
     parse_prop_statement,
 )
 from .limits import enumeration_cap
-from .order import PreferentialContext, RankedContext, RankingFunction, _rank_layers
+from .order import PreferentialContext, RankedContext, RankingFunction
 from .record import Record
 
 
@@ -92,93 +92,43 @@ def prop_entails(premises, conclusion):
 INFINITE_RANK = math.inf
 
 
-class _Interpretation:
-    """Distinct states, each labelled with a valuation of the same atoms.
-
-    The valuations are held as a formal context: the states are its
-    objects, the atoms its attributes, and a state has an atom exactly
-    when its valuation makes the atom true. A subclass orders the states
-    by supplying ``_typical``, the most typical of a set of states.
-    """
-
-    __slots__ = ("_context",)
-
-    def __init__(self, atoms, states, valuations):
-        atoms = tuple(atoms)
-        states = tuple(states)
-        valuations = [dict(v) for v in valuations]
-        if len(valuations) != len(states):
-            raise StructureError(
-                f"expected {len(states)} valuations, got {len(valuations)}"
-            )
-        declared = set(atoms)
-        for label, v in zip(states, valuations):
-            if v.keys() != declared:
-                raise StructureError(
-                    f"state {label!r} must value exactly the declared atoms"
-                )
-        # column j: the states whose valuation makes atom j true
-        indices = range(len(states))
-        columns = tuple(
-            bitsets.from_indices(
-                compress(indices, map(itemgetter(atom), valuations)), len(states)
-            )
-            for atom in atoms
+def _valuation_context(atoms, states, valuations):
+    """The states as objects and the atoms as attributes: a state has an atom
+    exactly when its valuation makes the atom true."""
+    atoms = tuple(atoms)
+    states = tuple(states)
+    valuations = [dict(v) for v in valuations]
+    if len(valuations) != len(states):
+        raise StructureError(
+            f"expected {len(states)} valuations, got {len(valuations)}"
         )
-        self._context = FormalContext._from_columns(states, atoms, columns)
-
-    @property
-    def atoms(self):
-        return self._context.attributes
-
-    @property
-    def states(self):
-        return self._context.objects
-
-    def state_bits(self, formula):
-        """Bitset of states whose valuation satisfies the formula."""
-        return evaluate(formula, self._column, self._context.object_universe)
-
-    def _column(self, name):
-        # ``extension``'s column lookup, its error naming the valuation's atom
-        context = self._context
-        try:
-            return context.column(context.attribute_index(name))
-        except BindingError:
-            raise BindingError(f"valuation has no atom {name!r}") from None
-
-    def satisfies(self, conditional):
-        """Do the most typical antecedent states all satisfy the consequent?
-
-        True, without reading the consequent, when no state is typical.
-        """
-        typical = self._typical(self.state_bits(conditional.antecedent))
-        return not typical or typical & ~self.state_bits(conditional.consequent) == 0
+    declared = set(atoms)
+    for label, v in zip(states, valuations):
+        if v.keys() != declared:
+            raise StructureError(
+                f"state {label!r} must value exactly the declared atoms"
+            )
+    # column j: the states whose valuation makes atom j true
+    indices = range(len(states))
+    columns = tuple(
+        bitsets.from_indices(
+            compress(indices, map(itemgetter(atom), valuations)), len(states)
+        )
+        for atom in atoms
+    )
+    return FormalContext._from_columns(states, atoms, columns)
 
 
-class PreferentialInterpretation(_Interpretation):
+class PreferentialInterpretation(PreferentialContext):
     """States labelled with valuations, plus a strict preference order."""
 
-    __slots__ = ("_order",)
+    __slots__ = ()
 
     def __init__(self, atoms, states, valuations, order):
-        super().__init__(atoms, states, valuations)
-        if order.size != len(self.states):
-            raise StructureError(
-                f"order covers {order.size} elements, interpretation has "
-                f"{len(self.states)} states"
-            )
-        self._order = order
-
-    @property
-    def order(self):
-        return self._order
-
-    def _typical(self, states):
-        return self._order.minimise(states)
+        super().__init__(_valuation_context(atoms, states, valuations), order)
 
 
-class RankedInterpretation(_Interpretation):
+class RankedInterpretation(RankedContext):
     """States labelled with valuations, plus ranks from 0 upward or infinite.
 
     The finite ranks must be convex. A state is strictly preferred to
@@ -186,28 +136,37 @@ class RankedInterpretation(_Interpretation):
     least preferred of all, held as one stratum above the finite ones.
     """
 
-    __slots__ = ("_ranks", "_ranking")
+    __slots__ = ("_ranks",)
 
     def __init__(self, atoms, states, valuations, ranks):
-        super().__init__(atoms, states, valuations)
+        context = _valuation_context(atoms, states, valuations)
         ranks = tuple(ranks)
-        if len(ranks) != len(self.states):
-            raise StructureError(f"expected {len(self.states)} ranks, got {len(ranks)}")
-        # the finite strata in rank order, then the infinite-rank states
-        layers = _rank_layers((i, r) for i, r in enumerate(ranks) if r != INFINITE_RANK)
-        infinite = [i for i, r in enumerate(ranks) if r == INFINITE_RANK]
-        if infinite:
-            layers.append(infinite)
-        strata = [bitsets.from_indices(layer, len(ranks)) for layer in layers]
+        # each infinite rank becomes k, the number of distinct finite ranks,
+        # which fills no gap: those are convex exactly when they are 0..k-1
+        top = len(set(ranks) - {INFINITE_RANK})
+        ranking = RankingFunction(top if r == INFINITE_RANK else r for r in ranks)
+        super().__init__(context, ranking)
         self._ranks = ranks
-        self._ranking = RankingFunction._from_strata(strata, len(ranks))
 
     @property
     def ranks(self):
         return self._ranks
 
-    def _typical(self, states):
-        return self._ranking.least(states)[1]
+    def minimise_objects(self, members):
+        """The members of least rank: those in the first stratum that meets
+        them, one intersection per stratum rather than a walk over the
+        members' ranks."""
+        return self.ranking.least(members)[1]
+
+    def __eq__(self, other):
+        if not isinstance(other, RankedContext):
+            return NotImplemented
+        # (0, inf) and (0, 1) hold one ranking, yet only the second derives
+        # a ranked context
+        ranks = getattr(other, "ranks", other.ranking.ranks)
+        return self._ranks == ranks and super().__eq__(other)
+
+    __hash__ = RankedContext.__hash__
 
 
 # --- base rank and rational closure ------------------------------------------
@@ -294,7 +253,7 @@ def rc_decision(statements, query):
 
 
 def _derived_parts(interpretation):
-    context = interpretation._context
+    context = interpretation.context
     objects = tuple(map(str, context.objects))
     if len(set(objects)) != len(objects):
         raise StructureError("state labels collide once written out as names")
@@ -310,7 +269,7 @@ def derive_preferential_context(interpretation):
 
 def derive_ranked_context(interpretation):
     """Ranked variant; every state must carry a finite rank."""
-    for label, r in zip(interpretation.states, interpretation.ranks):
+    for label, r in zip(interpretation.context.objects, interpretation.ranks):
         if r == INFINITE_RANK:
             raise UnsupportedStateError(
                 f"state {label!r} has infinite rank and no place in a "
@@ -318,4 +277,4 @@ def derive_ranked_context(interpretation):
             )
     context = _derived_parts(interpretation)
     # with no infinite rank, the interpretation's ranking is the context's
-    return RankedContext(context, interpretation._ranking)
+    return RankedContext(context, interpretation.ranking)

@@ -736,14 +736,16 @@ def interpretation_satisfies(interpretation, conditional):
     ``RankedInterpretation.satisfies``, listing the antecedent's states and
     taking the least of their ranks.
     """
-    antecedent_states = interpretation.state_bits(conditional.antecedent)
+    antecedent_states = extension(interpretation.context, conditional.antecedent)
     if antecedent_states == 0:
         return True
     members = [
-        i for i in range(len(interpretation.states)) if antecedent_states >> i & 1
+        i
+        for i in range(interpretation.context.n_objects)
+        if antecedent_states >> i & 1
     ]
     least = min(interpretation.ranks[i] for i in members)
-    consequent_states = interpretation.state_bits(conditional.consequent)
+    consequent_states = extension(interpretation.context, conditional.consequent)
     return all(
         consequent_states >> i & 1
         for i in members
@@ -755,7 +757,8 @@ def interpretation_satisfies(interpretation, conditional):
 
 
 class Interpretation:
-    """``propositional._Interpretation`` before it held a formal context.
+    """The interpretation base class from before interpretations held a
+    formal context.
 
     ``state_bits`` sums ``1 << i`` over every state for each atom it reads,
     O(states) per state and atom.

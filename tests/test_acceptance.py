@@ -345,9 +345,10 @@ def random_states(rng, atoms):
 
 def assert_bridge_faithful(model, valuations, derived, rng):
     # every distinct behaviour reachable by depth 3, through both engines
-    reps = semantic_classes(model.atoms, valuations)
+    atoms = model.context.attributes
+    reps = semantic_classes(atoms, valuations)
     for mask, formula in reps.items():
-        assert model.state_bits(formula) == mask
+        assert extension(model.context, formula) == mask
         assert extension(derived.context, to_compound(formula)) == mask
     for fa, fb in itertools.product(reps.values(), repeat=2):
         stated = model.satisfies(prop.PropConditional.defeasible(fa, fb))
@@ -356,17 +357,17 @@ def assert_bridge_faithful(model, valuations, derived, rng):
         )
         assert stated == mirrored
     # every syntax tree to depth 2, whatever behaviour it repeats
-    for formula, twin in syntactic_pool(model.atoms):
-        assert model.state_bits(formula) == extension(derived.context, twin)
+    for formula, twin in syntactic_pool(atoms):
+        assert extension(model.context, formula) == extension(derived.context, twin)
     # random depth-3 trees, for shapes the class representatives never take
     for _ in range(25):
-        formula = random_fragment(rng, model.atoms, 3)
-        assert model.state_bits(formula) == extension(
+        formula = random_fragment(rng, atoms, 3)
+        assert extension(model.context, formula) == extension(
             derived.context, to_compound(formula)
         )
     for _ in range(10):
-        fa = random_fragment(rng, model.atoms, 3)
-        fb = random_fragment(rng, model.atoms, 3)
+        fa = random_fragment(rng, atoms, 3)
+        fb = random_fragment(rng, atoms, 3)
         stated = model.satisfies(prop.PropConditional.defeasible(fa, fb))
         mirrored = derived.satisfies(
             Conditional.defeasible(to_compound(fa), to_compound(fb))

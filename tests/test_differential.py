@@ -1037,11 +1037,14 @@ class TestRankedInterpretation:
                 model, query
             )
 
-    def test_empty_antecedent_reads_no_consequent(self):
-        """An unknown consequent atom goes unread when no state meets the antecedent."""
+    def test_empty_antecedent_still_binds_the_consequent(self):
+        """An unknown consequent atom is refused even when no state meets the
+        antecedent, as a context refuses it; the oracle answers True unread."""
         model = RankedInterpretation(("a",), (0,), ({"a": True},), (INFINITE_RANK,))
         query = PropConditional.defeasible(Not(Atom("a")), Atom("zzz"))
-        assert model.satisfies(query) == oracles.interpretation_satisfies(model, query)
+        assert oracles.interpretation_satisfies(model, query) is True
+        with pytest.raises(BindingError, match="unknown attribute 'zzz'"):
+            model.satisfies(query)
 
 
 class TestPreferentialInterpretation:
@@ -1070,7 +1073,7 @@ class TestPreferentialInterpretation:
                 consequent = covering(kept, valuations, atoms)
             else:
                 consequent = random_formula(rng, list(atoms), 2)
-            satisfying = model.state_bits(consequent)
+            satisfying = extension(model.context, consequent)
             least = [
                 i
                 for i in picked
@@ -1143,15 +1146,22 @@ class TestInterpretationContext:
     def test_state_bits_match_column_sum(self, seed):
         rng = random.Random(seed)
         model, oracle = ranked_pair(rng)
-        assert (model.atoms, model.states) == (oracle.atoms, oracle.states)
+        atoms, states = model.context.attributes, model.context.objects
+        assert (atoms, states) == (oracle.atoms, oracle.states)
         for _ in range(5):
-            formula = random_prop_formula(rng, model.atoms, 3)
-            assert model.state_bits(formula) == oracle.state_bits(formula)
-        if model.states:
-            # an undeclared atom is named after the formula's left part is read
-            unknown = And(random_prop_formula(rng, model.atoms, 2), Atom("zz"))
-            assert outcome(model.state_bits, unknown) == outcome(
-                oracle.state_bits, unknown
+            formula = random_prop_formula(rng, atoms, 3)
+            assert extension(model.context, formula) == oracle.state_bits(formula)
+        if states:
+            # an undeclared atom is named after the formula's left part is read,
+            # by the context as an attribute and by the oracle as an atom
+            unknown = And(random_prop_formula(rng, atoms, 2), Atom("zz"))
+            assert outcome(extension, model.context, unknown) == (
+                BindingError,
+                "unknown attribute 'zz'",
+            )
+            assert outcome(oracle.state_bits, unknown) == (
+                BindingError,
+                "valuation has no atom 'zz'",
             )
 
     @given(seeds)
@@ -1164,8 +1174,8 @@ class TestInterpretationContext:
         assert trimmed(model._ranking.strata) == trimmed(oracle._strata)
         for _ in range(6):
             query = PropConditional.defeasible(
-                random_prop_formula(rng, model.atoms, 2),
-                random_prop_formula(rng, model.atoms, 2),
+                random_prop_formula(rng, model.context.attributes, 2),
+                random_prop_formula(rng, model.context.attributes, 2),
             )
             assert model.satisfies(query) == oracle.satisfies(query)
 
@@ -1261,8 +1271,8 @@ class TestInterpretationClasses:
         ranked, preferential = self.twins(rng)
         for _ in range(8):
             query = PropConditional.defeasible(
-                random_prop_formula(rng, ranked.atoms, 2),
-                random_prop_formula(rng, ranked.atoms, 2),
+                random_prop_formula(rng, ranked.context.attributes, 2),
+                random_prop_formula(rng, ranked.context.attributes, 2),
             )
             assert ranked.satisfies(query) == preferential.satisfies(query)
 
@@ -1273,11 +1283,11 @@ class TestInterpretationClasses:
         ranked, preferential = self.twins(rng)
         bare = PropConditional.defeasible(Atom("zz"), Top())
         for model in (ranked, preferential):
-            with pytest.raises(BindingError, match="valuation has no atom 'zz'"):
+            with pytest.raises(BindingError, match="unknown attribute 'zz'"):
                 model.satisfies(bare)
         query = PropConditional.defeasible(
-            Or(random_prop_formula(rng, ranked.atoms, 2), Atom("zz")),
-            random_prop_formula(rng, ranked.atoms, 2),
+            Or(random_prop_formula(rng, ranked.context.attributes, 2), Atom("zz")),
+            random_prop_formula(rng, ranked.context.attributes, 2),
         )
         assert outcome(ranked.satisfies, query) == outcome(
             preferential.satisfies, query
@@ -1285,15 +1295,16 @@ class TestInterpretationClasses:
 
     @given(seeds)
     @settings(max_examples=200)
-    def test_an_empty_antecedent_reads_no_consequent(self, seed):
-        """No state is typical, so the unknown consequent atom goes unread."""
+    def test_an_empty_antecedent_still_binds_the_consequent(self, seed):
+        """No state is typical, yet the unknown consequent atom is refused."""
         rng = random.Random(seed)
         ranked, preferential = self.twins(rng)
-        formula = random_prop_formula(rng, ranked.atoms, 2)
+        formula = random_prop_formula(rng, ranked.context.attributes, 2)
         for antecedent in (Bot(), And(formula, Not(formula))):
             query = PropConditional.defeasible(antecedent, Atom("zzz"))
-            assert ranked.satisfies(query) is True
-            assert preferential.satisfies(query) is True
+            for model in (ranked, preferential):
+                with pytest.raises(BindingError, match="unknown attribute 'zzz'"):
+                    model.satisfies(query)
 
 
 

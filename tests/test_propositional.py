@@ -265,8 +265,8 @@ class TestInterpretations:
     def test_preferential_satisfaction(self):
         model = penguin_interpretation()
         pref = PreferentialInterpretation(
-            model.atoms,
-            model.states,
+            model.context.attributes,
+            model.context.objects,
             PENGUIN_VALUATIONS,
             StrictOrder(3, [(0, 1), (1, 2)]),
         )
@@ -276,17 +276,20 @@ class TestInterpretations:
 
     def test_state_bits(self):
         model = penguin_interpretation()
-        assert model.state_bits(parse_prop_formula("penguin")) == 0b110
-        assert model.state_bits(parse_prop_formula("TOP")) == 0b111
+        assert fca.extension(model.context, parse_prop_formula("penguin")) == 0b110
+        assert fca.extension(model.context, parse_prop_formula("TOP")) == 0b111
 
     def test_state_bits_rejects_unknown_atoms(self):
         model = penguin_interpretation()
         pref = PreferentialInterpretation(
-            model.atoms, model.states, PENGUIN_VALUATIONS, StrictOrder(3)
+            model.context.attributes,
+            model.context.objects,
+            PENGUIN_VALUATIONS,
+            StrictOrder(3),
         )
         for interpretation in (model, pref):
             with pytest.raises(BindingError):
-                interpretation.state_bits(parse_prop_formula("bird & wings"))
+                fca.extension(interpretation.context, parse_prop_formula("bird & wings"))
 
     @given(seeds)
     def test_state_bits_agree_with_pointwise_evaluation(self, seed):
@@ -301,7 +304,7 @@ class TestInterpretations:
         expected = sum(
             1 << i for i, v in enumerate(valuations) if prop_eval(v, formula)
         )
-        assert model.state_bits(formula) == expected
+        assert fca.extension(model.context, formula) == expected
 
     def test_valuations_are_copied_as_truth_values(self):
         """Changing the caller's valuation afterwards changes nothing; 0 and 1
@@ -309,15 +312,15 @@ class TestInterpretations:
         given = ({"p": 1}, {"p": 0})
         model = RankedInterpretation(("p",), ("a", "b"), given, (0, 1))
         given[1]["p"] = 1
-        assert model.state_bits(Atom("p")) == 0b01
-        assert model.state_bits(Not(Atom("p"))) == 0b10
+        assert fca.extension(model.context, Atom("p")) == 0b01
+        assert fca.extension(model.context, Not(Atom("p"))) == 0b10
 
     def test_state_bits_binds_without_states(self):
         """An undeclared atom is refused even when no state could be read."""
         model = RankedInterpretation(("p",), (), (), ())
-        assert model.state_bits(Atom("p")) == 0
-        with pytest.raises(BindingError, match="valuation has no atom 'q'"):
-            model.state_bits(Atom("q"))
+        assert fca.extension(model.context, Atom("p")) == 0
+        with pytest.raises(BindingError, match="unknown attribute 'q'"):
+            fca.extension(model.context, Atom("q"))
 
     def test_validation(self):
         atoms = ("p",)
@@ -340,6 +343,32 @@ class TestInterpretations:
             RankedInterpretation(atoms, ("a", "b"), vals, (0, -1))
         with pytest.raises(StructureError):
             PreferentialInterpretation(atoms, ("a", "b"), vals, StrictOrder(3))
+
+    def test_equality_follows_the_ranks(self):
+        """(0, 1, 2) and (0, 1, inf) hold one ranking, but only the first
+        derives a ranked context, so the two compare unequal."""
+        finite = penguin_interpretation()
+        infinite = penguin_interpretation(third_rank=INFINITE_RANK)
+        assert finite.ranking == infinite.ranking
+        assert finite != infinite and infinite != finite
+        assert finite == penguin_interpretation()
+        assert hash(finite) == hash(penguin_interpretation())
+        derived = derive_ranked_context(finite)
+        assert finite == derived and derived == finite
+        assert infinite != derived and derived != infinite
+        order = StrictOrder(3, [(0, 1)])
+        pref = PreferentialInterpretation(
+            finite.context.attributes, finite.context.objects, PENGUIN_VALUATIONS, order
+        )
+        assert pref == derive_preferential_context(pref)
+        assert pref != derive_preferential_context(
+            PreferentialInterpretation(
+                finite.context.attributes,
+                finite.context.objects,
+                PENGUIN_VALUATIONS,
+                StrictOrder(3),
+            )
+        )
 
     def test_all_infinite_ranks_allowed(self):
         model = RankedInterpretation(
@@ -573,8 +602,8 @@ class TestDerivedContexts:
     def test_preferential_derivation_golden(self):
         model = penguin_interpretation()
         pref = PreferentialInterpretation(
-            model.atoms,
-            model.states,
+            model.context.attributes,
+            model.context.objects,
             PENGUIN_VALUATIONS,
             StrictOrder(3, [(0, 1), (1, 2)]),
         )
@@ -612,7 +641,7 @@ class TestDerivedContexts:
                 fca.Conditional.defeasible(to_compound(antecedent), to_compound(consequent))
             )
             assert stated == mirrored
-            assert model.state_bits(antecedent) == fca.extension(
+            assert fca.extension(model.context, antecedent) == fca.extension(
                 derived.context, to_compound(antecedent)
             )
 

@@ -32,11 +32,13 @@ rank list and checking it rank by rank took 0.13-0.15 s on the same
 machine, against a cap of 0.05 s.
 
 A ranked interpretation of 100k states over 10 atoms holds its valuations
-as a context's columns: it builds in 0.26-0.31 s and then answers 10
-``state_bits`` and 10 ``satisfies`` calls in under 0.001 s, against a cap
-of 2 s for all of it. Summing ``1 << i`` over every state for each atom
-read, it built in 0.15 s but took 0.22 s per ``state_bits`` and 0.50 s per
-``satisfies``, 6.1 s in all, on the same machine.
+as a context's columns: it builds and reads 10 extensions in 0.17-0.31 s,
+against a cap of 2 s. Summing ``1 << i`` over every state for each atom
+read, it built in 0.15 s but took 0.22 s per extension and 0.50 s per
+``satisfies``, 6.1 s in all, on the same machine. Its 10 ``satisfies``
+calls, minimising by the ranking's ``least``, take 0.0002-0.0004 s,
+against a cap of 0.02 s for the best of three rounds; ``RankedContext``'s
+walk over the members' ranks took 0.066-0.069 s.
 
 A strict order minimises by walking its height layers. On the
 2000-element order of 200 layers, 200 calls (all members, then random
@@ -83,7 +85,7 @@ from dfca import (
     bitsets,
 )
 from dfca.fileio import format_cxt, parse_csv_context, parse_cxt
-from dfca.formula import And, Atom, Not, Or, PropConditional
+from dfca.formula import And, Atom, Not, Or, PropConditional, extension
 from dfca.order import order_from_ranks
 from dfca.propositional import RankedInterpretation, rc_decision
 from dfca.ranking import delta_valid
@@ -275,16 +277,18 @@ def test_a_100k_state_interpretation_reads_its_columns():
         for j in range(10)
     ]
 
-    def build_and_ask():
+    def build_and_read():
         model = RankedInterpretation(atoms, range(n), valuations, ranks)
-        bits = [model.state_bits(q.antecedent) for q in queries]
-        return bits, [model.satisfies(q) for q in queries]
+        return model, [extension(model.context, q.antecedent) for q in queries]
 
-    seconds, (bits, verdicts) = timed(build_and_ask)
+    seconds, (model, bits) = timed(build_and_read)
     assert seconds < 2.0
     # p0 & !p9 holds at a state exactly when its valuation says so
     assert bits[0] >> 17 & 1 == (valuations[17]["p0"] and not valuations[17]["p9"])
-    assert verdicts == [False] * 10
+    # the best of three rounds, so that one pause of the host fails nothing
+    rounds = [timed(lambda: [model.satisfies(q) for q in queries]) for _ in range(3)]
+    assert min(seconds for seconds, _ in rounds) < 0.02
+    assert all(verdicts == [False] * 10 for _, verdicts in rounds)
 
 
 def test_a_rank_0_query_on_a_12_atom_chain_reads_one_round():
