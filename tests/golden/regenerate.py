@@ -175,6 +175,32 @@ STATEMENTS = {
         '"c\x0bd\x0ce" |~ !"a\u2028b"',
     ]),
     "separator_atoms.kb": '"p\u2029q" |~ b\nb |~ !"p\u2029q"',
+    # 19 attributes of mixed widths, so a table row spans three groups of
+    # eight columns and the last is partial; objects with no incidences
+    # whose names end in spaces, non-Latin-1 names, and a KB of 3 strata
+    "groups.cxt": "\n".join([
+        "B", "", "9", "19", "",
+        "pingu", "tweety", "rock  ", "jetpingu", "東京", "opus", "stone ",
+        "only last", "jet2",
+        "bird", "flies", "penguin", "jet", "w", "a much longer attribute", "Łódź",
+        "x7", "feathers", "b", "swims", "北京", "c12", "n", "two words", "z",
+        "last", "q", "ω",
+        "X.X.....X.X........",
+        "XX......X..X.....X.",
+        "...................",
+        "XXXX............X.X",
+        ".......X....X..X...",
+        "X.X..X.......X.....",
+        "...................",
+        ".................X.",
+        "XXXXX..............",
+    ]),
+    "groups.kb": "\n".join([
+        "bird |~ flies",
+        "penguin |~ bird",
+        "penguin |~ !flies",
+        "penguin & jet |~ flies",
+    ]),
 }
 
 # rcprop queries on rc_chain.kb: antecedents first possible at rank 0, 1, 2,
@@ -467,6 +493,12 @@ def separator_commands():
     return argvs
 
 
+def group_commands():
+    """A rank table whose rows cross two edges between groups of eight columns."""
+    context, kb = (relative(INPUTS / name) for name in ("groups.cxt", "groups.kb"))
+    return [["rank", *flags, context, kb] for flags in ([], ["--json"])]
+
+
 def first_last(context):
     """Quoted names of the first and last attributes, or an unknown name twice."""
     if not context.attributes:
@@ -569,6 +601,7 @@ def main():
     entries = [replay(argv) for argv in commands()]
     entries += [replay(argv, env) for argv, env in closure_commands()]
     entries += [replay(argv) for argv in separator_commands()]
+    entries += [replay(argv) for argv in group_commands()]
     MANIFEST.write_text(
         json.dumps(entries, ensure_ascii=False, indent=1) + "\n", encoding="utf-8"
     )
