@@ -9,6 +9,8 @@ exposes; the CLI only parses arguments and formats results. Exit codes:
 import argparse
 import json
 import sys
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 from . import bitsets
 from .closure import ClosureSession, entailment_diff
@@ -206,6 +208,8 @@ def _cell_tables(widths):
     entry b of the table is those columns rendered for the incidence bits
     b, each cell a mark (or a blank) padded to its width plus the
     two-space gap. A row then renders as one join of a lookup per group.
+    The last group's entries end at their last mark: a row's trailing
+    blanks are stripped anyway, and a row with a mark there then has none.
     """
     tables = []
     for start in range(0, len(widths), 8):
@@ -216,35 +220,83 @@ def _cell_tables(widths):
                 cells + "×" + pad for cells in table
             ]
         tables.append((start, table))
+    if tables:
+        start, table = tables[-1]
+        tables[-1] = (start, list(map(str.rstrip, table)))
     return tables
 
 
+# binary digits to bytes: b"1" becomes bit k of a group's byte, b"0" zero
+_SPREAD = [bytes.maketrans(b"01", bytes([0, 1 << k])) for k in range(8)]
+
+# table rows joined at a time, so that few row strings are alive at once
+_BLOCK_ROWS = 256
+
+
+def _group_bytes(columns, n):
+    """One byte per object for up to eight columns, bit k from ``columns[k]``.
+
+    Each column's ``n`` binary digits, highest object first, become bytes
+    0 or ``1 << k``, read back as an int; the OR of these ints, written
+    least significant byte first, is in object order.
+    """
+    spec = f"0{n}b"
+    value = 0
+    for spread, col in zip(_SPREAD, columns):
+        value |= int.from_bytes(format(col, spec).encode().translate(spread), "big")
+    return value.to_bytes(n, "little")
+
+
 def _rank_table(context, strata):
-    objects, rows = _shown(context.objects), context._row_bits()
-    ranked = [
-        [(objects[i], rows[i]) for i in bitsets.iter_indices(stratum)]
-        for stratum in strata
-    ]
-    shown = [entry for members in ranked for entry in members]
-    incident = 0
-    for _, row in shown:
-        incident |= row
-    labels = [str(level) for level, members in enumerate(ranked) if members]
+    """The text ``rank`` table, rendered from the context's columns.
+
+    A row joins its rank label, its name, the blanks after it and one
+    ``_cell_tables`` lookup per group of eight columns. Every per-row step
+    is a C-level ``map``, ``zip``, ``join`` or ``itemgetter``: no Python
+    statement runs once per object.
+    """
+    objects, columns = _shown(context.objects), context._columns()
+    n = len(objects)
+    # compress() walks a list of ints faster than a range it must count
+    order = list(
+        chain.from_iterable(map(bitsets.select, repeat(list(range(n))), strata))
+    )
+    if len(order) > 1:
+        in_order = itemgetter(*order)
+    else:  # an itemgetter of one index returns the item, not a 1-tuple
+        def in_order(items):
+            return [items[i] for i in order]
+    names = in_order(objects)
+    shown = 0
+    for stratum in strata:
+        shown |= stratum
+    sizes = [stratum.bit_count() for stratum in strata]
+    levels = [str(level) for level, size in enumerate(sizes) if size]
     header = ["rank", "object", *_shown(context.attributes)]
     # each column is as wide as its widest cell: the header, or a mark
-    widths = [
-        max(map(len, ["rank"] + labels)),
-        max(map(len, ["object"] + [name for name, _ in shown])),
-    ] + [max(len(name), incident >> j & 1) for j, name in enumerate(header[2:])]
+    widths = [max(map(len, ["rank", *levels])), max(map(len, ["object", *names]))]
+    widths += [
+        max(len(name), 1 if col & shown else 0)
+        for name, col in zip(header[2:], columns)
+    ]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip()]
-    tables = _cell_tables(widths[2:])
-    for level, members in enumerate(ranked):
-        label = str(level).ljust(widths[0])
-        for name, row in members:
-            cells = "".join([table[row >> start & 255] for start, table in tables])
-            # the gap after the name is stripped when no cells follow
-            lines.append(f"{label}  {name.ljust(widths[1])}  {cells}".rstrip())
-            label = " " * widths[0]
+    # the two-space gaps after the rank and the name go with those cells
+    blank = " " * (widths[0] + 2)
+    labels = chain.from_iterable(
+        chain([level.ljust(widths[0] + 2)], repeat(blank, size - 1))
+        for level, size in zip(levels, filter(None, sizes))
+    )
+    gaps = [" " * (widths[1] + 2 - size) for size in range(widths[1] + 1)]
+    cells = []
+    for start, table in _cell_tables(widths[2:]):
+        # in row order, as bytes: an eighth of the size of the tuple
+        values = bytes(in_order(_group_bytes(columns[start:start + 8], n)))
+        cells.append(map(table.__getitem__, values))
+    rows = zip(labels, names, map(gaps.__getitem__, map(len, names)), *cells)
+    rows = map(str.rstrip, map("".join, rows))
+    # counted, since every row of a block may strip to ""
+    for _ in range(0, len(order), _BLOCK_ROWS):
+        lines.append("\n".join(islice(rows, _BLOCK_ROWS)))
     return "\n".join(lines)
 
 

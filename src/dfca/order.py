@@ -385,7 +385,7 @@ class PreferentialContext:
         return hash((self._context, self._order))
 
     def __repr__(self):
-        return f"PreferentialContext({self._context!r}, {self._order!r})"
+        return f"{type(self).__name__}({self._context!r}, {self._order!r})"
 
 
 class RankedContext:
@@ -448,4 +448,4 @@ class RankedContext:
         return hash((self._context, self._ranking))
 
     def __repr__(self):
-        return f"RankedContext({self._context!r}, {self._ranking!r})"
+        return f"{type(self).__name__}({self._context!r}, {self._ranking!r})"

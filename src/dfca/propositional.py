@@ -168,6 +168,10 @@ class RankedInterpretation(RankedContext):
 
     __hash__ = RankedContext.__hash__
 
+    def __repr__(self):
+        # the ranks, not the ranking, which reads an infinite rank as finite
+        return f"{type(self).__name__}({self.context!r}, {list(self._ranks)!r})"
+
 
 # --- base rank and rational closure ------------------------------------------
 

@@ -554,6 +554,28 @@ class TestRankTableWidths:
         _, ranking = object_rank(context, KnowledgeBase([]))
         assert _rank_table(context, ranking.strata) == "rank  object    b\n0     g1        ×"
 
+    def test_a_mark_only_on_an_object_left_out_has_no_width(self):
+        """Mark widths count the objects the strata show, not every object."""
+        context = FormalContext(["g1", "g2"], ["", "b"], [0b10, 0b01])
+        assert _rank_table(context, [0b01]) == "rank  object    b\n0     g1        ×"
+
+    def test_the_table_reads_no_rows(self, monkeypatch):
+        """A file's context keeps only its columns: no row transpose runs."""
+        argv = [
+            "rank",
+            "tests/golden/inputs/groups.cxt",
+            "tests/golden/inputs/groups.kb",
+        ]
+        monkeypatch.chdir(ROOT)
+        expected = run(argv)
+
+        def refuse(context):
+            raise AssertionError("the rank table transposed the columns to rows")
+
+        monkeypatch.setattr(FormalContext, "_row_bits", refuse)
+        assert run(argv) == expected
+        assert expected.exit_code == 0 and expected.text.count("\n") == 9
+
     def test_a_csv_file_with_an_empty_name_is_refused(self, tmp_path):
         path = tmp_path / "empty_column.csv"
         path.write_text(",,b\ng1,,1\n", encoding="utf-8")

@@ -1310,29 +1310,54 @@ class TestInterpretationClasses:
 
 class TestRankTable:
     @given(seeds)
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     def test_matches_cell_by_cell_padding(self, seed):
-        """Empty, wide and non-ASCII names; columns that no shown object has."""
+        """Empty, wide and non-ASCII names; columns that no shown object has.
+
+        Up to 300 objects, past the 256 rows joined at a time, and column
+        counts on both sides of the edges between groups of eight. The
+        context is built from rows, or parsed from .cxt text with only some
+        of its columns cut. The table never transposes the columns to rows.
+        """
         rng = random.Random(seed)
-        n, m = rng.randint(0, 7), rng.choice([0, 1, 3, 8, 9, 17])
+        n = rng.choice([rng.randint(0, 7), rng.randint(250, 300)])
+        m = rng.choice([0, 7, 8, 9, 16, 17, 40, 65])
         pool = ["", "a", "Wind", "fw. alice", "Köln", " pad ", "a-much-longer-name"]
         objects = [rng.choice(pool) + str(i) for i in range(n)]
         if n and rng.random() < 0.3:
             objects[rng.randrange(n)] = "x \t"
         attributes = [rng.choice(pool) + "#" * (j + 1) for j in range(m)]
-        if m and rng.random() < 0.5:
-            attributes[rng.randrange(m)] = ""
         density = rng.choice([0.0, 0.3, 1.0])
         rows = [
             sum(1 << j for j in range(m) if rng.random() < density) for _ in range(n)
         ]
-        context = FormalContext(objects, attributes, rows)
+        if rng.random() < 0.5:
+            if m and rng.random() < 0.5:
+                attributes[rng.randrange(m)] = ""
+            context = FormalContext(objects, attributes, rows)
+        else:
+            text = format_cxt(FormalContext(objects, attributes, rows))
+            context = parse_cxt(text, "t.cxt")
+            for j in rng.sample(range(m), rng.randint(0, m)):
+                context.column(j)
         ranking = random_ranking(rng, n)
         strata = list(ranking.strata)
         if rng.random() < 0.3:
             strata.insert(rng.randint(0, len(strata)), 0)  # an empty stratum
         if n and rng.random() < 0.3:
             strata[-1] &= ~1  # an object left out of the table
+        expected = oracles.rank_table(context, strata)
+        with mock.patch.object(
+            FormalContext, "_row_bits", side_effect=AssertionError("rows read")
+        ):
+            assert _rank_table(context, strata) == expected
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 512, 513])
+    def test_rows_that_strip_to_nothing(self, n):
+        """Blank names with no marks: past the first, each row strips to "",
+        so whole blocks of the join, and a last block of one row, are empty."""
+        context = FormalContext([" " * (i + 1) for i in range(n)], ["a"], [0] * n)
+        strata = [context.object_universe]
         assert _rank_table(context, strata) == oracles.rank_table(context, strata)
 
 

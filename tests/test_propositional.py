@@ -380,6 +380,29 @@ class TestInterpretations:
         assert model.satisfies(parse_prop_statement("p |~ p"))
         assert not model.satisfies(parse_prop_statement("TOP |~ p"))
 
+    def test_each_prints_as_its_own_class(self):
+        """(0, inf) and (0, 1) compare unequal, so they print apart, each
+        under its own class name, and a preferential one likewise."""
+        valuations = ({"p": True}, {"p": False})
+        finite = RankedInterpretation(("p",), ("a", "b"), valuations, (0, 1))
+        infinite = RankedInterpretation(
+            ("p",), ("a", "b"), valuations, (0, INFINITE_RANK)
+        )
+        context = "FormalContext(2 objects, 1 attributes)"
+        assert repr(finite) == f"RankedInterpretation({context}, [0, 1])"
+        assert repr(infinite) == f"RankedInterpretation({context}, [0, inf])"
+        pref = PreferentialInterpretation(
+            ("p",), ("a", "b"), valuations, StrictOrder(2, [(0, 1)])
+        )
+        assert repr(pref) == (
+            f"PreferentialInterpretation({context}, StrictOrder(2, [(0, 1)]))"
+        )
+        assert repr(finite.ranking) == "RankingFunction([0, 1])"
+        assert repr(derive_ranked_context(finite)).startswith("RankedContext(")
+        assert repr(derive_preferential_context(pref)).startswith(
+            "PreferentialContext("
+        )
+
 
 class TestBaseRank:
     def test_penguin_strata(self):
