@@ -88,7 +88,7 @@ def _transpose(rows, width):
     strided slice, so the cost is one pass of C-level string work over
     the matrix. Package-internal: contexts build their attribute columns
     with it (and a parsed context its rows), strict orders their
-    predecessor rows.
+    successor rows.
     """
     if width == 0:
         # format(row, "00b") is "0", one digit too many

@@ -6,7 +6,8 @@ Context formats:
   object and attribute counts, line 5 blank, then one object name per
   line, one attribute name per line, and one row of ``X``/``.`` cells per
   object. Names are taken verbatim (UTF-8, spaces allowed, no trimming);
-  the loader tolerates CRLF, the writer emits LF with a final newline.
+  the loader reads CRLF and a lone CR as LF, the writer emits LF with a
+  final newline. A count is ASCII digits after an optional ``-``.
   The loader checks the header, the counts and the names as it splits
   them off, and reports each fault at its line. It keeps the rows as one
   block, which a fixed number of C-level passes check (ASCII, its length,
@@ -57,7 +58,7 @@ _CSV_DIGITS = {"1": b"1", "x": b"1", "X": b"1", "0": b"0", "": b"0"}
 def parse_cxt(text, path=None):
     """Parse Burmeister context text, raising each fault at its line."""
     if "\r" in text:
-        text = text.replace("\r\n", "\n")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if text and text[-1] != "\n":
         text += "\n"
     # the text is empty or ends in a line break, so ``rest`` is too
@@ -75,7 +76,12 @@ def parse_cxt(text, path=None):
     counts = []
     for offset, what in ((2, "object count"), (3, "attribute count")):
         raw = header(offset, f"the {what}")
+        # ASCII digits after an optional "-": int() alone would also take
+        # "+1", " 1", "1_0" and other scripts' digits
+        digits = raw[1:] if raw[:1] == "-" else raw
         try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
             value = int(raw)
         except ValueError:
             raise FileFormatError(

@@ -44,10 +44,12 @@ class StrictOrder:
             below[upper].append(lower)
         # Kahn's algorithm, one layer at a time: an element's predecessor row
         # is closed once the rows of all its direct predecessors are, and is
-        # then their union plus those predecessors. The elements whose last
-        # direct predecessor closes in layer k form layer k + 1. A sum of
-        # distinct powers of two is their union, so each layer's bitset
+        # then their union plus those predecessors, one union per direct
+        # pair; an element with none keeps the row 0. The elements whose
+        # last direct predecessor closes in layer k form layer k + 1. A sum
+        # of distinct powers of two is their union, so each layer's bitset
         # costs O(size) bits per shift at most, as one union of rows does.
+        # The successor rows are then one transposition of size² digits.
         waiting = [len(direct) for direct in below]
         layer = [i for i in range(size) if not waiting[i]]
         pred = [0] * size
@@ -58,9 +60,9 @@ class StrictOrder:
             placed += len(layer)
             next_layer = []
             for j in layer:
-                row = bitsets.from_indices(below[j], size)
+                row = 0
                 for k in below[j]:
-                    row |= pred[k]
+                    row |= pred[k] | 1 << k
                 pred[j] = row
                 for i in above[j]:
                     waiting[i] -= 1

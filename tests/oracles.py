@@ -148,8 +148,7 @@ _CELL_DIGITS = str.maketrans("X.", "10")
 
 def parse_cxt(text, path=None):
     """Parse Burmeister context text, walking it one line at a time."""
-    text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
+    lines = re.split("\r\n|\r|\n", text)
     if lines and lines[-1] == "":
         lines.pop()
 
@@ -168,6 +167,8 @@ def parse_cxt(text, path=None):
     for offset, what in ((2, "object count"), (3, "attribute count")):
         raw = need(offset, f"the {what}")
         try:
+            if not re.fullmatch("-?[0-9]+", raw):
+                raise ValueError(raw)
             value = int(raw)
         except ValueError:
             raise FileFormatError(

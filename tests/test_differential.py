@@ -320,6 +320,48 @@ class TestOrderClosure:
             oracles.closure, n, pairs
         )
 
+    @pytest.mark.parametrize(
+        "shape", ["layered", "chain", "antichain", "duplicate pairs", "size 0"]
+    )
+    @given(seed=seeds, n=st.integers(1, 40))
+    def test_rows_are_unions_over_direct_predecessors(self, shape, seed, n):
+        """Built with no index list turned into a row: the closure's rows,
+        and layers that are the iterated minima."""
+        rng = random.Random(seed)
+        chain = rng.sample(range(n), n)
+        if shape == "layered":
+            # layers of ``width`` elements: each element above the bottom
+            # layer gets up to two parents in the layer below it, and now
+            # and then one from further down
+            width = rng.randint(1, 5)
+            pairs = []
+            for k in range(width, n):
+                start = k - k % width
+                for parent in rng.sample(range(start - width, start), min(2, width)):
+                    pairs.append((chain[parent], chain[k]))
+                if start >= 2 * width and rng.random() < 0.2:
+                    pairs.append((chain[rng.randrange(start - width)], chain[k]))
+        elif shape == "chain":
+            pairs = list(zip(chain, chain[1:]))
+        elif shape == "antichain":
+            pairs = []
+        elif shape == "duplicate pairs":
+            pairs = [
+                (chain[a], chain[b])
+                for a, b in itertools.combinations(range(n), 2)
+                if rng.random() < 0.2
+            ]
+            pairs += rng.choices(pairs, k=len(pairs))
+            rng.shuffle(pairs)
+        else:
+            n, pairs = 0, []
+        with mock.patch.object(
+            bitsets, "from_indices", side_effect=AssertionError("from_indices called")
+        ):
+            order = StrictOrder(n, pairs)
+        assert order_rows(order) == oracles.closure(n, pairs)
+        assert list(order._layers) == iterated_minima(order)
+
     @given(seeds, st.integers(0, 30))
     def test_minimise_matches_bit_by_bit_builder(self, seed, n):
         rng = random.Random(seed)
@@ -577,7 +619,7 @@ def mutate(rng, lines):
         elif roll == 6 and k < len(lines):
             del lines[k]
         elif roll == 7 and 2 <= k < 4 and k < len(lines):
-            lines[k] = rng.choice(["-1", "x", "10", " 2"])  # bad count
+            lines[k] = rng.choice(["-1", "x", "10", " 2", "+2", "1_0"])  # bad count
         elif roll == 8:
             lines.append(rng.choice(["", "trailing"]))
     text = "\n".join(lines)
@@ -625,7 +667,7 @@ class TestCxtFiles:
             "B\n\n2\n2\n\ng\nh\na\nb\nX?\nX\n",  # illegal cell before a short row
             "B\n\n1\n2\n\ng\na\nb\nXX\n\n",  # trailing blank line
             "B\n\n1\n1\n\ng\nm\nX.\r\n",  # CRLF on a long last row
-            "B\r\n\r\n1\r\n1\r\n\r\ng\r\nm\r\nX\r",  # a stray CR in a row
+            "B\n\n1\n2\n\ng\na\nb\nX\r.\n",  # a lone CR splits a row
             "B\n\n2\n1\n\ng\ng\nm\n.\nX\n",  # duplicate object names
             "B\n\n99999999999\n1\n\ng\n",  # a count far past the file
             "B\n\n99999999999999999999\n1\n\ng\n",  # a count past sys.maxsize
@@ -634,7 +676,8 @@ class TestCxtFiles:
             "B\n\n2\n2\n\ng\nh\na\nb\nX.\n×.\n",  # a non-ASCII cell
             "B\n\n2\n2\n\ng\nh\na\nb\nX.\n\nX\n",  # a line break inside the rows' span
             "B\n\n2\n2\n\ng\nh\na\nb\nX.\nX.X\n",  # rows run into each other
-            "B\n\n2\n2\n\ng\nh\na\nb\nX.\n.X\r",  # a stray CR in the last row
+            "B\n\n1\n1\n\na\rb\nx\nX\n",  # a lone CR splits a name
+            "B\n\n1\u00a0\n1\n\ng\nm\nX\n",  # a count only int() reads
         ],
     )
     def test_fault_order_matches_line_walk(self, text):
@@ -650,6 +693,8 @@ class TestCxtFiles:
             "B\n\n0\n2\n\na\nb\n",  # no objects
             "B\n\n0\n2\n\na\nb",  # no objects, no final newline
             "B\n\n0\n0\n\n",
+            "B\r\n\r\n1\r\n1\r\n\r\ng\r\nm\r\nX\r",  # a lone CR ends the last row
+            "B\r\r2\r2\r\rg\rh\ra\rb\rX.\r.X\r",  # lone CRs throughout
             "B\n\n2\n1\n\nKöln\n北京\ngrößer\nX\n.\n",  # non-ASCII names
         ],
     )

@@ -74,6 +74,29 @@ class TestParseCxt:
         context = parse_cxt(ELEMENTS_CXT.replace("\n", "\r\n"))
         assert context == build_elements()
 
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        """As it does when load_context reads the same bytes from a file."""
+        assert parse_cxt(ELEMENTS_CXT.replace("\n", "\r")) == build_elements()
+        text = "B\n\n1\n1\n\na\rb\nx\nX\n"
+        path = tmp_path / "cr.cxt"
+        path.write_bytes(text.encode("utf-8"))
+        for parse in (lambda: parse_cxt(text, path), lambda: load_context(path)):
+            with pytest.raises(FileFormatError) as err:
+                parse()
+            assert err.value.line == 8
+            assert "illegal cell 'x'" in str(err.value)
+
+    @pytest.mark.parametrize("count", ["1_0", "+1", " 1", "1 ", "１", "-", "--1", "0x1"])
+    @pytest.mark.parametrize("line", [3, 4])
+    def test_counts_are_ascii_digits(self, count, line):
+        lines = "B\n\n1\n1\n\ng\nm\nX\n".split("\n")
+        lines[line - 1] = count
+        what = "object" if line == 3 else "attribute"
+        with pytest.raises(FileFormatError) as err:
+            parse_cxt("\n".join(lines), path="bad.cxt")
+        assert err.value.line == line
+        assert f"expected the {what} count, got {count!r}" in str(err.value)
+
     def test_degenerate_shapes(self):
         empty = parse_cxt("B\n\n0\n0\n\n")
         assert empty.n_objects == 0 and empty.n_attributes == 0
@@ -203,6 +226,12 @@ class TestColumnsCutOnFirstRead:
         assert context.object_names(names) == ("eva", "alice", "david")
         assert cut_columns(context) == [1, 4]
         assert context._cells is not None
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_a_context_equals_itself_without_a_cut(self, source):
+        context = SOURCES[source](build_friends())
+        assert context == context
+        assert cut_columns(context) == [] and context._cells is not None
 
     def test_a_whole_read_drops_the_block(self):
         context = load_context(DATA_DIR / "friends.cxt")
