@@ -13,7 +13,7 @@ C-level pass, about 30 ns per bit. A sparser set is walked with
 ``str.rfind`` from member to member, about 0.3 µs per member, so its
 walk costs Python time only per member. Either way a walk costs
 O(universe + members) with a small constant. To pick the items of a
-sequence (names, rows) at a set's members, ``select`` runs the same
+sequence (names, say) at a set's members, ``select`` runs the same
 C-level ``compress`` over the sequence itself, so no index is ever
 produced in Python.
 """
@@ -86,9 +86,8 @@ def _transpose(rows, width):
     Each row is rendered as a ``width``-digit string, ``_CHUNK_ROWS`` rows
     at a time, and each column is cut out of the joined strings with one
     strided slice, so the cost is one pass of C-level string work over
-    the matrix. Package-internal: contexts build their attribute columns
-    with it (and a parsed context its rows), strict orders their
-    successor rows.
+    the matrix. Package-internal: strict orders build their successor
+    rows with it.
     """
     if width == 0:
         # format(row, "00b") is "0", one digit too many

@@ -6,13 +6,14 @@ attribute. Object and attribute sets are bitsets (ints) over the index
 universes fixed by declaration order; all outputs list indices ascending.
 """
 
+from itertools import repeat
 
 from . import bitsets
 from .errors import BindingError, StructureError
 from .record import Record
 
 # incidence cells to binary digits: .cxt's X and . become 1 and 0, and
-# .csv's digits stay as they are
+# the digits of .csv and of FormalContext's own block stay as they are
 _CELL_DIGITS = bytes.maketrans(b"X.", b"10")
 
 
@@ -28,7 +29,6 @@ class FormalContext:
     __slots__ = (
         "_objects",
         "_attributes",
-        "_rows",
         "_cols",
         "_cells",
         "_stride",
@@ -38,6 +38,7 @@ class FormalContext:
     )
 
     def __init__(self, objects, attributes, incidence):
+        """Check the rows and keep them as one cell block, no Python step per object."""
         objects = tuple(objects)
         attributes = tuple(attributes)
         _check_names(objects, "object")
@@ -47,7 +48,8 @@ class FormalContext:
             raise StructureError(
                 f"expected {len(objects)} incidence rows, got {len(rows)}"
             )
-        full = bitsets.universe(len(attributes))
+        m = len(attributes)
+        full = bitsets.universe(m)
         # plain ints fit exactly when they lie in 0..full; anything else
         # (another type, or an int out of range) is walked row by row
         if rows and not (
@@ -56,15 +58,12 @@ class FormalContext:
             for i, row in enumerate(rows):
                 if not isinstance(row, int) or row < 0 or row & ~full:
                     raise StructureError(
-                        f"incidence row {i} does not fit {len(attributes)} attributes"
+                        f"incidence row {i} does not fit {m} attributes"
                     )
-        self._objects = objects
-        self._attributes = attributes
-        self._rows = rows
-        self._cols = bitsets._transpose(rows, len(attributes))
-        self._cells = None
-        self._oindex = None
-        self._aindex = None
+        # a row's digits run from bit m - 1 down: joined from the last row and
+        # read backwards, they put row i's bit j at i * m + j, as a parser does
+        cells = "".join(map(format, reversed(rows), repeat(f"0{m}b")))[::-1]
+        self._hold(objects, attributes, [None] * m, cells.encode("ascii"), m)
 
     @classmethod
     def _from_columns(cls, objects, attributes, cols):
@@ -73,20 +72,12 @@ class FormalContext:
         Package-internal: a propositional interpretation builds one column
         per atom from its valuations, and a derived context takes its
         interpretation's columns under new object names. The names are
-        still checked for duplicates; the rows are transposed from the
-        columns only when first asked for, since extensions need only the
-        columns.
+        still checked for duplicates.
         """
         _check_names(objects, "object")
         _check_names(attributes, "attribute")
         context = cls.__new__(cls)
-        context._oindex = None
-        context._aindex = None
-        context._objects = objects
-        context._attributes = attributes
-        context._rows = None
-        context._cols = cols
-        context._cells = None
+        context._hold(objects, attributes, cols)
         return context
 
     @classmethod
@@ -100,14 +91,21 @@ class FormalContext:
         dropped once every column has been cut. The names are checked for
         duplicates here; nothing else can fail later.
         """
-        m = len(attributes)
-        if not objects or not m:
-            return cls._from_columns(objects, attributes, (0,) * m)
-        context = cls._from_columns(objects, attributes, [None] * m)
+        context = cls._from_columns(objects, attributes, [None] * len(attributes))
         context._cells = cells
         context._stride = stride
-        context._uncut = m
         return context
+
+    def _hold(self, objects, attributes, cols, cells=None, stride=0):
+        """Keep the names and the columns; a None column is cut from ``cells``."""
+        self._objects = objects
+        self._attributes = attributes
+        self._cols = cols
+        self._cells = cells
+        self._stride = stride
+        self._uncut = len(cols)
+        self._oindex = None
+        self._aindex = None
 
     @classmethod
     def from_pairs(cls, objects, attributes, pairs):
@@ -188,10 +186,12 @@ class FormalContext:
         return tuple(bitsets.select(self._attributes, bits))
 
     def row(self, i):
-        """Attributes of object i, as a bitset."""
+        """Attributes of object i, as a bitset: m column operations, none per object."""
         if not 0 <= i < len(self._objects):
             raise StructureError(f"object index {i} out of range")
-        return self._row_bits()[i]
+        cols = self._columns()
+        held = [j for j, col in enumerate(cols) if col >> i & 1]
+        return bitsets.from_indices(held, len(cols))
 
     def column(self, j):
         """Objects having attribute j, as a bitset."""
@@ -201,13 +201,14 @@ class FormalContext:
         return self._cut(j) if col is None else col
 
     def intent(self, object_bits):
-        """Attributes common to every object in the set (all of M for the empty set)."""
+        """Attributes common to every object in the set (all of M for the empty set).
+
+        A containment test per column: m column operations, none per object.
+        """
         self._check_objects(object_bits)
-        result = self.attribute_universe
-        rows = self._row_bits()
-        for i in bitsets.iter_indices(object_bits):
-            result &= rows[i]
-        return result
+        cols = self._columns()
+        shared = [j for j, col in enumerate(cols) if not object_bits & ~col]
+        return bitsets.from_indices(shared, len(cols))
 
     def extent(self, attribute_bits):
         """Objects having every attribute in the set (all of G for the empty set)."""
@@ -226,7 +227,8 @@ class FormalContext:
         """
         stride = self._stride
         cells = self._cells[(len(self._objects) - 1) * stride + j::-stride]
-        col = self._cols[j] = int(cells.translate(_CELL_DIGITS), 2)
+        # with no object the slice is empty, and the column is 0
+        col = self._cols[j] = int(cells.translate(_CELL_DIGITS) or b"0", 2)
         self._uncut -= 1
         if not self._uncut:
             self._cols = tuple(self._cols)
@@ -239,11 +241,6 @@ class FormalContext:
             self._cols = tuple(map(self.column, range(len(self._attributes))))
             self._cells = None
         return self._cols
-
-    def _row_bits(self):
-        if self._rows is None:
-            self._rows = bitsets._transpose(self._columns(), len(self._objects))
-        return self._rows
 
     def _check_objects(self, bits):
         if bits < 0 or bits & ~self.object_universe:
@@ -281,7 +278,6 @@ def _check_names(names, what):
     One C-level ``set`` build answers the common case. Only when it comes
     out short (a repeat) or fails (an unhashable name) are the names walked
     in order, so the error names the first repeat as a per-name check would.
-    The name-to-index dicts are built on the first lookup.
     """
     try:
         if len(set(names)) == len(names):

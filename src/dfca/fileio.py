@@ -48,9 +48,9 @@ from .order import StrictOrder
 
 
 # .cxt incidence cells: deleting the legal ones leaves the illegal ones in
-# order; mapping binary digits to cells writes a row in one C-level pass
+# order; mapping binary digits to cells writes a column in one C-level pass
 _DROP_CELLS = str.maketrans("", "", "X.")
-_DIGIT_CELLS = str.maketrans("10", "X.")
+_DIGIT_CELLS = bytes.maketrans(b"10", b"X.")
 # .csv incidence cells, stripped, and their binary digits
 _CSV_DIGITS = {"1": b"1", "x": b"1", "X": b"1", "0": b"0", "": b"0"}
 
@@ -79,14 +79,13 @@ def parse_cxt(text, path=None):
         # ASCII digits after an optional "-": int() alone would also take
         # "+1", " 1", "1_0" and other scripts' digits
         digits = raw[1:] if raw[:1] == "-" else raw
+        if not (digits.isascii() and digits.isdigit()):
+            raise FileFormatError(f"expected the {what}, got {raw!r}", path, offset + 1)
         try:
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError
             value = int(raw)
         except ValueError:
-            raise FileFormatError(
-                f"expected the {what}, got {raw!r}", path, offset + 1
-            ) from None
+            # more digits than int() converts (sys.get_int_max_str_digits)
+            raise FileFormatError(f"{what} too large", path, offset + 1) from None
         if value < 0:
             raise FileFormatError(f"negative {what}", path, offset + 1)
         counts.append(value)
@@ -147,22 +146,27 @@ def parse_cxt(text, path=None):
 
 
 def format_cxt(context):
-    """Canonical Burmeister text for a context; parse_cxt inverts it byte for byte."""
+    """Canonical Burmeister text for a context; parse_cxt inverts it byte for byte.
+
+    Column j's digits fill every (m + 1)-th cell from j on in one slice, the
+    inverse of the parse's cut. No Python step runs per object.
+    """
+    names = context.objects + context.attributes
+    joined = "".join(names)
     # an empty name would be a blank line, which parse_cxt refuses
-    for name in context.objects + context.attributes:
-        if name == "" or "\n" in name or "\r" in name:
-            raise StructureError(f"name {name!r} cannot be written to .cxt")
-    lines = ["B", "", str(context.n_objects), str(context.n_attributes), ""]
-    lines.extend(context.objects)
-    lines.extend(context.attributes)
-    rows = map(context.row, range(context.n_objects))
-    if context.n_attributes:
-        # the inverse of the parse: row i's digits, cell 0 first
-        spec = f"0{context.n_attributes}b"
-        lines.extend(format(row, spec)[::-1].translate(_DIGIT_CELLS) for row in rows)
-    else:
-        lines.extend("" for _ in rows)
-    return "\n".join(lines) + "\n"
+    if "" in names or "\n" in joined or "\r" in joined:
+        for name in names:
+            if name == "" or "\n" in name or "\r" in name:
+                raise StructureError(f"name {name!r} cannot be written to .cxt")
+    n, m = context.n_objects, context.n_attributes
+    head = "\n".join(["B", "", str(n), str(m), "", *names]) + "\n"
+    cells = bytearray(b"\n") * (n * (m + 1))
+    if n:
+        spec = f"0{n}b"
+        for j in range(m):
+            digits = format(context.column(j), spec)[::-1].encode("ascii")
+            cells[j::m + 1] = digits.translate(_DIGIT_CELLS)
+    return head + cells.decode("ascii")
 
 
 def parse_csv_context(text, path=None):

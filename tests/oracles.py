@@ -166,14 +166,12 @@ def parse_cxt(text, path=None):
     counts = []
     for offset, what in ((2, "object count"), (3, "attribute count")):
         raw = need(offset, f"the {what}")
+        if not re.fullmatch("-?[0-9]+", raw):
+            raise FileFormatError(f"expected the {what}, got {raw!r}", path, offset + 1)
         try:
-            if not re.fullmatch("-?[0-9]+", raw):
-                raise ValueError(raw)
             value = int(raw)
         except ValueError:
-            raise FileFormatError(
-                f"expected the {what}, got {raw!r}", path, offset + 1
-            ) from None
+            raise FileFormatError(f"{what} too large", path, offset + 1) from None
         if value < 0:
             raise FileFormatError(f"negative {what}", path, offset + 1)
         counts.append(value)

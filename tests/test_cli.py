@@ -17,7 +17,7 @@ from conftest import (
     friends_delta,
     random_conditional,
 )
-from dfca import FormalContext, KnowledgeBase, load_context
+from dfca import FormalContext, KnowledgeBase, bitsets, load_context
 from dfca.cli import CliResult, _rank_table, _shown, main, run
 from dfca.formula import parse_conditional
 from dfca.ranking import object_rank
@@ -560,7 +560,7 @@ class TestRankTableWidths:
         assert _rank_table(context, [0b01]) == "rank  object    b\n0     g1        ×"
 
     def test_the_table_reads_no_rows(self, monkeypatch):
-        """A file's context keeps only its columns: no row transpose runs."""
+        """The table is drawn from the columns: no row is read or transposed."""
         argv = [
             "rank",
             "tests/golden/inputs/groups.cxt",
@@ -569,10 +569,11 @@ class TestRankTableWidths:
         monkeypatch.chdir(ROOT)
         expected = run(argv)
 
-        def refuse(context):
-            raise AssertionError("the rank table transposed the columns to rows")
+        def refuse(*args):
+            raise AssertionError("the rank table read the context's rows")
 
-        monkeypatch.setattr(FormalContext, "_row_bits", refuse)
+        monkeypatch.setattr(FormalContext, "row", refuse)
+        monkeypatch.setattr(bitsets, "_transpose", refuse)
         assert run(argv) == expected
         assert expected.exit_code == 0 and expected.text.count("\n") == 9
 

@@ -1,0 +1,137 @@
+"""Cost contracts: the Python steps an operation runs inside the package.
+
+A step is one ``line`` event of ``sys.settrace`` in code under
+``src/dfca``. Unlike a wall-clock time, the count does not depend on the
+host, so a path whose cost note says it runs no Python step per object
+is held to exactly that: its count at 4n objects equals its count at n,
+up to ``SLACK``. Each contract cites the cost note it checks, and the
+note must still be in that docstring, so the claim and the test change
+together. A step counter misses C-level work that grows faster than
+linear; ``tests/test_scaling.py`` times that.
+"""
+
+import inspect
+import os
+import random
+import sys
+
+import pytest
+
+import dfca
+from dfca import FormalContext
+from dfca import fileio
+from dfca.fileio import format_cxt, parse_cxt
+
+# code objects carry the path their module was imported from
+PACKAGE = os.path.dirname(dfca.__file__) + os.sep
+
+# steps a flat path may differ by between n and 4n objects
+SLACK = 8
+
+N = 1024
+M = 40
+# the rows repeat a block of 64, so at n and 4n objects every row read,
+# every intent below and every column's density are the same
+_rng = random.Random(26)
+BLOCK = [_rng.getrandbits(M) for _ in range(64)]
+
+
+def steps(fn):
+    """The number of lines run in the package's code while ``fn()`` runs."""
+    count = 0
+
+    def in_package(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return in_package
+
+    def on_call(frame, event, arg):
+        if frame.f_code.co_filename.startswith(PACKAGE):
+            return in_package
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def parts(n):
+    rows = BLOCK * (n // len(BLOCK))
+    return [f"g{i}" for i in range(n)], [f"m{j}" for j in range(M)], rows
+
+
+def built(n):
+    return FormalContext(*parts(n))
+
+
+# each operation takes the object count, prepares its input, and returns
+# the call whose steps are counted
+def build(n):
+    args = parts(n)
+    return lambda: FormalContext(*args)
+
+
+def read_last_row(n):
+    context = built(n)
+    return lambda: context.row(n - 1)
+
+
+def intent_of_every_eighth(n):
+    context = built(n)
+    members = sum(1 << i for i in range(0, n, 8))
+    return lambda: context.intent(members)
+
+
+def write_cxt(n):
+    context = built(n)
+    return lambda: format_cxt(context)
+
+
+def parse_and_cut(n):
+    text = format_cxt(built(n))
+
+    def run():
+        context = parse_cxt(text)
+        for j in range(M):
+            context.column(j)
+
+    return run
+
+
+# (operation, the object whose docstring holds the cost note, the note)
+CONTRACTS = [
+    (build, FormalContext.__init__, "no Python step per object"),
+    (read_last_row, FormalContext.row, "m column operations, none per object"),
+    (
+        intent_of_every_eighth,
+        FormalContext.intent,
+        "m column operations, none per object",
+    ),
+    (write_cxt, format_cxt, "No Python step runs per object."),
+    (parse_and_cut, fileio, "a fixed number of C-level passes"),
+]
+
+
+@pytest.mark.parametrize(
+    "operation, owner, note",
+    CONTRACTS,
+    ids=[operation.__name__ for operation, _, _ in CONTRACTS],
+)
+def test_flat_paths_run_as_many_steps_at_4n_as_at_n(operation, owner, note):
+    assert note in " ".join(inspect.getdoc(owner).split())
+    small = steps(operation(N))
+    large = steps(operation(4 * N))
+    assert small > 0
+    assert abs(large - small) <= SLACK, (small, large)
+
+
+def test_the_counter_sees_a_walk_per_object():
+    """The counter itself: a path that walks the objects grows with them."""
+    small = steps(lambda: dfca.bitsets.from_indices(range(N), N))
+    large = steps(lambda: dfca.bitsets.from_indices(range(4 * N), 4 * N))
+    assert large - small >= 3 * N

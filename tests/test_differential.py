@@ -201,6 +201,81 @@ class TestContextColumns:
             assert outcome(build, names) == expected
 
 
+def built_context(builder, rng, objects, attributes, rows):
+    """A context over the rows, from one of the ways a context is made.
+
+    ``init`` is ``FormalContext(...)``; ``cxt`` and ``csv`` parse text
+    written here cell by cell and cut a random part of the columns;
+    ``columns`` is a derived context, built by ``_from_columns`` from an
+    interpretation's valuations.
+    """
+    m = len(attributes)
+    if builder == "init":
+        return FormalContext(objects, attributes, rows)
+    if builder == "columns":
+        valuations = [{a: bool(row >> j & 1) for j, a in enumerate(attributes)}
+                      for row in rows]
+        interpretation = PreferentialInterpretation(
+            attributes, objects, valuations, StrictOrder(len(objects), [])
+        )
+        return derive_preferential_context(interpretation).context
+    if builder == "cxt":
+        context = parse_cxt(cell_by_cell_cxt(objects, attributes, rows))
+    else:
+        cells = [["1" if row >> j & 1 else "0" for j in range(m)] for row in rows]
+        lines = [",".join(["", *attributes])]
+        lines += [",".join([name, *row]) for name, row in zip(objects, cells)]
+        context = parse_csv_context("\n".join(lines) + "\n")
+    for j in rng.sample(range(m), rng.randint(0, m)):
+        context.column(j)
+    return context
+
+
+def cell_by_cell_cxt(objects, attributes, rows):
+    """Burmeister text, one cell at a time from the rows."""
+    cells = [
+        "".join("X" if row >> j & 1 else "." for j in range(len(attributes)))
+        for row in rows
+    ]
+    lines = ["B", "", str(len(objects)), str(len(attributes)), ""]
+    return "\n".join(lines + list(objects) + list(attributes) + cells) + "\n"
+
+
+class TestRowViews:
+    """``row``, ``intent`` and ``format_cxt`` read the columns alone; here they
+    are held to the rows the test generated, whichever way the context was built."""
+
+    @given(
+        seeds,
+        st.sampled_from([0, 1, 2, 63, 1023, 1024, 1025, 2100]),
+        st.integers(0, 70),
+        st.sampled_from(["init", "cxt", "csv", "columns"]),
+    )
+    @example(0, 0, 0, "init")
+    @example(0, 0, 5, "cxt")
+    @example(0, 7, 0, "csv")
+    @example(0, 1025, 3, "columns")
+    @settings(max_examples=40, deadline=None)
+    def test_rows_intents_and_text_match_the_generated_rows(self, seed, n, m, builder):
+        rng = random.Random(seed)
+        rows = random_rows(rng, n, m)
+        objects = tuple(f"g{i}" for i in range(n))
+        attributes = tuple(f"m{j}" for j in range(m))
+        context = built_context(builder, rng, objects, attributes, rows)
+        assert list(map(context.row, range(n))) == rows
+        for _ in range(4):
+            members = random_bits(rng, n)
+            shared = bitsets.universe(m)
+            for i in bitsets.iter_indices(members):
+                shared &= rows[i]
+            assert context.intent(members) == shared
+        assert format_cxt(context) == cell_by_cell_cxt(objects, attributes, rows)
+        assert outcome(context.row, n) == (
+            StructureError,
+            f"object index {n} out of range",
+        )
+
+
 def cxt_text(rows):
     m = max((len(row) for row in rows), default=0)
     return "\n".join(
@@ -1393,7 +1468,9 @@ class TestRankTable:
             strata[-1] &= ~1  # an object left out of the table
         expected = oracles.rank_table(context, strata)
         with mock.patch.object(
-            FormalContext, "_row_bits", side_effect=AssertionError("rows read")
+            FormalContext, "row", side_effect=AssertionError("rows read")
+        ), mock.patch.object(
+            bitsets, "_transpose", side_effect=AssertionError("rows transposed")
         ):
             assert _rank_table(context, strata) == expected
 

@@ -97,6 +97,26 @@ class TestParseCxt:
         assert err.value.line == line
         assert f"expected the {what} count, got {count!r}" in str(err.value)
 
+    @pytest.mark.parametrize("line", [3, 4])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_a_count_past_the_int_digit_limit_is_too_large(self, line, sign):
+        """int() refuses more than 4300 digits; the count is not echoed back."""
+        lines = "B\n\n1\n1\n\ng\nm\nX\n".split("\n")
+        lines[line - 1] = sign + "9" * 4301
+        what = "object" if line == 3 else "attribute"
+        for parse in (parse_cxt, oracles.parse_cxt):
+            with pytest.raises(FileFormatError) as err:
+                parse("\n".join(lines), path="big.cxt")
+            assert (err.value.line, str(err.value)) == (
+                line,
+                f"big.cxt:{line}: {what} count too large",
+            )
+
+    def test_the_object_count_past_the_int_digit_limit(self):
+        with pytest.raises(FileFormatError) as err:
+            parse_cxt("B\n\n" + "9" * 4301 + "\n1\n\ng\n")
+        assert str(err.value) == "3: object count too large"
+
     def test_degenerate_shapes(self):
         empty = parse_cxt("B\n\n0\n0\n\n")
         assert empty.n_objects == 0 and empty.n_attributes == 0
