@@ -150,7 +150,7 @@ def _cmd_extension(args):
     }
     # ``run`` prints the data instead of the text under --json
     text = "" if args.json else "\n".join(_shown(names))
-    return CliResult(0, text, data)
+    return 0, [text], data
 
 
 def _cmd_holds(args):
@@ -175,7 +175,7 @@ def _cmd_holds(args):
         "holds": verdict,
         "counterexamples": list(counterexamples),
     }
-    return CliResult(0 if verdict else 1, text, data)
+    return 0 if verdict else 1, [text], data
 
 
 def _cmd_validate(args):
@@ -198,7 +198,7 @@ def _cmd_validate(args):
         "mode": mode,
         "reason": reason,
     }
-    return CliResult(0 if valid else 1, text, data)
+    return 0 if valid else 1, [text], data
 
 
 def _cell_tables(widths):
@@ -248,12 +248,14 @@ def _group_bytes(columns, n):
 
 
 def _rank_table(context, strata):
-    """The text ``rank`` table, rendered from the context's columns.
+    """The text ``rank`` table as pieces: the header, then blocks of rows.
 
     A row joins its rank label, its name, the blanks after it and one
     ``_cell_tables`` lookup per group of eight columns. Every per-row step
     is a C-level ``map``, ``zip``, ``join`` or ``itemgetter``: no Python
-    statement runs once per object.
+    statement runs once per object. Everything but the rows is computed
+    here; each block of ``_BLOCK_ROWS`` rows is joined only when the
+    returned iterator reaches it, and the pieces concatenate to the table.
     """
     objects, columns = _shown(context.objects), context._columns()
     n = len(objects)
@@ -279,7 +281,7 @@ def _rank_table(context, strata):
         max(len(name), 1 if col & shown else 0)
         for name, col in zip(header[2:], columns)
     ]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip()]
+    first = "  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip()
     # the two-space gaps after the rank and the name go with those cells
     blank = " " * (widths[0] + 2)
     labels = chain.from_iterable(
@@ -295,25 +297,26 @@ def _rank_table(context, strata):
     rows = zip(labels, names, map(gaps.__getitem__, map(len, names)), *cells)
     rows = map(str.rstrip, map("".join, rows))
     # counted, since every row of a block may strip to ""
-    for _ in range(0, len(order), _BLOCK_ROWS):
-        lines.append("\n".join(islice(rows, _BLOCK_ROWS)))
-    return "\n".join(lines)
+    blocks = (
+        "\n" + "\n".join(islice(rows, _BLOCK_ROWS))
+        for _ in range(0, len(order), _BLOCK_ROWS)
+    )
+    return chain([first], blocks)
 
 
 def _cmd_rank(args):
     context = load_context(args.context)
     kb = KnowledgeBase(load_conditionals(args.kb))
     _, ranking = object_rank(context, kb)
-    data = {
-        "command": "rank",
-        "strata": [
-            {"rank": level, "objects": list(context.object_names(stratum))}
-            for level, stratum in enumerate(ranking.strata)
-        ],
-    }
-    # ``run`` prints the data instead of the text under --json
-    text = "" if args.json else _rank_table(context, ranking.strata)
-    return CliResult(0, text, data)
+    data = {"command": "rank"}
+    if not args.json:
+        return 0, _rank_table(context, ranking.strata), data
+    # the name lists only --json prints
+    data["strata"] = [
+        {"rank": level, "objects": list(context.object_names(stratum))}
+        for level, stratum in enumerate(ranking.strata)
+    ]
+    return 0, [], data
 
 
 def _cmd_entail(args):
@@ -339,7 +342,7 @@ def _cmd_entail(args):
         "holds": verdict,
         "antecedent_rank": first,
     }
-    return CliResult(0 if verdict else 1, text, data)
+    return 0 if verdict else 1, [text], data
 
 
 def _cmd_diff(args):
@@ -371,7 +374,7 @@ def _cmd_diff(args):
         for row in table
     ]
     data = {"command": "diff", "probes": entries}
-    return CliResult(0, "\n".join(lines), data)
+    return 0, ["\n".join(lines)], data
 
 
 def _cmd_baserank(args):
@@ -390,7 +393,7 @@ def _cmd_baserank(args):
         "infinite": [str(s) for s in result.infinite],
         "height": len(result.strata),
     }
-    return CliResult(0, "\n".join(lines), data)
+    return 0, ["\n".join(lines)], data
 
 
 def _cmd_rcprop(args):
@@ -412,7 +415,7 @@ def _cmd_rcprop(args):
         "holds": verdict,
         "antecedent_rank": antecedent_rank,
     }
-    return CliResult(0 if verdict else 1, text, data)
+    return 0 if verdict else 1, [text], data
 
 
 _HANDLERS = {
@@ -433,16 +436,27 @@ _parser = None
 
 def run(argv):
     """Execute one CLI invocation and report its outcome without exiting."""
+    code, pieces, data = _outcome(argv)
+    return CliResult(code, "".join(pieces), data)
+
+
+def _outcome(argv):
+    """One invocation's exit code, its output as pieces, and its data.
+
+    Each handler returns these three. The pieces concatenate to the text:
+    ``run`` joins them, and ``main`` writes each as it comes, so a text
+    ``rank`` table is never held whole. Every error is raised before the
+    first piece.
+    """
     global _parser
     if _parser is None:
         _parser = build_parser()
     try:
         args = _parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return CliResult(code, "")
+        return (exc.code if isinstance(exc.code, int) else 2), [], None
     try:
-        result = _HANDLERS[args.command](args)
+        code, pieces, data = _HANDLERS[args.command](args)
     except (
         FileFormatError,
         FormulaSyntaxError,
@@ -450,12 +464,12 @@ def run(argv):
         StructureError,
         UnsupportedStateError,
     ) as exc:
-        return CliResult(2, "error: " + str(exc).translate(_LINE_ESCAPES))
+        return 2, ["error: " + str(exc).translate(_LINE_ESCAPES)], None
     except (ValidityError, CapacityError) as exc:
-        return CliResult(3, "error: " + str(exc).translate(_LINE_ESCAPES))
+        return 3, ["error: " + str(exc).translate(_LINE_ESCAPES)], None
     if args.json:
-        return CliResult(result.exit_code, _dump_json(result.data), result.data)
-    return result
+        return code, [_dump_json(data)], data
+    return code, pieces, data
 
 
 _encode_string = json.encoder.encode_basestring
@@ -496,11 +510,17 @@ def _dump_json(value, indent="\n"):
 
 
 def main(argv=None):
-    result = run(sys.argv[1:] if argv is None else argv)
-    if result.text:
-        stream = sys.stdout if result.exit_code in (0, 1) else sys.stderr
-        print(result.text, file=stream)
-    return result.exit_code
+    code, pieces, _ = _outcome(sys.argv[1:] if argv is None else argv)
+    stream = sys.stdout if code in (0, 1) else sys.stderr
+    # as print(run(argv).text) when the text is not empty
+    shown = False
+    for piece in pieces:
+        if piece:
+            stream.write(piece)
+            shown = True
+    if shown:
+        stream.write("\n")
+    return code
 
 
 if __name__ == "__main__":

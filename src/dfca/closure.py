@@ -16,6 +16,11 @@ class ClosureSession:
     __slots__ = ("_context", "_kb", "_ranked")
 
     def __init__(self, context, kb=()):
+        """Rank the context's objects once, by ``object_rank``.
+
+        The ranking loop costs set operations per conditional and rank,
+        none per object; the rank tuple is not built.
+        """
         kb = kb if isinstance(kb, KnowledgeBase) else KnowledgeBase(kb)
         self._context = context
         self._kb = kb

@@ -8,7 +8,14 @@ Context formats:
   object. Names are taken verbatim (UTF-8, spaces allowed, no trimming);
   the loader reads CRLF and a lone CR as LF, the writer emits LF with a
   final newline. A count is ASCII digits after an optional ``-``.
-  The loader checks the header, the counts and the names as it splits
+  ``load_context`` reads the file as bytes. It takes the counts from the
+  header and the cell block from the end of the file, checks both and
+  the names with a fixed number of C-level passes, and decodes only the
+  names; the cells go to the context undecoded. When any check fails,
+  the file is read again as text and ``parse_cxt`` reports the fault, so
+  it is the one error reporter: every message, line number and check
+  order is its own, an undecodable byte ("not valid UTF-8") included.
+  ``parse_cxt`` checks the header, the counts and the names as it splits
   them off, and reports each fault at its line. It keeps the rows as one
   block, which a fixed number of C-level passes check (ASCII, its length,
   nothing but ``n`` line breaks besides the ``X``/``.`` cells, a line
@@ -255,10 +262,24 @@ def _refuse_line_break(name, what, path, line_no):
 
 
 def load_context(path):
-    """Load a context from a .cxt or .csv file (format inferred from the suffix)."""
+    """Load a context from a .cxt or .csv file (format inferred from the suffix).
+
+    A ``.cxt`` file is read as bytes and checked by a fixed number of
+    C-level passes, and only its names are decoded (``_cxt_from_bytes``).
+    When a check fails, the file is read again as text and ``parse_cxt``
+    reports the fault.
+    """
     suffix = os.path.splitext(str(path))[1].lower()
     if suffix == ".cxt":
-        return parse_cxt(_read_text(path), path)
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            data = b""  # refused below; the text read reports the error
+        context = _cxt_from_bytes(data)
+        if context is None:
+            return parse_cxt(_read_text(path), path)
+        return context
     if suffix == ".csv":
         return parse_csv_context(_read_text(path), path)
     raise FileFormatError(
@@ -266,6 +287,56 @@ def load_context(path):
         "expected '.cxt' or '.csv'",
         path,
     )
+
+
+def _cxt_from_bytes(data):
+    """The context in a .cxt file's bytes, or None when a check fails.
+
+    ``parse_cxt``'s bulk checks, made on the bytes as read: line ends
+    become LF, the counts are read from the header, and the cell block is
+    the last n * (m + 1) bytes, which must hold nothing but ``X``/``.``
+    cells and a line break after every ``m``. What comes before it must
+    be exactly n + m nonempty name lines, and only they are decoded. A
+    fault of any kind, an undecodable byte among them, returns None
+    rather than an error: ``parse_cxt`` of the text read then reports it,
+    so messages, line numbers and their order are the text path's.
+    """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data[-1:] != b"\n":
+        data += b"\n"
+    head = data.split(b"\n", 5)
+    if len(head) < 6 or head[:2] != [b"B", b""] or head[4]:
+        return None
+    counts, rest = head[2:4], head[5]
+    # ASCII digits only: a sign is left to the text parse
+    if not (counts[0].isdigit() and counts[1].isdigit()):
+        return None
+    try:
+        n, m = map(int, counts)
+    except ValueError:  # more digits than int() converts
+        return None
+    start = len(rest) - n * (m + 1)
+    if start < 0:
+        return None
+    names, cells = rest[:start], rest[start:]
+    # every name line ends in a line break, and none is empty
+    if names[-1:] not in (b"", b"\n") or names[:1] == b"\n" or b"\n\n" in names:
+        return None
+    breaks = b"\n" * n
+    if cells.translate(None, b"X.") != breaks or cells[m::m + 1] != breaks:
+        return None
+    try:
+        # the last item is the empty text after the last line break
+        names = tuple(names.decode("utf-8").split("\n"))
+    except UnicodeDecodeError:
+        return None
+    if len(names) != n + m + 1:
+        return None
+    try:
+        return FormalContext._from_cells(names[:n], names[n:-1], cells, m + 1)
+    except StructureError:
+        return None
 
 
 def save_context(context, path):

@@ -548,7 +548,11 @@ def bind(context, formula):
 
 
 def extension(context, formula):
-    """Objects satisfying the formula, as a bitset over the context."""
+    """Objects satisfying the formula, as a bitset over the context.
+
+    One column read and one set operation per node of the formula, none
+    per object.
+    """
     return evaluate(
         formula,
         lambda name: context.column(context.attribute_index(name)),

@@ -8,6 +8,7 @@ order it induces (smaller rank first) is always modular.
 """
 
 from itertools import compress
+from operator import add
 
 from . import bitsets
 from .errors import ModularityError, StructureError
@@ -227,11 +228,37 @@ class RankingFunction:
 
     @property
     def ranks(self):
+        """The rank of each index, built from the strata on first read.
+
+        The ranks are built a byte at a time, least significant first. For
+        each value of the byte, the union of the strata whose ranks have it
+        is written out as binary digits, which one ``translate`` turns
+        into that byte per member; the bytes of all values OR into one int
+        per byte of the rank. So the cost is one C-level pass over the
+        size per stratum; past 256 strata, each further byte adds one pass
+        per 256 strata and a C-level ``map`` over the members. No Python
+        step runs per member.
+        """
         if self._ranks is None:
-            ranks = [0] * self._size
-            for level, stratum in enumerate(self._strata):
-                for i in bitsets.iter_indices(stratum):
-                    ranks[i] = level
+            size, strata = self._size, self._strata
+            spec = f"0{size}b"
+            ranks = None
+            for shift in range(0, (len(strata) - 1).bit_length() or 1, 8):
+                unions = [0] * 256
+                for level, stratum in enumerate(strata):
+                    unions[level >> shift & 255] |= stratum
+                # index i's byte lands at byte i of the int, as its digit did
+                value = 0
+                for byte, members in enumerate(unions):
+                    if byte and members:
+                        digits = format(members, spec).encode("ascii")
+                        table = bytes.maketrans(b"01", bytes((0, byte)))
+                        value |= int.from_bytes(digits.translate(table), "big")
+                plane = value.to_bytes(size, "little")
+                if ranks is None:
+                    ranks = plane
+                else:
+                    ranks = map(add, ranks, map((1 << shift).__mul__, plane))
             self._ranks = tuple(ranks)
         return self._ranks
 
@@ -250,7 +277,8 @@ class RankingFunction:
         These are the members of least rank, the ones a ranked context
         checks a conditional against; (None, 0) when no stratum meets them.
         A member set that is negative or holds an index past the ranking's
-        size raises StructureError.
+        size raises StructureError. One intersection per stratum up to the
+        first that meets the members, none per member.
         """
         if members < 0 or members >> self._size:
             raise StructureError("member set out of range for this ranking")

@@ -56,6 +56,11 @@ MALFORMED = {
     "duplicate_object.cxt": b"B\n\n3\n1\n\ng\nh\ng\nm\n.\nX\n.\n",
     "duplicate_attribute.cxt": b"B\n\n1\n2\n\ng\nm\nm\nX.\n",
     "not_utf8.cxt": b"B\n\n1\n1\n\ng\xff\nm\nX\n",
+    "not_utf8_cell.cxt": b"B\n\n2\n2\n\ng\nh\na\nb\nX.\nX\xff\n",
+    # the UTF-8 fault is reported, not the header fault before it
+    "not_utf8_bad_header.cxt": b"A\n\n1\n1\n\ng\nm\nX\xff\n",
+    "utf8_bom.cxt": b"\xef\xbb\xbfB\n\n1\n1\n\ng\nm\nX\n",
+    "crlf_content_after_rows.cxt": b"B\r\n\r\n1\r\n2\r\n\r\ng\r\na\r\nb\r\nXX\r\n..\r\n",
     # at an edge of the format: line ends, final line breaks, non-ASCII names
     "cr_line_ends.cxt": b"B\r\r1\r1\r\rg\rm\rX\r",
     "crlf.cxt": b"B\r\n\r\n2\r\n2\r\n\r\ng\r\nh\r\na\r\nb\r\nX.\r\n.X\r\n",

@@ -1084,6 +1084,15 @@ def member_minimise(order, members):
     )
 
 
+def ranks_from_strata(strata, size):
+    """Each index's rank, by a walk of every stratum's members."""
+    ranks = [0] * size
+    for level, stratum in enumerate(strata):
+        for i in bitsets.iter_indices(stratum):
+            ranks[i] = level
+    return tuple(ranks)
+
+
 def stratum(ranks, level):
     """Bitset of indices at the given rank."""
     bits = 0

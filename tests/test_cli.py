@@ -19,6 +19,7 @@ from conftest import (
 )
 from dfca import FormalContext, KnowledgeBase, bitsets, load_context
 from dfca.cli import CliResult, _rank_table, _shown, main, run
+from dfca.fileio import format_cxt
 from dfca.formula import parse_conditional
 from dfca.ranking import object_rank
 from golden.regenerate import MANIFEST, ROOT
@@ -173,7 +174,33 @@ class TestRank:
         """Under --json the table is not built; the printed text is the data."""
         result = run(["rank", FRIENDS, FRIENDS_KB, "--json"])
         assert result.text == json.dumps(result.data, ensure_ascii=False, indent=2)
-        assert run(["rank", FRIENDS, FRIENDS_KB]).data == result.data
+
+    def test_text_data_holds_no_name_lists(self):
+        """The per-stratum name lists are built for --json alone."""
+        assert run(["rank", FRIENDS, FRIENDS_KB]).data == {"command": "rank"}
+
+    @pytest.mark.parametrize("n", [1, 256, 257, 700])
+    def test_main_writes_the_table_in_blocks(self, n, tmp_path, monkeypatch):
+        """main writes the header, then each block of at most 256 rows as it
+        is made; together they are the text run returns, and a line end."""
+        names = [f"g{i}" for i in range(n)]
+        context = FormalContext(names, ["a", "b"], [(i + 3) % 4 for i in range(n)])
+        path = tmp_path / "wide.cxt"
+        path.write_text(format_cxt(context), encoding="utf-8")
+        kb = tmp_path / "kb.txt"
+        kb.write_text("a |~ b\n", encoding="utf-8")
+        argv = ["rank", str(path), str(kb)]
+        writes = []
+
+        class Stream:
+            def write(self, piece):
+                writes.append(piece)
+
+        monkeypatch.setattr(sys, "stdout", Stream())
+        assert main(argv) == 0
+        assert "".join(writes) == run(argv).text + "\n"
+        assert len(writes) == 2 + -(-n // 256)
+        assert max(piece.count("\n") for piece in writes) <= 256
 
     def test_classical_statement_in_kb_rejected(self, tmp_path):
         kb = tmp_path / "kb.txt"
@@ -552,12 +579,14 @@ class TestRankTableWidths:
         """No file format admits an empty name, so the table is drawn directly."""
         context = FormalContext(["g1"], ["", "b"], [0b10])
         _, ranking = object_rank(context, KnowledgeBase([]))
-        assert _rank_table(context, ranking.strata) == "rank  object    b\n0     g1        ×"
+        table = "".join(_rank_table(context, ranking.strata))
+        assert table == "rank  object    b\n0     g1        ×"
 
     def test_a_mark_only_on_an_object_left_out_has_no_width(self):
         """Mark widths count the objects the strata show, not every object."""
         context = FormalContext(["g1", "g2"], ["", "b"], [0b10, 0b01])
-        assert _rank_table(context, [0b01]) == "rank  object    b\n0     g1        ×"
+        table = "".join(_rank_table(context, [0b01]))
+        assert table == "rank  object    b\n0     g1        ×"
 
     def test_the_table_reads_no_rows(self, monkeypatch):
         """The table is drawn from the columns: no row is read or transposed."""

@@ -14,13 +14,15 @@ import inspect
 import os
 import random
 import sys
+import tempfile
 
 import pytest
 
 import dfca
-from dfca import FormalContext
+from dfca import ClosureSession, FormalContext, RankingFunction
 from dfca import fileio
-from dfca.fileio import format_cxt, parse_cxt
+from dfca.fileio import format_cxt, load_context, parse_cxt, save_context
+from dfca.formula import extension, parse_conditional, parse_formula
 
 # code objects carry the path their module was imported from
 PACKAGE = os.path.dirname(dfca.__file__) + os.sep
@@ -103,6 +105,53 @@ def parse_and_cut(n):
     return run
 
 
+def load_cxt_file(n):
+    # the folder is removed once the returned call is dropped
+    folder = tempfile.TemporaryDirectory()
+    path = os.path.join(folder.name, "context.cxt")
+    save_context(built(n), path)
+
+    def run():
+        load_context(path)
+
+    run.folder = folder
+    return run
+
+
+def strata_of(n):
+    """Seven strata, object i in stratum i % 7."""
+    return [sum(1 << i for i in range(k, n, 7)) for k in range(7)]
+
+
+def first_read_of_ranks(n):
+    strata = strata_of(n)
+    return lambda: RankingFunction._from_strata(strata, n).ranks
+
+
+def least_in_the_last_stratum(n):
+    ranking = RankingFunction._from_strata(strata_of(n), n)
+    members = 1 << (n - 1)
+    return lambda: ranking.least(members)
+
+
+def extension_of_four_columns(n):
+    context = built(n)
+    formula = parse_formula("m0 & !m1 | !(m2 | m39)")
+    return lambda: extension(context, formula)
+
+
+# the rows of BLOCK admit this ranking: m0 objects normally have m1,
+# m0 & m2 objects are exceptions, and m3 objects normally lack m4
+KB = ("m0 |~ m1", "m0 & m2 |~ !m1", "m3 |~ !m4")
+
+
+def session_build(n):
+    context = built(n)
+    # parsed afresh, so each count includes the first hash of each statement
+    kb = [parse_conditional(text) for text in KB]
+    return lambda: ClosureSession(context, kb)
+
+
 # (operation, the object whose docstring holds the cost note, the note)
 CONTRACTS = [
     (build, FormalContext.__init__, "no Python step per object"),
@@ -114,6 +163,11 @@ CONTRACTS = [
     ),
     (write_cxt, format_cxt, "No Python step runs per object."),
     (parse_and_cut, fileio, "a fixed number of C-level passes"),
+    (load_cxt_file, fileio.load_context, "a fixed number of C-level passes"),
+    (first_read_of_ranks, RankingFunction.ranks, "No Python step runs per member"),
+    (least_in_the_last_stratum, RankingFunction.least, "none per member"),
+    (extension_of_four_columns, extension, "none per object"),
+    (session_build, ClosureSession.__init__, "none per object"),
 ]
 
 

@@ -2,10 +2,13 @@ import copy
 import csv
 import io
 import json
+import os
 import random
+import tempfile
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -24,7 +27,9 @@ from dfca import (
     StrictOrder,
     StructureError,
 )
+from dfca import fileio
 from dfca.fileio import (
+    _read_text,
     format_cxt,
     load_conditionals,
     load_context,
@@ -164,6 +169,136 @@ class TestParseCxt:
         with pytest.raises(FileFormatError) as err:
             parse_cxt(text)
         assert "duplicate" in str(err.value)
+
+
+# --- .cxt files read as bytes: load_context against the text parse ----------
+
+
+# a name's characters; each encodes to ASCII or to valid UTF-8
+NAME_CHARS = ["g", "m", "X", ".", " ", "é", "北", "\u2028"]
+# bytes a fault puts into a line: non-ASCII, invalid UTF-8, a truncated
+# UTF-8 sequence, an encoded surrogate, a BOM, and stray cells and breaks
+STRAY_BYTES = [
+    "é".encode(), "×".encode(), b"\xff", b"\xc3", b"\xed\xa0\x80",
+    b"\xef\xbb\xbf", b"?", b"X", b".", b"\r", b"\n", b" ", b"-", b"0",
+]
+LINE_ENDS = [b"\n", b"\r\n", b"\r"]
+
+
+def random_cxt_lines(rng):
+    """The lines of a well-formed .cxt file, names at least one character."""
+    n, m = rng.randint(0, 6), rng.randint(0, 4)
+    names = set()
+    while len(names) < n + m:
+        names.add("".join(rng.choice(NAME_CHARS) for _ in range(rng.randint(1, 3))))
+    names = sorted(names, key=lambda _: rng.random())
+    rows = ["".join(rng.choice("X.") for _ in range(m)) for _ in range(n)]
+    return [line.encode() for line in ["B", "", str(n), str(m), "", *names, *rows]]
+
+
+def join_lines(rng, lines):
+    """One line end for the file or one per line, and maybe no final one."""
+    if rng.random() < 0.5:
+        ends = [rng.choice(LINE_ENDS)] * len(lines)
+    else:
+        ends = [rng.choice(LINE_ENDS) for _ in lines]
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    if lines and rng.random() < 0.3:
+        data = data[: -len(ends[-1])]
+    return data
+
+
+def damage(rng, lines):
+    """Put a fault into the lines: a count past the end or short of it, a
+    stray byte put in or in place of one, a line dropped, doubled, emptied
+    or added at the end."""
+    k = rng.randrange(len(lines))
+    roll = rng.randrange(7)
+    if roll == 0:
+        line = rng.choice([2, 3])
+        count = int(lines[line]) if lines[line].isdigit() else 0
+        lines[line] = str(count + rng.choice([-1, 1, 2, 10**20])).encode()
+    elif roll == 1:
+        at = rng.randint(0, len(lines[k]))
+        lines[k] = lines[k][:at] + rng.choice(STRAY_BYTES) + lines[k][at:]
+    elif roll == 2:
+        del lines[k]
+    elif roll == 3:
+        lines.insert(k, lines[k])
+    elif roll == 4:
+        lines[k] = b""
+    elif roll == 5:
+        at = rng.randrange(len(lines[k]) or 1)
+        lines[k] = lines[k][:at] + rng.choice(STRAY_BYTES) + lines[k][at + 1:]
+    else:
+        lines.append(rng.choice([b"", b"X", b".."]))
+
+
+def load_outcome(parse):
+    """('ok', context) or ('error', message, line) for a FileFormatError."""
+    try:
+        return ("ok", parse())
+    except FileFormatError as exc:
+        return ("error", str(exc), exc.line)
+
+
+class TestCxtBytes:
+    @given(seeds)
+    @settings(max_examples=400)
+    def test_load_matches_the_text_parse(self, seed):
+        """A .cxt file loads as parse_cxt reads the text-mode read, or fails
+        with the same message at the same line."""
+        rng = random.Random(seed)
+        lines = random_cxt_lines(rng)
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            damage(rng, lines)
+        data = join_lines(rng, lines)
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "random.cxt")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            got = load_outcome(lambda: load_context(path))
+            expected = load_outcome(lambda: parse_cxt(_read_text(path), path))
+        assert got[0] == expected[0]
+        if got[0] == "error":
+            assert got == expected
+        else:
+            assert got[1] == expected[1]
+            assert read_everything(got[1]) == read_everything(expected[1])
+
+    @given(seeds)
+    def test_a_well_formed_file_is_never_read_as_text(self, seed):
+        """Whatever its line ends and final line end, and whatever UTF-8 its
+        names hold, a well-formed file is checked and decoded as bytes."""
+        rng = random.Random(seed)
+        data = join_lines(rng, random_cxt_lines(rng))
+        text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+        # a CR end before an empty line's LF end reads as one CRLF
+        assume(load_outcome(lambda: parse_cxt(text))[0] == "ok")
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "good.cxt")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            with mock.patch.object(
+                fileio, "_read_text", side_effect=AssertionError("read as text")
+            ):
+                context = load_context(path)
+        assert read_everything(context) == read_everything(parse_cxt(text))
+        assert context == parse_cxt(text)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(
+            path
+            for folder in (DATA_DIR, CORPUS_DIR, INPUTS)
+            for path in folder.glob("*.cxt")
+        ),
+        ids=lambda path: path.name,
+    )
+    def test_every_cxt_file_loads_as_the_text_parse(self, path):
+        got = load_outcome(lambda: load_context(path))
+        expected = load_outcome(lambda: parse_cxt(_read_text(path), path))
+        assert got == expected
 
 
 def csv_text(context):
