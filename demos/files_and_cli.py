@@ -9,7 +9,7 @@ process, printing each command next to its exit code and output.
 import tempfile
 from pathlib import Path
 
-from dfca import format_cxt, load_context, save_context
+from dfca import format_cxt, load_context, parse_cxt, save_context
 from dfca.cli import run
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -26,8 +26,10 @@ def show(argv):
 def main():
     context = load_context(DATA / "elements.cxt")
     print("a context file is five header lines, the names, then the matrix:")
-    for line in format_cxt(context).splitlines():
+    text = format_cxt(context)
+    for line in text.splitlines():
         print(f"  {line}")
+    print("the text parses back to the same context?", parse_cxt(text) == context)
 
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch) / "elements_copy.cxt"

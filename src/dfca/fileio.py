@@ -6,21 +6,14 @@ Context formats:
   object and attribute counts, line 5 blank, then one object name per
   line, one attribute name per line, and one row of ``X``/``.`` cells per
   object. Names are taken verbatim (UTF-8, spaces allowed, no trimming);
-  the loader reads CRLF and a lone CR as LF, the writer emits LF with a
+  the reader takes CRLF and a lone CR as LF, the writer emits LF with a
   final newline. A count is ASCII digits after an optional ``-``.
-  ``load_context`` reads the file as bytes. It takes the counts from the
-  header and the cell block from the end of the file, checks both and
-  the names with a fixed number of C-level passes, and decodes only the
-  names; the cells go to the context undecoded. When any check fails,
-  the file is read again as text and ``parse_cxt`` reports the fault, so
-  it is the one error reporter: every message, line number and check
-  order is its own, an undecodable byte ("not valid UTF-8") included.
-  ``parse_cxt`` checks the header, the counts and the names as it splits
-  them off, and reports each fault at its line. It keeps the rows as one
-  block, which a fixed number of C-level passes check (ASCII, its length,
-  nothing but ``n`` line breaks besides the ``X``/``.`` cells, a line
-  break after every ``m`` cells). Only when a check fails are the rows
-  walked one by one, to report the first fault and its line number.
+  ``load_context`` and ``parse_cxt`` share one reader over UTF-8 bytes:
+  it takes the counts from the header and the cell block from the end,
+  checks both and the names with a fixed number of C-level passes, and
+  decodes only the names; the cells go to the context undecoded. When a
+  check fails, ``_cxt_fault``, the one fault reporter, walks the text and
+  reports the first fault at its line, or an undecodable byte.
 * ``.csv``: first row is the attribute names (the leading cell is
   ignored), the first column the object names, cells ``1``/``x``/``X``
   for incident and ``0``/empty for not, surrounding whitespace ignored.
@@ -47,6 +40,7 @@ import csv
 import io
 import itertools
 import os
+import re
 
 from .context import FormalContext
 from .errors import BindingError, FileFormatError, FormulaSyntaxError, StructureError
@@ -58,12 +52,85 @@ from .order import StrictOrder
 # order; mapping binary digits to cells writes a column in one C-level pass
 _DROP_CELLS = str.maketrans("", "", "X.")
 _DIGIT_CELLS = bytes.maketrans(b"10", b"X.")
+# what a .cxt name cannot hold: a line break, or a code point UTF-8 cannot encode
+_UNWRITABLE = re.compile("[\n\r\ud800-\udfff]")
 # .csv incidence cells, stripped, and their binary digits
 _CSV_DIGITS = {"1": b"1", "x": b"1", "X": b"1", "0": b"0", "": b"0"}
 
 
 def parse_cxt(text, path=None):
-    """Parse Burmeister context text, raising each fault at its line."""
+    """Parse Burmeister context text as ``load_context`` reads its UTF-8 bytes.
+
+    A lone surrogate, which has no UTF-8 encoding, is "not valid UTF-8".
+    """
+    return _read_cxt(text.encode("utf-8", "surrogatepass"), path)
+
+
+def _read_cxt(data, path):
+    """The context in a .cxt file's bytes, checked in bulk.
+
+    Line ends become LF, the counts are read from the header, and the cell
+    block is the last n * (m + 1) bytes, which must hold nothing but
+    ``X``/``.`` cells and a line break after every ``m``. What comes
+    before it must be exactly n + m nonempty name lines, and only they are
+    decoded. A failed check hands the bytes as given to ``_cxt_fault``.
+    """
+    given = data
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if data[-1:] != b"\n":
+        data += b"\n"
+    head = data.split(b"\n", 5)
+    # a count is ASCII digits after an optional "-", as in the line walk
+    if (
+        len(head) < 6
+        or head[:2] != [b"B", b""]
+        or head[4]
+        or not all(count.removeprefix(b"-").isdigit() for count in head[2:4])
+    ):
+        return _cxt_fault(given, path)
+    try:
+        n, m = map(int, head[2:4])
+    except ValueError:  # more digits than int() converts
+        return _cxt_fault(given, path)
+    rest = head[5]
+    start = len(rest) - n * (m + 1)
+    if min(n, m, start) < 0:
+        return _cxt_fault(given, path)
+    names, cells = rest[:start], rest[start:]
+    breaks = b"\n" * n
+    # every name line ends in a line break, and none is empty
+    if (
+        names[-1:] not in (b"", b"\n")
+        or names[:1] == b"\n"
+        or b"\n\n" in names
+        or cells.translate(None, b"X.") != breaks
+        or cells[m::m + 1] != breaks
+    ):
+        return _cxt_fault(given, path)
+    try:
+        # the last item is the empty text after the last line break
+        names = tuple(names.decode("utf-8").split("\n"))
+    except UnicodeDecodeError:
+        return _cxt_fault(given, path)
+    if len(names) != n + m + 1:
+        return _cxt_fault(given, path)
+    try:
+        return FormalContext._from_cells(names[:n], names[n:-1], cells, m + 1)
+    except StructureError as exc:
+        raise FileFormatError(str(exc), path) from exc
+
+
+def _cxt_fault(data, path):
+    """Raise for the first fault in .cxt bytes that ``_read_cxt`` refused.
+
+    An undecodable byte is the fault; otherwise the text is walked line by
+    line: the header, the counts, the names, then the rows.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not valid UTF-8: {exc}", path) from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     if text and text[-1] != "\n":
@@ -114,42 +181,25 @@ def parse_cxt(text, path=None):
         raise FileFormatError(
             f"file ends before {what} name {index + 1} of {count}", path, 6 + k
         )
-
-    # the rows stay one block, checked in bulk; a non-ASCII character
-    # encodes as "?", which the cell check refuses
-    cells = block.encode("ascii", "replace")
-    breaks = b"\n" * n
-    if (
-        len(cells) != n * (m + 1)
-        or cells.translate(None, b"X.") != breaks
-        or cells[m::m + 1] != breaks
-    ):
-        # a check failed: walk the rows to the first fault
-        rows = block.split("\n")[:-1]
-        for k in range(n):
-            line_no = 6 + n + m + k
-            if k == len(rows):
-                raise FileFormatError(
-                    f"file ends before incidence row {k + 1} of {n}", path, line_no
-                )
-            if len(rows[k]) != m:
-                raise FileFormatError(
-                    f"row has {len(rows[k])} cells, expected {m}", path, line_no
-                )
-            illegal = rows[k].translate(_DROP_CELLS)
-            if illegal:
-                raise FileFormatError(
-                    f"illegal cell {illegal[0]!r}, expected 'X' or '.'", path, line_no
-                )
-        raise FileFormatError(
-            "unexpected content after the incidence rows", path, 6 + n + m + n
-        )
-    try:
-        return FormalContext._from_cells(
-            tuple(names[:n]), tuple(names[n:]), cells, m + 1
-        )
-    except StructureError as exc:
-        raise FileFormatError(str(exc), path) from exc
+    rows = block.split("\n")[:-1]
+    for k in range(n):
+        line_no = 6 + n + m + k
+        if k == len(rows):
+            raise FileFormatError(
+                f"file ends before incidence row {k + 1} of {n}", path, line_no
+            )
+        if len(rows[k]) != m:
+            raise FileFormatError(
+                f"row has {len(rows[k])} cells, expected {m}", path, line_no
+            )
+        illegal = rows[k].translate(_DROP_CELLS)
+        if illegal:
+            raise FileFormatError(
+                f"illegal cell {illegal[0]!r}, expected 'X' or '.'", path, line_no
+            )
+    raise FileFormatError(
+        "unexpected content after the incidence rows", path, 6 + n + m + n
+    )
 
 
 def format_cxt(context):
@@ -159,11 +209,11 @@ def format_cxt(context):
     inverse of the parse's cut. No Python step runs per object.
     """
     names = context.objects + context.attributes
-    joined = "".join(names)
-    # an empty name would be a blank line, which parse_cxt refuses
-    if "" in names or "\n" in joined or "\r" in joined:
+    # an empty name would be a blank line, which parse_cxt refuses, and a
+    # lone surrogate has no UTF-8 encoding
+    if "" in names or _UNWRITABLE.search("".join(names)):
         for name in names:
-            if name == "" or "\n" in name or "\r" in name:
+            if name == "" or _UNWRITABLE.search(name):
                 raise StructureError(f"name {name!r} cannot be written to .cxt")
     n, m = context.n_objects, context.n_attributes
     head = "\n".join(["B", "", str(n), str(m), "", *names]) + "\n"
@@ -264,22 +314,17 @@ def _refuse_line_break(name, what, path, line_no):
 def load_context(path):
     """Load a context from a .cxt or .csv file (format inferred from the suffix).
 
-    A ``.cxt`` file is read as bytes and checked by a fixed number of
-    C-level passes, and only its names are decoded (``_cxt_from_bytes``).
-    When a check fails, the file is read again as text and ``parse_cxt``
-    reports the fault.
+    A ``.cxt`` file is read once, as bytes, and checked by a fixed number
+    of C-level passes; only its names are decoded (``_read_cxt``).
     """
     suffix = os.path.splitext(str(path))[1].lower()
     if suffix == ".cxt":
         try:
             with open(path, "rb") as handle:
                 data = handle.read()
-        except OSError:
-            data = b""  # refused below; the text read reports the error
-        context = _cxt_from_bytes(data)
-        if context is None:
-            return parse_cxt(_read_text(path), path)
-        return context
+        except OSError as exc:
+            raise FileFormatError(str(exc), path) from exc
+        return _read_cxt(data, path)
     if suffix == ".csv":
         return parse_csv_context(_read_text(path), path)
     raise FileFormatError(
@@ -287,56 +332,6 @@ def load_context(path):
         "expected '.cxt' or '.csv'",
         path,
     )
-
-
-def _cxt_from_bytes(data):
-    """The context in a .cxt file's bytes, or None when a check fails.
-
-    ``parse_cxt``'s bulk checks, made on the bytes as read: line ends
-    become LF, the counts are read from the header, and the cell block is
-    the last n * (m + 1) bytes, which must hold nothing but ``X``/``.``
-    cells and a line break after every ``m``. What comes before it must
-    be exactly n + m nonempty name lines, and only they are decoded. A
-    fault of any kind, an undecodable byte among them, returns None
-    rather than an error: ``parse_cxt`` of the text read then reports it,
-    so messages, line numbers and their order are the text path's.
-    """
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if data[-1:] != b"\n":
-        data += b"\n"
-    head = data.split(b"\n", 5)
-    if len(head) < 6 or head[:2] != [b"B", b""] or head[4]:
-        return None
-    counts, rest = head[2:4], head[5]
-    # ASCII digits only: a sign is left to the text parse
-    if not (counts[0].isdigit() and counts[1].isdigit()):
-        return None
-    try:
-        n, m = map(int, counts)
-    except ValueError:  # more digits than int() converts
-        return None
-    start = len(rest) - n * (m + 1)
-    if start < 0:
-        return None
-    names, cells = rest[:start], rest[start:]
-    # every name line ends in a line break, and none is empty
-    if names[-1:] not in (b"", b"\n") or names[:1] == b"\n" or b"\n\n" in names:
-        return None
-    breaks = b"\n" * n
-    if cells.translate(None, b"X.") != breaks or cells[m::m + 1] != breaks:
-        return None
-    try:
-        # the last item is the empty text after the last line break
-        names = tuple(names.decode("utf-8").split("\n"))
-    except UnicodeDecodeError:
-        return None
-    if len(names) != n + m + 1:
-        return None
-    try:
-        return FormalContext._from_cells(names[:n], names[n:-1], cells, m + 1)
-    except StructureError:
-        return None
 
 
 def save_context(context, path):

@@ -4,10 +4,12 @@ Run from anywhere: ``python tests/mutants/run.py [NAME ...]``. The runner
 copies ``src/``, ``tests/``, ``data/`` and ``pyproject.toml`` into a
 temporary directory. For each mutant, all of them or those named, it
 replaces the mutant's snippet in its file there and runs ``pytest -x`` on
-the tests the mutant names, then puts the file back. A mutant survives
-when those tests all pass: they did not notice the change. The runner
-prints one line per mutant and exits 1 when any mutant survived or its
-tests could not run.
+the tests the mutant names, then puts the file back. Assertions run plain
+(``--assert=plain``): a failing assert fails the same tests, without
+pytest first building a diff of its operands, which for a large table
+can take minutes. A mutant survives when those tests all pass: they did
+not notice the change. The runner prints one line per mutant and exits 1
+when any mutant survived or its tests could not run.
 
 It takes several minutes, so it is not part of the default test run;
 ``tests/test_mutants.py`` checks there that every snippet still occurs
@@ -39,8 +41,8 @@ def outcome(root, mutant):
     )
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             *mutant["tests"]],
+            [sys.executable, "-m", "pytest", "-q", "-x", "--assert=plain",
+             "-p", "no:cacheprovider", *mutant["tests"]],
             cwd=root,
             capture_output=True,
             text=True,

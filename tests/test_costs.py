@@ -23,6 +23,7 @@ from dfca import ClosureSession, FormalContext, RankingFunction
 from dfca import fileio
 from dfca.fileio import format_cxt, load_context, parse_cxt, save_context
 from dfca.formula import extension, parse_conditional, parse_formula
+from dfca.ranking import object_rank
 
 # code objects carry the path their module was imported from
 PACKAGE = os.path.dirname(dfca.__file__) + os.sep
@@ -152,6 +153,12 @@ def session_build(n):
     return lambda: ClosureSession(context, kb)
 
 
+def rank_objects(n):
+    context = built(n)
+    kb = [parse_conditional(text) for text in KB]
+    return lambda: object_rank(context, kb)
+
+
 # (operation, the object whose docstring holds the cost note, the note)
 CONTRACTS = [
     (build, FormalContext.__init__, "no Python step per object"),
@@ -168,6 +175,11 @@ CONTRACTS = [
     (least_in_the_last_stratum, RankingFunction.least, "none per member"),
     (extension_of_four_columns, extension, "none per object"),
     (session_build, ClosureSession.__init__, "none per object"),
+    (
+        rank_objects,
+        object_rank,
+        "set operations per conditional and rank, none per object",
+    ),
 ]
 
 

@@ -792,6 +792,8 @@ class TestCxtFiles:
             "B\r\n\r\n1\r\n1\r\n\r\ng\r\nm\r\nX\r",  # a lone CR ends the last row
             "B\r\r2\r2\r\rg\rh\ra\rb\rX.\r.X\r",  # lone CRs throughout
             "B\n\n2\n1\n\nKöln\n北京\ngrößer\nX\n.\n",  # non-ASCII names
+            "B\n\n-0\n1\n\nm\n",  # a zero count with a sign
+            "B\n\n1\n-00\n\ng\n\n",  # a zero count with a sign and a leading zero
         ],
     )
     def test_edges_of_the_format_match_line_walk(self, text):
