@@ -55,6 +55,9 @@ def main():
     print("objects with Cold:", names(context, context.extent(cold)))
     day2 = context.object_set(["Day 2"])
     print("attributes of Day 2:", names(context, context.intent(day2), "attributes"))
+    # no object lacks an attribute of the empty set, so it derives to all of M
+    print("the empty object set shares every attribute?",
+          context.intent(0) == context.attribute_universe)
 
     banner("a classical implication")
     rain = context.attribute_set(["Rain"])

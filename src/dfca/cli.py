@@ -4,6 +4,12 @@ Every verdict is computed by the same library calls the Python API
 exposes; the CLI only parses arguments and formats results. Exit codes:
 0 the query holds or the command succeeded, 1 the query does not hold,
 2 usage or input errors, 3 validity or capacity errors.
+
+On a context file, ``extension``, ``holds``, ``entail``, ``validate`` and
+``rank --json`` run no Python step per object: the context is loaded and
+read by columns, formulas are evaluated by set operations, and names and
+JSON are written at C level. Text ``rank`` writes its table in blocks of
+256 rows.
 """
 
 import argparse

@@ -243,11 +243,11 @@ class FormalContext:
         return self._cols
 
     def _check_objects(self, bits):
-        if bits < 0 or bits & ~self.object_universe:
+        if bits < 0 or bits >> len(self._objects):
             raise StructureError("object set out of range for this context")
 
     def _check_attributes(self, bits):
-        if bits < 0 or bits & ~self.attribute_universe:
+        if bits < 0 or bits >> len(self._attributes):
             raise StructureError("attribute set out of range for this context")
 
     def __eq__(self, other):

@@ -53,19 +53,20 @@ from .record import Record
 class Formula(Record):
     """The base of every formula node.
 
-    A node keeps its hash once worked out: a knowledge base hashes whole
-    trees each time a set or dict takes its statements.
+    A node is hashed when built, from its children's kept hashes, and
+    keeps that hash: a knowledge base hashes whole trees each time a set
+    or dict takes its statements, and hashing a tree of any depth then
+    costs one step. A node without fields, ``Top`` or ``Bot``, hashes as
+    the empty tuple.
     """
 
     __slots__ = ("_hash",)
 
+    def __init__(self):
+        _set_hash(self, hash(()))
+
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(self._values(self))
-            _set_hash(self, value)
-            return value
+        return self._hash
 
     def __str__(self):
         return format_formula(self)
@@ -88,6 +89,7 @@ class Atom(Formula):
 
     def __init__(self, name):
         _set_name(self, name)
+        _set_hash(self, hash(name))
 
 
 class Not(Formula):
@@ -95,6 +97,7 @@ class Not(Formula):
 
     def __init__(self, operand):
         _set_operand(self, operand)
+        _set_hash(self, hash((operand._hash,)))
 
 
 class _Binary(Formula):
@@ -105,6 +108,7 @@ class _Binary(Formula):
     def __init__(self, left, right):
         _set_left(self, left)
         _set_right(self, right)
+        _set_hash(self, hash((left._hash, right._hash)))
 
 
 class And(_Binary):

@@ -7,8 +7,8 @@ A ranked context replaces the order with a convex rank assignment; the
 order it induces (smaller rank first) is always modular.
 """
 
+import sys
 from itertools import compress
-from operator import add
 
 from . import bitsets
 from .errors import ModularityError, StructureError
@@ -122,7 +122,7 @@ class StrictOrder:
         one successor row per minimal member, O(height + |minimal|) row
         operations whatever the number of members.
         """
-        if members < 0 or members & ~bitsets.universe(self._size):
+        if members < 0 or members >> self._size:
             raise StructureError("member set out of range for this order")
         minimal = 0
         for layer in self._layers:
@@ -184,6 +184,10 @@ def _first_on_cycle(above, waiting):
                 stack.extend(above[j])
 
 
+# the unsigned C integer of each width in bytes, as a memoryview names it
+_UNSIGNED = {2: "H", 4: "I", 8: "Q"}
+
+
 class RankingFunction:
     """A convex rank per index: rank 0 occupied (when nonempty), no gaps.
 
@@ -230,36 +234,53 @@ class RankingFunction:
     def ranks(self):
         """The rank of each index, built from the strata on first read.
 
-        The ranks are built a byte at a time, least significant first. For
-        each value of the byte, the union of the strata whose ranks have it
-        is written out as binary digits, which one ``translate`` turns
-        into that byte per member; the bytes of all values OR into one int
-        per byte of the rank. So the cost is one C-level pass over the
-        size per stratum; past 256 strata, each further byte adds one pass
-        per 256 strata and a C-level ``map`` over the members. No Python
-        step runs per member.
+        The ranks are built a bit at a time. One walk up the strata
+        gathers, for each bit, the members whose rank has it: ``below``
+        holds the members of every lower rank, and where a bit of the
+        level turns on or off, a run of ranks that have it starts or ends,
+        so XOR with ``below`` at both ends adds the run's members (the
+        strata are disjoint). That is one union and about two symmetric
+        differences per stratum. Each bit's members are then written out
+        as binary digits, which one ``translate`` turns into that bit's
+        value per member; the values of eight bits OR into one int,
+        written out as the members' bytes for that byte of the rank. So
+        each bit of the top rank costs one C-level pass over the size,
+        where each stratum used to cost a pass. Past 256 strata each rank
+        takes two bytes or more, which a ``memoryview`` reads as one C
+        integer per member. No Python step runs per member.
         """
         if self._ranks is None:
             size, strata = self._size, self._strata
             spec = f"0{size}b"
-            ranks = None
-            for shift in range(0, (len(strata) - 1).bit_length() or 1, 8):
-                unions = [0] * 256
-                for level, stratum in enumerate(strata):
-                    unions[level >> shift & 255] |= stratum
-                # index i's byte lands at byte i of the int, as its digit did
+            top = len(strata) - 1
+            top_bits = top.bit_length()
+            unions = [0] * top_bits
+            below = 0
+            for level, stratum in enumerate(strata):
+                # level ^ level - 1 holds the bits that change at this level
+                for bit in range((level ^ level - 1).bit_length() if level else 0):
+                    unions[bit] ^= below
+                below |= stratum
+            # a run still open at the top rank ends past every member
+            for bit in range(top_bits):
+                if top >> bit & 1:
+                    unions[bit] ^= below
+            # a power of two bytes per rank, the widths a memoryview reads
+            width = 1 << (max(top_bits - 1, 0) // 8).bit_length()
+            cells = bytearray(size * width)
+            for low in range(0, top_bits, 8):
                 value = 0
-                for byte, members in enumerate(unions):
-                    if byte and members:
-                        digits = format(members, spec).encode("ascii")
-                        table = bytes.maketrans(b"01", bytes((0, byte)))
-                        value |= int.from_bytes(digits.translate(table), "big")
-                plane = value.to_bytes(size, "little")
-                if ranks is None:
-                    ranks = plane
-                else:
-                    ranks = map(add, ranks, map((1 << shift).__mul__, plane))
-            self._ranks = tuple(ranks)
+                for bit in range(low, min(low + 8, top_bits)):
+                    digits = format(unions[bit], spec).encode("ascii")
+                    table = bytes.maketrans(b"01", bytes((0, 1 << bit - low)))
+                    # index i's value lands at byte i of the int, as its
+                    # digit did
+                    value |= int.from_bytes(digits.translate(table), "big")
+                byte = low // 8 if sys.byteorder == "little" else width - 1 - low // 8
+                cells[byte::width] = value.to_bytes(size, "little")
+            if width > 1:
+                cells = memoryview(cells).cast(_UNSIGNED[width])
+            self._ranks = tuple(cells)
         return self._ranks
 
     @property
@@ -453,7 +474,7 @@ class RankedContext:
         selected at C level by ``map``, ``min`` and ``compress``, and
         ``from_indices`` sets the bits of the least ones.
         """
-        if members < 0 or members & ~self._context.object_universe:
+        if members < 0 or members >> self._context.n_objects:
             raise StructureError("member set out of range for this context")
         if members == 0:
             return 0

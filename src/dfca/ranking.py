@@ -21,18 +21,16 @@ class KnowledgeBase:
     __slots__ = ("_conditionals",)
 
     def __init__(self, conditionals=()):
-        items = []
-        seen = set()
-        for c in conditionals:
+        # one C-level pass keeps the first of each repeat, in order; the
+        # first classical statement left is the first one given
+        items = tuple(dict.fromkeys(conditionals))
+        for c in items:
             if c.kind != DEFEASIBLE:
                 raise StructureError(
                     f"cannot rank with the classical statement '{c}': "
                     "only defeasible conditionals participate"
                 )
-            if c not in seen:
-                seen.add(c)
-                items.append(c)
-        self._conditionals = tuple(items)
+        self._conditionals = items
 
     def with_conditional(self, conditional):
         """A new knowledge base extended by one conditional (no-op on duplicates)."""
@@ -76,13 +74,16 @@ _set_ge = PreferenceComparison.ge.__set__
 
 
 def _bound_extents(context, kb):
+    # each side is evaluated once, the antecedent first, so an unknown atom
+    # is reported in text order; the material extent is the antecedent's
+    # complement joined with the consequent's extent
+    universe = context.object_universe
     mats = []
     ants = []
     for c in kb:
-        # the material form names the antecedent's atoms, then the
-        # consequent's, so an unknown one is reported in text order
-        mats.append(extension(context, c.material()))
-        ants.append(extension(context, c.antecedent))
+        ant = extension(context, c.antecedent)
+        mats.append((universe ^ ant) | extension(context, c.consequent))
+        ants.append(ant)
     return mats, ants
 
 

@@ -92,10 +92,18 @@ class TestDerivation:
 
     def test_out_of_range_sets_rejected(self):
         weather = build_weather()
-        with pytest.raises(StructureError):
-            weather.intent(1 << weather.n_objects)
-        with pytest.raises(StructureError):
-            weather.extent(1 << weather.n_attributes)
+        n, m = weather.n_objects, weather.n_attributes
+        # the highest index is in range, the size and a negative set are not
+        assert weather.object_names(1 << n - 1) == weather.objects[-1:]
+        assert weather.attribute_names(1 << m - 1) == weather.attributes[-1:]
+        for bits in (1 << n, 1 << n | 1, -1):
+            for read in (weather.intent, weather.object_names):
+                with pytest.raises(StructureError, match="object set out of range"):
+                    read(bits)
+        for bits in (1 << m, 1 << m | 1, -1):
+            for read in (weather.extent, weather.attribute_names):
+                with pytest.raises(StructureError, match="attribute set out of range"):
+                    read(bits)
         for i in (-1, weather.n_objects):
             with pytest.raises(StructureError, match=f"object index {i} out of range"):
                 weather.row(i)

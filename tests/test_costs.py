@@ -8,6 +8,9 @@ up to ``SLACK``. Each contract cites the cost note it checks, and the
 note must still be in that docstring, so the claim and the test change
 together. A step counter misses C-level work that grows faster than
 linear; ``tests/test_scaling.py`` times that.
+
+Run ``python tests/test_costs.py`` to print each contract's step counts at
+n and 4n, the figures a change to a cost can cite.
 """
 
 import inspect
@@ -15,15 +18,19 @@ import os
 import random
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 import dfca
-from dfca import ClosureSession, FormalContext, RankingFunction
+from dfca import ClosureSession, FormalContext, RankingFunction, cli
 from dfca import fileio
 from dfca.fileio import format_cxt, load_context, parse_cxt, save_context
-from dfca.formula import extension, parse_conditional, parse_formula
-from dfca.ranking import object_rank
+from dfca.formula import And, Atom, Formula, extension, parse_conditional, parse_formula
+from dfca.ranking import KnowledgeBase, object_rank
 
 # code objects carry the path their module was imported from
 PACKAGE = os.path.dirname(dfca.__file__) + os.sep
@@ -106,15 +113,24 @@ def parse_and_cut(n):
     return run
 
 
-def load_cxt_file(n):
-    # the folder is removed once the returned call is dropped
+def saved(n):
+    """A folder holding the context of n objects as ``context.cxt`` and
+    ``KB`` as ``kb.txt``; it is removed once dropped."""
     folder = tempfile.TemporaryDirectory()
+    save_context(built(n), os.path.join(folder.name, "context.cxt"))
+    with open(os.path.join(folder.name, "kb.txt"), "w", encoding="utf-8") as kb:
+        kb.write("\n".join(KB) + "\n")
+    return folder
+
+
+def load_cxt_file(n):
+    folder = saved(n)
     path = os.path.join(folder.name, "context.cxt")
-    save_context(built(n), path)
 
     def run():
         load_context(path)
 
+    # the folder lives as long as the call
     run.folder = folder
     return run
 
@@ -159,6 +175,41 @@ def rank_objects(n):
     return lambda: object_rank(context, kb)
 
 
+def hash_a_knowledge_base(n):
+    """``KB`` with each antecedent nested n // 64 connectives deeper."""
+    conditionals = []
+    for text in KB:
+        conditional = parse_conditional(text)
+        antecedent = conditional.antecedent
+        for j in range(n // 64):
+            antecedent = And(antecedent, Atom(f"m{j % M}"))
+        conditionals.append(
+            conditional.defeasible(antecedent, conditional.consequent)
+        )
+    return lambda: hash(KnowledgeBase(conditionals))
+
+
+def cli_run(*argv):
+    """The operation that runs ``dfca`` with ``argv``, where "{context}"
+    and "{kb}" name the saved files."""
+
+    def operation(n):
+        folder = saved(n)
+        args = [arg.format(context=os.path.join(folder.name, "context.cxt"),
+                           kb=os.path.join(folder.name, "kb.txt")) for arg in argv]
+        # the first run builds the argument parser, which later runs reuse
+        assert cli.run(args).exit_code in (0, 1)
+
+        def run():
+            cli.run(args)
+
+        run.folder = folder
+        return run
+
+    operation.__name__ = "cli_" + argv[0] + "_json" * ("--json" in argv)
+    return operation
+
+
 # (operation, the object whose docstring holds the cost note, the note)
 CONTRACTS = [
     (build, FormalContext.__init__, "no Python step per object"),
@@ -180,6 +231,20 @@ CONTRACTS = [
         object_rank,
         "set operations per conditional and rank, none per object",
     ),
+    (hash_a_knowledge_base, Formula, "hashing a tree of any depth then costs one step"),
+    (cli_run("validate", "{context}", "{kb}"), cli, "no Python step per object"),
+    (
+        cli_run("entail", "{context}", "{kb}", "m0 & m3 |~ m1"),
+        cli,
+        "no Python step per object",
+    ),
+    (cli_run("rank", "{context}", "{kb}", "--json"), cli, "no Python step per object"),
+    (
+        cli_run("extension", "{context}", "m0 & !m1 | !(m2 | m39)"),
+        cli,
+        "no Python step per object",
+    ),
+    (cli_run("holds", "{context}", "m0 & m2 -> m1"), cli, "no Python step per object"),
 ]
 
 
@@ -201,3 +266,9 @@ def test_the_counter_sees_a_walk_per_object():
     small = steps(lambda: dfca.bitsets.from_indices(range(N), N))
     large = steps(lambda: dfca.bitsets.from_indices(range(4 * N), 4 * N))
     assert large - small >= 3 * N
+
+
+if __name__ == "__main__":
+    for operation, _, _ in CONTRACTS:
+        print(f"{operation.__name__}  n={N}: {steps(operation(N))}  "
+              f"4n={4 * N}: {steps(operation(4 * N))}")

@@ -539,6 +539,16 @@ class TestRankings:
         assert ranking.ranks == oracles.ranks_from_strata(strata, n)
         assert ranking.ranks == tuple(levels)
 
+    def test_ranks_past_65536_strata_take_four_bytes(self):
+        # ranks up to 65536, which takes 17 bits, and four ranks doubled
+        levels = list(range(65_537)) + [65_536, 65_535, 3, 0]
+        n = len(levels)
+        strata = [0] * 65_537
+        for i, level in enumerate(levels):
+            strata[level] |= 1 << i
+        ranking = RankingFunction._from_strata(strata, n)
+        assert ranking.ranks == tuple(levels)
+
     @given(seeds, st.integers(1, 40))
     def test_bad_strata_are_refused(self, seed, n):
         """An empty stratum, two strata sharing a member, a member missing

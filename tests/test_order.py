@@ -115,8 +115,11 @@ class TestMinimise:
         assert StrictOrder(3, [(0, 1)]).minimise(0) == 0
 
     def test_out_of_range_members_rejected(self):
-        with pytest.raises(StructureError):
-            StrictOrder(2).minimise(0b100)
+        order = StrictOrder(2, [(0, 1)])
+        assert order.minimise(0b10) == 0b10
+        for members in (0b100, 0b101, -1):
+            with pytest.raises(StructureError, match="out of range for this order"):
+                order.minimise(members)
 
     @given(seeds)
     def test_minimal_means_no_smaller_member(self, seed):
@@ -334,6 +337,13 @@ class TestRankedContext:
     def test_size_mismatch_rejected(self, friends):
         with pytest.raises(StructureError):
             RankedContext(friends, RankingFunction([0, 0]))
+
+    def test_out_of_range_members_rejected(self):
+        ranked = self.build_friends_ranked()
+        assert ranked.minimise_objects(0b110000) == 0b110000
+        for members in (1 << 6, 0b1000001, -1):
+            with pytest.raises(StructureError, match="out of range for this context"):
+                ranked.minimise_objects(members)
 
     def test_rank_lookup(self):
         rc = self.build_friends_ranked()

@@ -56,6 +56,13 @@ class TestKnowledgeBase:
             KnowledgeBase([parse_conditional("a -> b")])
         assert "classical" in str(err.value)
 
+    def test_the_first_classical_statement_is_named(self):
+        first = parse_conditional("a -> b")
+        second = parse_conditional("b -> a")
+        plain = parse_conditional("a |~ b")
+        with pytest.raises(StructureError, match="statement 'a -> b'"):
+            KnowledgeBase([plain, first, plain, second, first])
+
     def test_with_conditional_is_pure(self):
         c1 = parse_conditional("a |~ b")
         c2 = parse_conditional("b |~ a")

@@ -158,13 +158,16 @@ def test_keywords_and_defaults_name_the_fields():
 
 def test_a_node_keeps_its_hash():
     node = And(Not(a), Or(a, b))
-    first = hash(node)
-    assert node._hash == first == hash((node.left, node.right))
-    assert hash(node) == first
-    assert node.right._hash == hash(node.right)
-    # the kept hash is no field: copies start without it and agree
+    # each node is hashed when built, from its children's kept hashes
+    assert node._hash == hash((node.left._hash, node.right._hash))
+    assert node.left._hash == hash((a._hash,))
+    assert a._hash == hash("a")
+    assert Top()._hash == Bot()._hash == hash(())
+    assert hash(node) == node._hash
+    assert hash(node.right) == node.right._hash
+    # the kept hash is no field: copies are rebuilt by __init__ and agree
     assert node._fields == ("left", "right")
-    assert hash(copy.deepcopy(node)) == first
+    assert hash(copy.deepcopy(node)) == node._hash
 
 
 def test_a_record_class_declares_its_slots():
