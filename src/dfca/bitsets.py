@@ -27,8 +27,10 @@ _CHUNK_ROWS = 1024
 
 _ONE = ord("1")
 
-# binary digits as bytes to compress() selectors: b"0" is 0, b"1" is 1
-_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+# binary digits as bytes to byte values, b"0" to 0 and b"1" to 1 << k in
+# table k; the first maps digits to compress() selectors
+_PLANES = [bytes.maketrans(b"01", bytes([0, 1 << k])) for k in range(8)]
+_SELECTORS = _PLANES[0]
 
 # a set is walked as dense from one member per this many bits of its length
 _DENSE = 16
@@ -42,7 +44,11 @@ def universe(size):
 
 
 def from_indices(indices, size):
-    """Build a set from indices, rejecting anything outside 0..size-1."""
+    """Build a set from indices, rejecting anything outside 0..size-1.
+
+    One byte of a digit string is set per index, a fixed number of Python
+    steps per index, and the string is converted once.
+    """
     # digits most significant first: index i sits at position size - 1 - i
     digits = bytearray(b"0") * size
     top = size - 1
@@ -78,6 +84,22 @@ def select(items, bits):
     member are never read.
     """
     return compress(items, bin(bits)[:1:-1].encode("ascii").translate(_SELECTORS))
+
+
+def planes(sets, size):
+    """One byte per index 0..size-1 for up to eight sets within the size:
+    bit k of byte i is bit i of ``sets[k]``.
+
+    Each set's binary digits become bytes 0 or ``1 << k`` in one
+    ``translate``, read back as an int; the OR of these ints, written least
+    significant byte first, is in index order. That is one C-level pass
+    per set and no Python step per index.
+    """
+    spec = f"0{size}b"
+    value = 0
+    for table, bits in zip(_PLANES, sets):
+        value |= int.from_bytes(format(bits, spec).encode().translate(table), "big")
+    return value.to_bytes(size, "little")
 
 
 def _transpose(rows, width):

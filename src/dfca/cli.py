@@ -5,11 +5,12 @@ exposes; the CLI only parses arguments and formats results. Exit codes:
 0 the query holds or the command succeeded, 1 the query does not hold,
 2 usage or input errors, 3 validity or capacity errors.
 
-On a context file, ``extension``, ``holds``, ``entail``, ``validate`` and
-``rank --json`` run no Python step per object: the context is loaded and
-read by columns, formulas are evaluated by set operations, and names and
-JSON are written at C level. Text ``rank`` writes its table in blocks of
-256 rows.
+On a ``.cxt`` context file, ``extension``, ``holds``, ``entail``,
+``validate`` and ``rank --json`` run no Python step per object: the
+context is loaded and read by columns, formulas are evaluated by set
+operations, and names and JSON are written at C level. A ``.csv`` file
+is read by one walk over its records. Text ``rank`` writes its table in
+blocks of 256 rows.
 """
 
 import argparse
@@ -232,25 +233,8 @@ def _cell_tables(widths):
     return tables
 
 
-# binary digits to bytes: b"1" becomes bit k of a group's byte, b"0" zero
-_SPREAD = [bytes.maketrans(b"01", bytes([0, 1 << k])) for k in range(8)]
-
 # table rows joined at a time, so that few row strings are alive at once
 _BLOCK_ROWS = 256
-
-
-def _group_bytes(columns, n):
-    """One byte per object for up to eight columns, bit k from ``columns[k]``.
-
-    Each column's ``n`` binary digits, highest object first, become bytes
-    0 or ``1 << k``, read back as an int; the OR of these ints, written
-    least significant byte first, is in object order.
-    """
-    spec = f"0{n}b"
-    value = 0
-    for spread, col in zip(_SPREAD, columns):
-        value |= int.from_bytes(format(col, spec).encode().translate(spread), "big")
-    return value.to_bytes(n, "little")
 
 
 def _rank_table(context, strata):
@@ -298,7 +282,7 @@ def _rank_table(context, strata):
     cells = []
     for start, table in _cell_tables(widths[2:]):
         # in row order, as bytes: an eighth of the size of the tuple
-        values = bytes(in_order(_group_bytes(columns[start:start + 8], n)))
+        values = bytes(in_order(bitsets.planes(columns[start:start + 8], n)))
         cells.append(map(table.__getitem__, values))
     rows = zip(labels, names, map(gaps.__getitem__, map(len, names)), *cells)
     rows = map(str.rstrip, map("".join, rows))

@@ -18,9 +18,12 @@ Context formats:
   ignored), the first column the object names, cells ``1``/``x``/``X``
   for incident and ``0``/empty for not, surrounding whitespace ignored.
   Empty records are skipped. Names are taken verbatim and, as in
-  ``.cxt``, may not be empty or hold a line break. The loader checks the
-  attribute names first, then the records in bulk, and walks the records
-  only to report the first fault and its line number.
+  ``.cxt``, may not be empty or hold a line break. The text is read with
+  ``newline=""``, as the ``csv`` module asks: a lone CR ends a record, as
+  in ``.cxt`` and statement files, and a quoted field keeps its line
+  breaks. The loader checks the attribute names first, then walks the
+  records once, raising the first fault at its line; a per-text table
+  strips and looks up each distinct cell text once.
 
 Every check is made at load. The checked cells are then handed to the
 context as one block, and each column is cut out of it (one reversed
@@ -38,7 +41,6 @@ SEPARATOR is part of the line it is on.
 
 import csv
 import io
-import itertools
 import os
 import re
 
@@ -227,20 +229,23 @@ def format_cxt(context):
 
 
 def parse_csv_context(text, path=None):
-    """Parse CSV context text.
+    """Parse CSV context text, read as ``load_context`` reads a file.
 
-    The records are read with the ``csv`` module. The attribute names are
-    checked first, on line 1: none empty, none holding a line break. The
-    records are then checked in bulk: row lengths, empty object names,
-    line breaks in object names, and one lookup of each distinct cell
-    text. The cells become one block of binary digits, cut into columns on
-    first read as ``parse_cxt``'s are. Only when a bulk check fails does
-    ``_locate_csv_fault`` walk the records to report the first fault. Text
-    the reader refuses (a field over its size limit, or a line break
-    inside an unquoted field) is a fault on the line where the reader
-    stopped.
+    The ``csv`` module reads it through ``io.StringIO(text, newline="")``,
+    so a lone ``\\r`` ends a record and a quoted field keeps its line
+    breaks. The attribute names are checked first, on line 1: none empty,
+    none holding a line break. One walk then decides each record, in this
+    order: its length, an empty object name, a line break in the object
+    name, an illegal cell, and raises the first fault at its line. Line
+    numbers count records, the header being line 1; empty records are
+    skipped. A ``_CsvDigits`` table strips and looks up each distinct cell
+    text once, so the walk runs a fixed number of Python steps per record
+    and none per cell. The cells become one block of binary digits, cut
+    into columns on first read as ``parse_cxt``'s are. Text the reader
+    refuses (a field over its size limit) is a fault on the line where
+    the reader stopped.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         table = list(reader)
     except csv.Error as exc:
@@ -251,64 +256,50 @@ def parse_csv_context(text, path=None):
     if "" in attributes:
         raise FileFormatError("empty attribute name", path, 1)
     for name in attributes:
-        _refuse_line_break(name, "attribute", path, 1)
-    width = len(attributes) + 1
-    records = list(filter(None, table[1:]))
-    if not set(map(len, records)) <= {width}:
-        _locate_csv_fault(table, width, path)
-    # row-major fields: every width-th one from 0 on is an object name,
-    # the rest are the cells
-    fields = list(itertools.chain.from_iterable(records))
-    objects = tuple(fields[::width])
-    del fields[::width]
-    # a file spells its cells a few ways; an illegal one reads "?"
-    digit = {cell: _CSV_DIGITS.get(cell.strip(), b"?") for cell in set(fields)}
-    # .cxt holds a name on one line, so neither format takes a line break
-    names = "".join(objects)
-    if "" in objects or b"?" in digit.values() or "\n" in names or "\r" in names:
-        _locate_csv_fault(table, width, path)
-    # digits run row by row, m to a row
-    digits = b"".join(map(digit.__getitem__, fields))
+        if "\n" in name or "\r" in name:
+            raise FileFormatError(f"line break in attribute name {name!r}", path, 1)
+    m = len(attributes)
+    digit = _CsvDigits().__getitem__
+    objects, rows = [], []
+    for line_no, record in enumerate(table[1:], start=2):
+        if not record:
+            continue
+        name = record[0]
+        if len(record) != m + 1:
+            fault = f"row has {len(record) - 1} cells, expected {m}"
+        elif not name:
+            fault = "empty object name"
+        # .cxt holds a name on one line, so neither format takes a line break
+        elif "\n" in name or "\r" in name:
+            fault = f"line break in object name {name!r}"
+        else:
+            try:
+                # digits run row by row, m to a row
+                rows.append(b"".join(map(digit, record[1:])))
+                objects.append(name)
+                continue
+            except KeyError as exc:
+                fault = f"illegal cell {exc.args[0]!r}, expected 1, 0, x, or empty"
+        raise FileFormatError(fault, path, line_no)
     try:
-        return FormalContext._from_cells(objects, attributes, digits, len(attributes))
+        return FormalContext._from_cells(tuple(objects), attributes, b"".join(rows), m)
     except StructureError as exc:
         raise FileFormatError(str(exc), path) from exc
 
 
-def _locate_csv_fault(table, width, path):
-    """Raise for the first faulty record of a CSV table, header excepted.
+class _CsvDigits(dict):
+    """The binary digit of each .csv cell text, worked out on its first lookup.
 
-    ``parse_csv_context`` calls this only when a bulk check of the records
-    failed, so a fault is there. Line numbers count CSV records, the
-    header being line 1; empty records are skipped. Within a record, in
-    this order, the faults are: the wrong length, an empty object name, a
-    line break in the object name, an illegal cell.
+    A file spells its cells a few ways, so a text is stripped and looked up
+    once; one that is not a legal cell raises ``KeyError`` with the
+    stripped text.
     """
-    for line_no, record in enumerate(table[1:], start=2):
-        if not record:
-            continue
-        if len(record) != width:
-            raise FileFormatError(
-                f"row has {len(record) - 1} cells, expected {width - 1}",
-                path,
-                line_no,
-            )
-        if record[0] == "":
-            raise FileFormatError("empty object name", path, line_no)
-        _refuse_line_break(record[0], "object", path, line_no)
-        for cell in record[1:]:
-            cell = cell.strip()
-            if cell not in _CSV_DIGITS:
-                raise FileFormatError(
-                    f"illegal cell {cell!r}, expected 1, 0, x, or empty",
-                    path,
-                    line_no,
-                )
 
+    __slots__ = ()
 
-def _refuse_line_break(name, what, path, line_no):
-    if "\n" in name or "\r" in name:
-        raise FileFormatError(f"line break in {what} name {name!r}", path, line_no)
+    def __missing__(self, cell):
+        self[cell] = digit = _CSV_DIGITS[cell.strip()]
+        return digit
 
 
 def load_context(path):
@@ -326,7 +317,8 @@ def load_context(path):
             raise FileFormatError(str(exc), path) from exc
         return _read_cxt(data, path)
     if suffix == ".csv":
-        return parse_csv_context(_read_text(path), path)
+        # as parse_csv_context reads its text: line ends kept as written
+        return parse_csv_context(_read_text(path, newline=""), path)
     raise FileFormatError(
         f"cannot infer context format from suffix {suffix!r}; "
         "expected '.cxt' or '.csv'",
@@ -341,9 +333,9 @@ def save_context(context, path):
         handle.write(text)
 
 
-def _read_text(path):
+def _read_text(path, newline=None):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
             return handle.read()
     except OSError as exc:
         raise FileFormatError(str(exc), path) from exc

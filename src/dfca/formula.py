@@ -56,14 +56,15 @@ class Formula(Record):
     A node is hashed when built, from its children's kept hashes, and
     keeps that hash: a knowledge base hashes whole trees each time a set
     or dict takes its statements, and hashing a tree of any depth then
-    costs one step. A node without fields, ``Top`` or ``Bot``, hashes as
-    the empty tuple.
+    costs one step. The constants and the binary connectives mix their
+    class's ``_tag`` into the hash, so ``Top`` and ``Bot``, and ``And``,
+    ``Or``, ``Implies`` and ``Iff`` over the same operands, hash apart.
     """
 
     __slots__ = ("_hash",)
 
     def __init__(self):
-        _set_hash(self, hash(()))
+        _set_hash(self, hash((self._tag,)))
 
     def __hash__(self):
         return self._hash
@@ -76,12 +77,14 @@ class Top(Formula):
     """The constant true."""
 
     __slots__ = ()
+    _tag = "Top"
 
 
 class Bot(Formula):
     """The constant false."""
 
     __slots__ = ()
+    _tag = "Bot"
 
 
 class Atom(Formula):
@@ -108,23 +111,27 @@ class _Binary(Formula):
     def __init__(self, left, right):
         _set_left(self, left)
         _set_right(self, right)
-        _set_hash(self, hash((left._hash, right._hash)))
+        _set_hash(self, hash((self._tag, left._hash, right._hash)))
 
 
 class And(_Binary):
     __slots__ = ()
+    _tag = "And"
 
 
 class Or(_Binary):
     __slots__ = ()
+    _tag = "Or"
 
 
 class Implies(_Binary):
     __slots__ = ()
+    _tag = "Implies"
 
 
 class Iff(_Binary):
     __slots__ = ()
+    _tag = "Iff"
 
 
 _set_hash = Formula._hash.__set__

@@ -240,18 +240,16 @@ class RankingFunction:
         level turns on or off, a run of ranks that have it starts or ends,
         so XOR with ``below`` at both ends adds the run's members (the
         strata are disjoint). That is one union and about two symmetric
-        differences per stratum. Each bit's members are then written out
-        as binary digits, which one ``translate`` turns into that bit's
-        value per member; the values of eight bits OR into one int,
-        written out as the members' bytes for that byte of the rank. So
-        each bit of the top rank costs one C-level pass over the size,
+        differences per stratum. ``bitsets.planes`` then writes the member
+        sets of each eight bits out as that byte of every rank, one
+        ``translate`` of binary digits per bit. So each bit of the top
+        rank costs one C-level pass over the size,
         where each stratum used to cost a pass. Past 256 strata each rank
         takes two bytes or more, which a ``memoryview`` reads as one C
         integer per member. No Python step runs per member.
         """
         if self._ranks is None:
             size, strata = self._size, self._strata
-            spec = f"0{size}b"
             top = len(strata) - 1
             top_bits = top.bit_length()
             unions = [0] * top_bits
@@ -269,15 +267,8 @@ class RankingFunction:
             width = 1 << (max(top_bits - 1, 0) // 8).bit_length()
             cells = bytearray(size * width)
             for low in range(0, top_bits, 8):
-                value = 0
-                for bit in range(low, min(low + 8, top_bits)):
-                    digits = format(unions[bit], spec).encode("ascii")
-                    table = bytes.maketrans(b"01", bytes((0, 1 << bit - low)))
-                    # index i's value lands at byte i of the int, as its
-                    # digit did
-                    value |= int.from_bytes(digits.translate(table), "big")
                 byte = low // 8 if sys.byteorder == "little" else width - 1 - low // 8
-                cells[byte::width] = value.to_bytes(size, "little")
+                cells[byte::width] = bitsets.planes(unions[low:low + 8], size)
             if width > 1:
                 cells = memoryview(cells).cast(_UNSIGNED[width])
             self._ranks = tuple(cells)

@@ -41,3 +41,21 @@ class TestLaws:
         """is_subset agrees with the set-of-indices reading."""
         expected = set(bitsets.iter_indices(a)) <= set(bitsets.iter_indices(b))
         assert bitsets.is_subset(a, b) == expected
+
+
+class TestPlanes:
+    def test_empty_universe(self):
+        assert bitsets.planes([0, 0], 0) == b""
+
+    @given(st.integers(0, 40).flatmap(
+        lambda size: st.tuples(
+            st.just(size), st.lists(st.integers(0, 2**size - 1), max_size=8)
+        )
+    ))
+    def test_byte_i_holds_bit_i_of_each_set(self, case):
+        size, sets = case
+        expected = bytes(
+            sum((bits >> i & 1) << k for k, bits in enumerate(sets))
+            for i in range(size)
+        )
+        assert bitsets.planes(sets, size) == expected

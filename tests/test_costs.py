@@ -9,8 +9,12 @@ note must still be in that docstring, so the claim and the test change
 together. A step counter misses C-level work that grows faster than
 linear; ``tests/test_scaling.py`` times that.
 
+A linear contract is for a path whose note says it runs a fixed number of
+steps per item: at 4n items it may run at most 4 times its steps at n,
+plus ``SLACK``, so one step per pair of items shows.
+
 Run ``python tests/test_costs.py`` to print each contract's step counts at
-n and 4n, the figures a change to a cost can cite.
+n and 4n and their ratio, the figures a change to a cost can cite.
 """
 
 import inspect
@@ -26,9 +30,22 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import dfca
-from dfca import ClosureSession, FormalContext, RankingFunction, cli
+from dfca import (
+    ClosureSession,
+    FormalContext,
+    RankingFunction,
+    StrictOrder,
+    bitsets,
+    cli,
+)
 from dfca import fileio
-from dfca.fileio import format_cxt, load_context, parse_cxt, save_context
+from dfca.fileio import (
+    format_cxt,
+    load_context,
+    parse_csv_context,
+    parse_cxt,
+    save_context,
+)
 from dfca.formula import And, Atom, Formula, extension, parse_conditional, parse_formula
 from dfca.ranking import KnowledgeBase, object_rank
 
@@ -46,14 +63,20 @@ _rng = random.Random(26)
 BLOCK = [_rng.getrandbits(M) for _ in range(64)]
 
 
-def steps(fn):
-    """The number of lines run in the package's code while ``fn()`` runs."""
+def steps(fn, limit=None):
+    """The number of lines run in the package's code while ``fn()`` runs.
+
+    Past ``limit`` lines the count stops and ``fn`` runs on untraced, so a
+    path far over its contract fails in about the time the contract allows.
+    """
     count = 0
 
     def in_package(frame, event, arg):
         nonlocal count
         if event == "line":
             count += 1
+            if limit is not None and count > limit:
+                sys.settrace(None)
         return in_package
 
     def on_call(frame, event, arg):
@@ -248,6 +271,42 @@ CONTRACTS = [
 ]
 
 
+def indices_to_a_set(n):
+    indices = list(range(0, 2 * n, 2))
+    return lambda: bitsets.from_indices(indices, 2 * n)
+
+
+def minimise_the_top_of_a_chain(n):
+    """The top element alone meets one empty intersection per layer."""
+    order = StrictOrder(n, [(i, i + 1) for i in range(n - 1)])
+    members = 1 << (n - 1)
+    return lambda: order.minimise(members)
+
+
+def parse_csv(n):
+    rows = BLOCK * (n // len(BLOCK))
+    lines = ["name," + ",".join(f"m{j}" for j in range(M))]
+    lines += [
+        f"g{i}," + ",".join("x" if row >> j & 1 else "" for j in range(M))
+        for i, row in enumerate(rows)
+    ]
+    text = "\n".join(lines) + "\n"
+    return lambda: parse_csv_context(text)
+
+
+# (operation, the object whose docstring holds the cost note, the note), for
+# paths that run a fixed number of steps per index, layer or record
+LINEAR_CONTRACTS = [
+    (
+        indices_to_a_set,
+        bitsets.from_indices,
+        "a fixed number of Python steps per index",
+    ),
+    (minimise_the_top_of_a_chain, StrictOrder.minimise, "one intersection per layer"),
+    (parse_csv, parse_csv_context, "a fixed number of Python steps per record"),
+]
+
+
 @pytest.mark.parametrize(
     "operation, owner, note",
     CONTRACTS,
@@ -261,6 +320,19 @@ def test_flat_paths_run_as_many_steps_at_4n_as_at_n(operation, owner, note):
     assert abs(large - small) <= SLACK, (small, large)
 
 
+@pytest.mark.parametrize(
+    "operation, owner, note",
+    LINEAR_CONTRACTS,
+    ids=[operation.__name__ for operation, _, _ in LINEAR_CONTRACTS],
+)
+def test_linear_paths_run_at_most_four_times_the_steps_at_4n(operation, owner, note):
+    assert note in " ".join(inspect.getdoc(owner).split())
+    small = steps(operation(N))
+    large = steps(operation(4 * N), limit=4 * small + SLACK)
+    assert small >= N
+    assert large <= 4 * small + SLACK, (small, large)
+
+
 def test_the_counter_sees_a_walk_per_object():
     """The counter itself: a path that walks the objects grows with them."""
     small = steps(lambda: dfca.bitsets.from_indices(range(N), N))
@@ -269,6 +341,7 @@ def test_the_counter_sees_a_walk_per_object():
 
 
 if __name__ == "__main__":
-    for operation, _, _ in CONTRACTS:
-        print(f"{operation.__name__}  n={N}: {steps(operation(N))}  "
-              f"4n={4 * N}: {steps(operation(4 * N))}")
+    for operation, _, _ in CONTRACTS + LINEAR_CONTRACTS:
+        small, large = steps(operation(N)), steps(operation(4 * N))
+        print(f"{operation.__name__}  n={N}: {small}  4n={4 * N}: {large}  "
+              f"4n/n: {large / small:.3f}")

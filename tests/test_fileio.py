@@ -1,6 +1,7 @@
 import copy
 import csv
 import io
+import itertools
 import json
 import os
 import random
@@ -648,16 +649,47 @@ class TestCsv:
         assert "field larger than field limit" in str(err.value)
 
     def test_lone_carriage_return_located(self):
+        """A lone CR ends a record, as in .cxt and statement files, so "g2"
+        is a record of its own."""
         with pytest.raises(FileFormatError) as err:
             parse_csv_context("name,a\ng1,1\ng2\rg3,1\n", "t.csv")
-        assert err.value.line == 3
-        assert "new-line character seen in unquoted field" in str(err.value)
+        assert str(err.value) == "t.csv:3: row has 0 cells, expected 1"
 
     def test_whitespace_names_and_padded_cells(self):
         context = parse_csv_context("name, a ,b\n g ,  X , 0\n")
         assert context.objects == (" g ",)
         assert context.attributes == (" a ", "b")
         assert context.row(0) == 0b01
+
+
+def line_end_variants(text):
+    """The text with its line breaks, quoted ones too, as LF, CRLF, lone CR,
+    and the three in turn."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    ends = ["\n", "\r\n", "\r"]
+    mixed = lines[0] + "".join(map(str.__add__, itertools.cycle(ends), lines[1:]))
+    return [text] + [end.join(lines) for end in ends] + [mixed]
+
+
+def loaded_or_refused(load, *args):
+    try:
+        return load(*args)
+    except FileFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name in MALFORMED if name.endswith(".csv"))
+)
+def test_csv_files_load_as_their_text_parses(name, tmp_path):
+    """``load_context`` reads a .csv file's line ends as written, as
+    ``parse_csv_context`` reads the same text."""
+    text = (INPUTS / name).read_bytes().decode("utf-8")
+    for k, variant in enumerate(line_end_variants(text)):
+        path = tmp_path / f"{k}.csv"
+        path.write_bytes(variant.encode("utf-8"))
+        parsed = loaded_or_refused(parse_csv_context, variant, path)
+        assert loaded_or_refused(load_context, path) == parsed
 
 
 class TestLoadSave:

@@ -158,16 +158,25 @@ def test_keywords_and_defaults_name_the_fields():
 
 def test_a_node_keeps_its_hash():
     node = And(Not(a), Or(a, b))
-    # each node is hashed when built, from its children's kept hashes
-    assert node._hash == hash((node.left._hash, node.right._hash))
+    # each node is hashed when built, from its class tag and its
+    # children's kept hashes
+    assert node._hash == hash(("And", node.left._hash, node.right._hash))
     assert node.left._hash == hash((a._hash,))
     assert a._hash == hash("a")
-    assert Top()._hash == Bot()._hash == hash(())
+    assert Top()._hash == hash(("Top",))
     assert hash(node) == node._hash
     assert hash(node.right) == node.right._hash
     # the kept hash is no field: copies are rebuilt by __init__ and agree
     assert node._fields == ("left", "right")
     assert hash(copy.deepcopy(node)) == node._hash
+
+
+def test_connectives_and_constants_hash_apart():
+    """Nodes of different classes over the same operands are unequal, so a
+    set or dict holding several should not have to tell them apart by
+    ``__eq__`` in one bucket."""
+    nodes = [cls(a, b) for cls in (And, Or, Implies, Iff)] + [Top(), Bot()]
+    assert len(set(map(hash, nodes))) == len(nodes)
 
 
 def test_a_record_class_declares_its_slots():

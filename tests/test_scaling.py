@@ -56,11 +56,13 @@ empty intersection per layer: 0.0002-0.0003 s, against 0.00002-0.00007 s
 for the member walk and a cap of 0.005 s.
 
 A 200k x 40 CSV file of ``x`` and empty cells parses, every column
-read, in 1.3-1.8 s: the ``csv`` module's reader takes 0.7-1.2 s of it,
-the bulk checks and the cut of the columns the rest. A check and
-``1 << j`` per cell took 2.6-3.2 s on the same machine. Both are linear;
-the cap of 4 s guards against a superlinear parse, not against the
-per-cell walk.
+read, in 1.2-1.6 s (three runs, 2-core VM, Python 3.11): the ``csv``
+module's reader takes 0.6-0.8 s of it, the walk over the records, which
+looks each distinct cell text up once, and the cut of the columns the
+rest. Checking the records in bulk, with a second walk to locate a
+fault, took 1.8-2.3 s in the same runs, and a check and ``1 << j`` per
+cell 2.6-3.2 s on an earlier machine. All are linear; the cap of 4 s
+guards against a superlinear parse, not against the per-record walk.
 
 A 200k x 40 ``.cxt`` file parses in a median of 0.07 s (0.07-0.09 s over
 seven runs): lines are split only up to the names, and the rows are
